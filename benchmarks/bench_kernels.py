@@ -3,6 +3,7 @@
 Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--steps N] [--batch M] [--repeats R]
+                                        [--json PATH]
 
 The compiled lane times the public kernels in this process; the fallback lane
 re-runs the same workloads in a subprocess with ANTHRACTL_BACKEND=numpy, so
@@ -11,17 +12,26 @@ frozen at import time).  The subprocess also returns its output arrays, and
 the table reports the worst elementwise disagreement per kernel, so the race
 doubles as a backend consistency check.  Without numba only the fallback lane
 is timed.
+
+The feedback_root lane times the warm-started feedback root (_u_interior)
+against the plain bisection it must reproduce bit for bit
+(_u_interior_bisect) on the same _FEEDBACK_DRAWS seeded draws, on the active
+backend, and counts the draws where the two differ; that count must be 0.
+
+--json PATH also writes every result, with the environment, as JSON.
 """
 
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 import time
 
 import numpy as np
+import scipy
 
 from anthractl import _kernels as K
 
@@ -84,6 +94,51 @@ def _workloads(args):
     ]
 
 
+#: Seeded draws in the feedback_root lane.
+_FEEDBACK_DRAWS = 10_000
+
+
+def _feedback_draws(n: int):
+    """(alpha, theta, p, theta1, k) draws below the saturation threshold.
+
+    c3/k = alpha*theta1^2*theta*p/k is uniform on (0, 8/27), except that
+    every eighth draw sits within 1e-6 (relative) of the threshold, where the
+    double root sends the warm start to its fallback, and every eighth is
+    below 1e-5, where cancellation in Viete's form can do the same.
+    """
+    rng = np.random.default_rng(11)
+    ratio = rng.uniform(0.0, 8.0 / 27.0, n)
+    ratio[1::8] = 8.0 / 27.0 * (1.0 - 10.0 ** rng.uniform(-15.0, -6.0, ratio[1::8].size))
+    ratio[2::8] = 10.0 ** rng.uniform(-15.0, -5.0, ratio[2::8].size)
+    k = rng.uniform(0.1, 10.0, n)
+    theta1 = rng.uniform(0.05, 0.95, n)
+    theta = rng.uniform(0.05, 1.0, n)
+    p = rng.uniform(0.05, 2.0, n)
+    alpha = ratio * k / (theta1 * theta1 * theta * p)
+    return [tuple(float(v) for v in row)
+            for row in zip(alpha, theta, p, theta1, k)]
+
+
+def _feedback_root_lane(repeats: int):
+    n_draws = _FEEDBACK_DRAWS
+    draws = _feedback_draws(n_draws)
+
+    def run(fn):
+        return [fn(*d) for d in draws]
+
+    warm = _best_of(run, (K._u_interior,), repeats)
+    bisect = _best_of(run, (K._u_interior_bisect,), repeats)
+    mismatches = sum(a != b for a, b in zip(run(K._u_interior),
+                                            run(K._u_interior_bisect)))
+    return {"draws": n_draws,
+            "warm_s": warm,
+            "bisect_s": bisect,
+            "warm_us_per_call": warm / n_draws * 1e6,
+            "bisect_us_per_call": bisect / n_draws * 1e6,
+            "speedup": bisect / warm,
+            "mismatches": int(mismatches)}
+
+
 # ---------------------------------------------------------------------------
 #  Timing
 # ---------------------------------------------------------------------------
@@ -139,6 +194,8 @@ def main() -> None:
                     help="time steps in the batched sweep (default 1000)")
     ap.add_argument("--repeats", type=int, default=5,
                     help="timing repeats, best-of (default 5)")
+    ap.add_argument("--json", metavar="PATH", default=None,
+                    help="also write the results as JSON to PATH")
     ap.add_argument("--dump", metavar="NPZ", default=None,
                     help=argparse.SUPPRESS)  # internal: write lane results
     args = ap.parse_args()
@@ -153,29 +210,62 @@ def main() -> None:
         np.savez(args.dump, **payload)
         return
 
+    root = _feedback_root_lane(args.repeats)
+    workloads = {name: workload for name, _, _, workload in _workloads(args)}
+    numba_times = {}
+    agree = {}
+    if K.backend_name() == "numba":
+        numba_times = times
+        with tempfile.TemporaryDirectory() as tmp:
+            times, fb_outputs = _fallback_lane_via_subprocess(
+                args, os.path.join(tmp, "fallback.npz"))
+        agree = {name: max(float(np.max(np.abs(a - b)))
+                           for a, b in zip(outputs[name], fb_outputs[name]))
+                 for name in workloads}
+
     print(f"backend: {K.backend_name()} (numba importable: {K.HAVE_NUMBA})")
-    header = (f"{'kernel':<18} {'workload':<34} {'numba':>10} "
-              f"{'numpy':>10} {'speedup':>8} {'agree':>9}")
-    if K.backend_name() != "numba":
+    if not numba_times:
         # already on the fallback: nothing to race against
         print("numba lane unavailable; fallback timings only\n")
         print(f"{'kernel':<18} {'workload':<34} {'numpy':>10}")
-        for name, _, _, workload in _workloads(args):
+        for name, workload in workloads.items():
             print(f"{name:<18} {workload:<34} {times[name] * 1e3:>8.1f}ms")
-        return
+    else:
+        header = (f"{'kernel':<18} {'workload':<34} {'numba':>10} "
+                  f"{'numpy':>10} {'speedup':>8} {'agree':>9}")
+        print(header)
+        print("-" * len(header))
+        for name, workload in workloads.items():
+            t_nb, t_np = numba_times[name], times[name]
+            print(f"{name:<18} {workload:<34} {t_nb * 1e3:>8.1f}ms "
+                  f"{t_np * 1e3:>8.1f}ms {t_np / t_nb:>7.1f}x {agree[name]:>9.1e}")
+    print(f"\nfeedback_root ({K.backend_name()}, {root['draws']} draws): "
+          f"warm {root['warm_us_per_call']:.2f}us/call, "
+          f"bisection {root['bisect_us_per_call']:.2f}us/call, "
+          f"{root['speedup']:.2f}x, mismatches {root['mismatches']}")
 
-    with tempfile.TemporaryDirectory() as tmp:
-        fb_times, fb_outputs = _fallback_lane_via_subprocess(
-            args, os.path.join(tmp, "fallback.npz"))
-
-    print(header)
-    print("-" * len(header))
-    for name, _, _, workload in _workloads(args):
-        agree = max(float(np.max(np.abs(a - b)))
-                    for a, b in zip(outputs[name], fb_outputs[name]))
-        t_nb, t_np = times[name], fb_times[name]
-        print(f"{name:<18} {workload:<34} {t_nb * 1e3:>8.1f}ms "
-              f"{t_np * 1e3:>8.1f}ms {t_np / t_nb:>7.1f}x {agree:>9.1e}")
+    if args.json is not None:
+        report = {
+            "environment": {"python": platform.python_version(),
+                            "numpy": np.__version__,
+                            "scipy": scipy.__version__,
+                            "backend": K.backend_name(),
+                            "numba_importable": K.HAVE_NUMBA,
+                            "cores": os.cpu_count()},
+            "settings": {"steps": args.steps, "batch": args.batch,
+                         "batch_steps": args.batch_steps,
+                         "repeats": args.repeats},
+            "kernels": {name: {"workload": workload,
+                               "numpy_s": times[name],
+                               "numba_s": numba_times.get(name),
+                               "max_abs_disagreement": agree.get(name)}
+                        for name, workload in workloads.items()},
+            "feedback_root": root,
+        }
+        with open(args.json, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(report, indent=2) + "\n")
+    if root["mismatches"]:
+        sys.exit(f"feedback_root: {root['mismatches']} draws differ from bisection")
 
 
 if __name__ == "__main__":

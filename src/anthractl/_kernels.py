@@ -124,18 +124,80 @@ def _host_rhs(t, th, vv, vr, u,
     return (dth, dv, dvr, 0)
 
 
-@_jit
-def _u_interior(alpha_t: float, theta: float, p: float,
-                theta1: float, k: float) -> float:
-    """Interior branch of the feedback law (and its continuous extension).
+#: Dyadic level at which the warm-started feedback root joins the bisection
+#: from [1, 3/2]: the bracket width there is 0.5 * 2**-_WARM_LEVEL.
+_WARM_LEVEL = 38
+_WARM_WIDTH = 0.5 * 2.0 ** -_WARM_LEVEL
+_WARM_LAST = 2.0 ** _WARM_LEVEL - 1.0
+_EPS = float(np.finfo(np.float64).eps)
 
-    Solves c3*w^3 - 2k*w + 2k = 0 with c3 = alpha*theta1^2*theta*p for the
-    root in (1, 3/2] and maps w -> u = (w-1)/(theta1*w), clamped to [0, 1].
-    Past the saturation threshold (27*c3 >= 8k, where the cubic loses its
-    usable root) the branch is extended by its limiting value w = 3/2, which
-    is what event location integrates with while a step straddles the
-    switching surface.
+
+@_jit
+def _bisect_root(c3: float, k: float, lo: float, hi: float) -> float:
+    """Bisect g(w) = c3*w^3 - 2k*w + 2k on [lo, hi] down to width 1e-15."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if c3 * mid * mid * mid - 2.0 * k * mid + 2.0 * k > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15:
+            break
+    return 0.5 * (lo + hi)
+
+
+@_jit
+def _feedback_root(c3: float, k: float) -> float:
+    """Root in (1, 3/2) of g(w) = c3*w^3 - 2k*w + 2k for 0 < 27*c3 < 8k.
+
+    Returns exactly the value that bisection from [1, 3/2] returns.  Viete's
+    trigonometric root only picks the level-_WARM_LEVEL dyadic bracket that
+    bisection would reach; the bracket is used only if g, as computed, clears
+    the bound B at both ends.
+
+    Why the bits agree: evaluating g on [1, 3/2] commits a rounding error of
+    at most eps*(8.5*c3 + 5.5*k) < b = 8*eps*(3.375*c3 + 5k).  With B = 3b,
+    computed g(lo) > B means exact g(lo) > 2b; below the threshold exact g
+    is strictly decreasing on [0, 3/2], so every earlier bisection midpoint
+    m <= lo has exact g(m) > 2b and computed g(m) > 0, so bisection keeps
+    the upper half there, and by the same argument the lower half at every
+    m >= hi.
+    So bisection arrives at [lo, hi] (its width, 2**-39, is far above the
+    1e-15 stop) and the unchanged loop finishes it.
+    Just above the true threshold (where 27*c3 < 8k holds only after
+    rounding) g >= 0 everywhere, the check fails and bisection runs from
+    [1, 3/2], as it does near the double root, for tiny c3/k (where Viete's
+    form cancels to fewer digits than the bracket needs) and on any
+    non-finite input.
     """
+    r = c3 / k
+    if r == 0.0:
+        # c3/k underflowed: Viete's form would divide by zero
+        return _bisect_root(c3, k, 1.0, 1.5)
+    x = -1.5 * math.sqrt(1.5 * r)
+    if x < -1.0:
+        x = -1.0
+    w = 2.0 * math.sqrt(2.0 / (3.0 * r)) * math.cos(
+        math.acos(x) / 3.0 - _TWO_PI / 3.0)
+    pos = (w - 1.0) / _WARM_WIDTH
+    if not pos >= 0.0:
+        pos = 0.0
+    if pos > _WARM_LAST:
+        pos = _WARM_LAST
+    lo = 1.0 + math.floor(pos) * _WARM_WIDTH
+    hi = lo + _WARM_WIDTH
+    # The trailing 1e-300 covers absolute (subnormal) rounding errors.
+    bound = 24.0 * _EPS * (3.375 * c3 + 5.0 * k) + 1e-300
+    if (c3 * lo * lo * lo - 2.0 * k * lo + 2.0 * k > bound
+            and c3 * hi * hi * hi - 2.0 * k * hi + 2.0 * k < -bound):
+        return _bisect_root(c3, k, lo, hi)
+    return _bisect_root(c3, k, 1.0, 1.5)
+
+
+@_jit
+def _u_law(alpha_t: float, theta: float, p: float,
+           theta1: float, k: float, warm: bool) -> float:
+    """Body of _u_interior; warm=False bisects from [1, 3/2] directly."""
     if theta1 <= 0.0:
         return 0.0
     c3 = alpha_t * theta1 * theta1 * theta * p
@@ -147,19 +209,10 @@ def _u_interior(alpha_t: float, theta: float, p: float,
     if 27.0 * c3 >= 8.0 * k:
         w3 = cap
     else:
-        # g(1) = c3 > 0 and g(3/2) = (27/8)c3 - k < 0 below the threshold,
-        # and g is strictly decreasing on [0, 3/2] there: bisect directly.
-        lo = 1.0
-        hi = 1.5
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if c3 * mid * mid * mid - 2.0 * k * mid + 2.0 * k > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15:
-                break
-        w3 = 0.5 * (lo + hi)
+        if warm:
+            w3 = _feedback_root(c3, k)
+        else:
+            w3 = _bisect_root(c3, k, 1.0, 1.5)
         if w3 > cap:
             w3 = cap
         if w3 < 1.0:
@@ -170,6 +223,29 @@ def _u_interior(alpha_t: float, theta: float, p: float,
     if u > 1.0:
         u = 1.0
     return u
+
+
+@_jit
+def _u_interior(alpha_t: float, theta: float, p: float,
+                theta1: float, k: float) -> float:
+    """Interior branch of the feedback law (and its continuous extension).
+
+    Solves c3*w^3 - 2k*w + 2k = 0 with c3 = alpha*theta1^2*theta*p for the
+    root in (1, 3/2] and maps w -> u = (w-1)/(theta1*w), clamped to [0, 1].
+    Past the saturation threshold (27*c3 >= 8k, where the cubic loses its
+    usable root) the branch is extended by its limiting value w = 3/2, which
+    is what event location integrates with while a step straddles the
+    switching surface.  The root is warm-started (see _feedback_root), so the
+    result is bit-identical to _u_interior_bisect.
+    """
+    return _u_law(alpha_t, theta, p, theta1, k, True)
+
+
+@_jit
+def _u_interior_bisect(alpha_t: float, theta: float, p: float,
+                       theta1: float, k: float) -> float:
+    """_u_interior with the root bisected from [1, 3/2]: the reference."""
+    return _u_law(alpha_t, theta, p, theta1, k, False)
 
 
 @_jit

@@ -141,9 +141,8 @@ def solve_feedback_cubic(c3: float, k: float, theta1: Optional[float] = None) ->
 
     Returns the point of [1, min(3/2, 1/(1-theta1))] nearest to the smallest
     nonnegative real root (the upper cap is 3/2 alone when theta1 is None).
-    The root is bracketed by a sign scan over [0, 3/2] and refined by
-    bisection to machine precision, which keeps the residual below 1e-12 for
-    moderate k.
+    The root comes from the integration kernels' solver, so it is the value
+    the coupled integration uses, bisected to a bracket of width 1e-15.
 
     Raises BangRegimeError when 27*c3 >= 8k — there is no usable nonnegative
     root and the caller must saturate the control at u = 1.
@@ -158,28 +157,12 @@ def solve_feedback_cubic(c3: float, k: float, theta1: Optional[float] = None) ->
         if not 0.0 <= theta1 < 1.0:
             raise ValueError(f"theta1 must be in [0, 1), got {theta1}")
         cap = min(cap, 1.0 / (1.0 - theta1))
-
-    # Off the bang set, g(w) = c3*w^3 - 2k*(w - 1) is strictly decreasing on
-    # [0, 3/2] with g(0) = 2k > 0 and g(3/2) = (27/8)c3 - k < 0, so the scan
-    # always brackets exactly one crossing.
-    w = np.linspace(0.0, 1.5, 513)
-    g = c3 * w**3 - 2.0 * k * w + 2.0 * k
-    idx = np.flatnonzero((g[:-1] > 0.0) & (g[1:] <= 0.0))
-    if idx.size == 0:  # pragma: no cover - excluded analytically
-        raise ArithmeticError(f"no sign change found for c3={c3}, k={k}")
-    lo = float(w[idx[0]])
-    hi = float(w[idx[0] + 1])
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        gm = c3 * mid**3 - 2.0 * k * mid + 2.0 * k
-        if gm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * np.finfo(float).eps:
-            break
-    root = 0.5 * (lo + hi)
-    return min(max(root, 1.0), cap)
+    if not math.isfinite(c3):
+        raise ValueError(f"c3 must be finite, got {c3}")
+    if c3 <= 0.0:
+        # g(1) = c3 <= 0 while g(0) = 2k > 0: the root lies in (0, 1].
+        return 1.0
+    return min(_kernels._feedback_root(c3, k), cap)
 
 
 def optimal_u_feedback(alpha_t: float, theta: float, p: float,

@@ -489,28 +489,37 @@ def hamiltonian_pointwise_feedback(alpha, theta, p, theta1: float, k1) -> Scalar
     found by bisection (the left side increases on that interval).
     """
     t1 = float(theta1)
-    if not 0.0 < t1 < 1.0:
-        raise ValueError(f"theta1 must lie in (0,1), got {t1}")
     sizes = [np.asarray(getattr(x, "values", x)).shape[0]
              for x in (alpha, theta, p, k1)
              if np.asarray(getattr(x, "values", x)).ndim == 1]
     n = sizes[0] if sizes else 1
-    al = as_cell_values(alpha, n)
-    th = as_cell_values(theta, n)
-    pv = as_cell_values(p, n)
     k1v = as_cell_values(k1, n)
+    _check_feedback_args(t1, k1v)
+    u = _stationarity_feedback(as_cell_values(alpha, n), as_cell_values(theta, n),
+                               as_cell_values(p, n), t1, k1v)
+    return ScalarField(u)
+
+
+def _check_feedback_args(theta1: float, k1v: np.ndarray) -> None:
+    if not 0.0 < theta1 < 1.0:
+        raise ValueError(f"theta1 must lie in (0,1), got {theta1}")
     if np.any(k1v <= 0.0):
         raise ValueError("k1 must be strictly positive")
 
+
+def _stationarity_feedback(al, th, pv, t1: float, k1v) -> np.ndarray:
+    """Array core of hamiltonian_pointwise_feedback, elementwise over the
+    broadcast shape of its arguments (one time level or a whole path).
+    Arguments are unchecked; see _check_feedback_args."""
     c = al * t1 * th * pv               # right side of the stationarity equation
-    u = np.zeros(n)
+    u = np.zeros(c.shape)
     bang = 27.0 * t1 * c >= 8.0 * k1v   # 27*alpha*theta1^2*theta*p >= 8*k1
     u[bang] = 1.0
 
     interior = (~bang) & (c > 0.0)
     if np.any(interior):
         ci = c[interior]
-        ki = k1v[interior]
+        ki = np.broadcast_to(k1v, c.shape)[interior]
         lo = np.zeros(ci.shape)
         hi = np.full(ci.shape, 1.0 / (3.0 * t1))
         # phi(u) = 2*k1*u*(1-theta1*u)^2 - c is increasing on [0, 1/(3*theta1)],
@@ -523,7 +532,7 @@ def hamiltonian_pointwise_feedback(alpha, theta, p, theta1: float, k1) -> Scalar
             lo = np.where(take_hi, lo, mid)
         root = 0.5 * (lo + hi)
         u[interior] = np.minimum(root, 1.0)
-    return ScalarField(u)
+    return u
 
 
 # --------------------------------------------------------------------------
@@ -598,6 +607,8 @@ def forward_backward_sweep(theta0, grid: SpatialGrid, A: DiffusionField, alpha,
     times = _uniform_times(T, dt)
     al = as_cell_values(alpha, n)
     k1 = cost.k1_values(n)
+    t1 = float(theta1)
+    _check_feedback_args(t1, k1)
 
     u_vals = np.zeros((len(times), n))
     u_path = FieldPath(times, u_vals)
@@ -610,10 +621,8 @@ def forward_backward_sweep(theta0, grid: SpatialGrid, A: DiffusionField, alpha,
     for iterations in range(1, max_iter + 1):
         theta_path = integrate_controlled(theta0, grid, A, al, u_path, theta1, T, dt)
         p_path = solve_adjoint_pde(theta_path, u_path, cost, grid, A, T, dt, al, theta1)
-        u_new = np.empty_like(u_vals)
-        for j in range(len(times)):
-            u_new[j] = hamiltonian_pointwise_feedback(
-                al, theta_path.values[j], p_path.values[j], theta1, k1).values
+        u_new = _stationarity_feedback(al, theta_path.values, p_path.values,
+                                       t1, k1)
         u_next = (1.0 - relax) * u_vals + relax * u_new
         change = float(np.max(np.abs(u_next - u_vals)))
         u_vals = u_next

@@ -7,6 +7,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anthractl import _kernels
 from anthractl._kernels import (
@@ -60,6 +62,68 @@ def test_coupled_kernel_python_parity():
     assert np.array_equal(th_a, th_b)
     assert np.array_equal(p_a, p_b)
     assert np.array_equal(u_a, u_b)
+
+
+# ---------------------------------------------------------------------------
+#  Warm-started feedback root: bit-identical to plain bisection
+# ---------------------------------------------------------------------------
+
+_THRESHOLD = 8.0 / 27.0
+
+# c3/k across (0, 8/27): anywhere, within 1e-12 (relative) below the
+# threshold where the double root defeats the warm start, and below 1e-9
+_ratio = st.one_of(
+    st.floats(0.0, _THRESHOLD, exclude_min=True, exclude_max=True),
+    st.floats(1e-16, 1e-12).map(lambda d: _THRESHOLD * (1.0 - d)),
+    st.floats(1e-300, 1e-9),
+)
+_k = st.floats(1e-3, 1e3)
+_unit = st.floats(1e-6, 1.0, exclude_max=True)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(ratio=_ratio, k=_k)
+def test_feedback_root_equals_bisection(ratio, k):
+    c3 = ratio * k
+    assert _kernels._feedback_root(c3, k) == \
+        _kernels._bisect_root(c3, k, 1.0, 1.5)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(ratio=_ratio, k=_k, theta1=_unit, theta=_unit, p=st.floats(1e-3, 2.0))
+def test_u_interior_equals_bisection_reference(ratio, k, theta1, theta, p):
+    alpha = ratio * k / (theta1 * theta1 * theta * p)
+    assert _kernels._u_interior(alpha, theta, p, theta1, k) == \
+        _kernels._u_interior_bisect(alpha, theta, p, theta1, k)
+
+
+def test_feedback_root_underflowed_ratio():
+    # c3/k rounds to 0: no Viete guess, plain bisection
+    assert _kernels._feedback_root(5e-324, 10.0) == \
+        _kernels._bisect_root(5e-324, 10.0, 1.0, 1.5)
+
+
+@pytest.mark.skipif(backend_name() != "numpy",
+                    reason="compiled kernels ignore the patched module global")
+def test_coupled_kernel_identical_with_bisection_reference(monkeypatch):
+    # fig1 at its converged p0, where the trajectory crosses the switching
+    # surface; swapping in the reference root must not move a single bit.
+    # (Pure-Python kernel: the patched global is what _u_branch calls.)
+    dummy = np.zeros(1)
+    args = (0.2, 0.7619851105816545, 0.0, 1e-3, 1000, 0.6, 1.0,
+            FORCING_SEASONAL, 4.0, 0.75, 0.2, dummy, dummy)
+    warm = _kernels.coupled_rk4_py(*args)
+    calls = []
+
+    def reference(*a):
+        calls.append(1)
+        return _kernels._u_interior_bisect(*a)
+
+    monkeypatch.setattr(_kernels, "_u_interior", reference)
+    ref = _kernels.coupled_rk4_py(*args)
+    assert len(calls) > 1000
+    for a, b in zip(warm, ref):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.skipif(backend_name() != "numba",

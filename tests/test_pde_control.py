@@ -189,6 +189,35 @@ def test_pointwise_feedback_matches_scalar_law(rng):
             assert u_field.values[j] == pytest.approx(expect, abs=5e-7)
 
 
+def test_sweep_path_feedback_equals_per_level_feedback(rng):
+    # the sweep evaluates the stationarity feedback once on the whole
+    # (n_t, n_cells) path; it must equal the per-time-level public call
+    from anthractl.pde_control import _stationarity_feedback
+
+    grid, A = _grid_1d(n=8)
+    alpha = rng.uniform(0.5, 4.0, 8)
+    k1 = rng.uniform(0.2, 1.0, 8)
+    cost = PdeCostSpec(k1=k1, k2=0.3)
+    theta1, T, dt = 0.6, 0.5, 0.01
+    times = np.linspace(0.0, T, 51)
+    u_path = FieldPath(times, rng.uniform(0.0, 0.5, (51, 8)))
+    theta = integrate_controlled(ScalarField.constant(grid, 0.4), grid, A,
+                                 alpha, u_path, theta1, T, dt).values
+    p = solve_adjoint_pde(FieldPath(times, theta), u_path, cost, grid, A, T, dt,
+                          alpha, theta1).values
+    p = p * rng.uniform(-1.0, 8.0, p.shape)  # reach the bang and u = 0 cells
+    whole = _stationarity_feedback(alpha, theta, p, theta1, k1)
+    per_level = np.array([
+        hamiltonian_pointwise_feedback(alpha, theta[j], p[j], theta1, k1).values
+        for j in range(len(times))])
+    assert 0.0 < np.mean(whole == 1.0) < 1.0
+    assert np.any((whole > 0.0) & (whole < 1.0))
+    assert np.array_equal(whole, per_level)
+    for j, c in zip(*np.nonzero((whole > 0.0) & (whole < 1.0))):
+        expect = optimal_u_feedback(alpha[c], theta[j, c], p[j, c], theta1, k1[c])
+        assert whole[j, c] == pytest.approx(expect, abs=5e-7)
+
+
 def test_pointwise_feedback_interior_residual():
     # strictly interior cell: stationarity equation holds to near machine eps
     alpha, theta, p, theta1, k1 = 2.0, 0.5, 0.6, 0.6, 1.0

@@ -18,6 +18,12 @@ against the plain bisection it must reproduce bit for bit
 (_u_interior_bisect) on the same _FEEDBACK_DRAWS seeded draws, on the active
 backend, and counts the draws where the two differ; that count must be 0.
 
+The implicit_step lane times _IMPLICIT_STEPS controlled backward-Euler steps
+on a 64-cell 1-D grid and a 40x40 2-D grid two ways: rebuilding the CSR step
+matrix and running CG every step, and the fixed-stencil stepper the PDE
+control layer uses.  It reports the largest deviation between the two paths,
+which must stay within 1e-10.
+
 --json PATH also writes every result, with the environment, as JSON.
 """
 
@@ -32,8 +38,11 @@ import time
 
 import numpy as np
 import scipy
+import scipy.sparse as sp
 
+from anthractl import GridSpec, assemble_operator, build_grid
 from anthractl import _kernels as K
+from anthractl.pde import _FixedStencilStepper, _solve_checked
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +148,55 @@ def _feedback_root_lane(repeats: int):
             "mismatches": int(mismatches)}
 
 
+#: Grids, steps per timed run and deviation bound of the implicit_step lane.
+_IMPLICIT_GRIDS = ((64,), (40, 40))
+_IMPLICIT_STEPS = 100
+_IMPLICIT_MAX_DEVIATION = 1e-10
+
+
+def _implicit_step_lane(repeats: int):
+    h = 0.01
+    lane = {}
+    for resolution in _IMPLICIT_GRIDS:
+        grid, A = build_grid(GridSpec((1.0,) * len(resolution), resolution), A_spec=0.02)
+        D = assemble_operator(grid, A, alpha=0.0, u=0.0, theta1=0.5).matrix
+        n = grid.n_cells
+        rng = np.random.default_rng(5)
+        reactions = rng.uniform(0.5, 4.0, (_IMPLICIT_STEPS, n))
+        source = h * rng.uniform(0.0, 2.0, n)
+        x_start = rng.uniform(0.1, 1.0, n)
+        eye = sp.identity(n, format="csr")
+
+        def rebuild():
+            x, path = x_start, []
+            for r in reactions:
+                M = (eye + h * (D + sp.diags(r))).tocsr()
+                x = _solve_checked(M, x + source, x0=x)
+                path.append(x)
+            return path
+
+        def fixed():
+            stepper = _FixedStencilStepper(D, h)
+            x, path = x_start, []
+            for r in reactions:
+                x = stepper.solve(r, x + source, x0=x)
+                path.append(x)
+            return path
+
+        t_rebuild = _best_of(rebuild, (), repeats)
+        t_fixed = _best_of(fixed, (), repeats)
+        deviation = max(float(np.max(np.abs(a - b)))
+                        for a, b in zip(rebuild(), fixed()))
+        lane["x".join(map(str, resolution))] = {
+            "cells": n,
+            "steps": _IMPLICIT_STEPS,
+            "rebuild_us_per_step": t_rebuild / _IMPLICIT_STEPS * 1e6,
+            "fixed_us_per_step": t_fixed / _IMPLICIT_STEPS * 1e6,
+            "speedup": t_rebuild / t_fixed,
+            "max_abs_deviation": deviation}
+    return lane
+
+
 # ---------------------------------------------------------------------------
 #  Timing
 # ---------------------------------------------------------------------------
@@ -211,6 +269,7 @@ def main() -> None:
         return
 
     root = _feedback_root_lane(args.repeats)
+    implicit = _implicit_step_lane(args.repeats)
     workloads = {name: workload for name, _, _, workload in _workloads(args)}
     numba_times = {}
     agree = {}
@@ -243,6 +302,11 @@ def main() -> None:
           f"warm {root['warm_us_per_call']:.2f}us/call, "
           f"bisection {root['bisect_us_per_call']:.2f}us/call, "
           f"{root['speedup']:.2f}x, mismatches {root['mismatches']}")
+    for name, r in implicit.items():
+        print(f"implicit_step ({name}, {r['cells']} cells): "
+              f"rebuild+CG {r['rebuild_us_per_step']:.1f}us/step, "
+              f"fixed stencil {r['fixed_us_per_step']:.1f}us/step, "
+              f"{r['speedup']:.2f}x, max deviation {r['max_abs_deviation']:.1e}")
 
     if args.json is not None:
         report = {
@@ -261,11 +325,16 @@ def main() -> None:
                                "max_abs_disagreement": agree.get(name)}
                         for name, workload in workloads.items()},
             "feedback_root": root,
+            "implicit_step": implicit,
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report, indent=2) + "\n")
     if root["mismatches"]:
         sys.exit(f"feedback_root: {root['mismatches']} draws differ from bisection")
+    worst = max(r["max_abs_deviation"] for r in implicit.values())
+    if not worst <= _IMPLICIT_MAX_DEVIATION:
+        sys.exit(f"implicit_step: the fixed-stencil path deviates by {worst:.3e} "
+                 f"> {_IMPLICIT_MAX_DEVIATION:g} from rebuild+CG")
 
 
 if __name__ == "__main__":

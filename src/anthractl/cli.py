@@ -452,9 +452,9 @@ def _write_field_path_csv(path: str, fp: FieldPath):
     """(t, cell, value) rows for a sampled field path."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,cell,value\n")
-        for i, t in enumerate(fp.times):
-            for j, v in enumerate(fp.values[i]):
-                fh.write(f"{_fmt(t)},{j},{_fmt(v)}\n")
+        for t, row in zip(fp.times.tolist(), fp.values.tolist()):
+            ts = _fmt(t)
+            fh.write("".join(f"{ts},{j},{_fmt(v)}\n" for j, v in enumerate(row)))
 
 
 def _write_cost_csv(path: str, costs: dict):
@@ -649,19 +649,17 @@ def _run_riccati_pde(cfg: ScenarioConfig, out_dir: str) -> RunReport:
 
     _write_field_path_csv(os.path.join(out_dir, "theta_path.csv"), theta_path)
     _write_field_path_csv(os.path.join(out_dir, "u_path.csv"), u_path)
-    diag_rows = []
-    for i in range(P_path.times.shape[0]):
-        P = P_path.matrices[i]
-        eigs = np.linalg.eigvalsh(P)
-        diag_rows.append((P_path.times[i], float(np.trace(P)),
-                          float(eigs[0]), float(eigs[-1])))
+    eig_range = P_path.eigenvalue_range()
+    diag_rows = [(s, float(np.trace(P)), e_min, e_max)
+                 for s, P, (e_min, e_max) in zip(P_path.times, P_path.matrices,
+                                                 eig_range.tolist())]
     _write_csv(os.path.join(out_dir, "riccati_diagnostics.csv"),
                ("s", "trace", "eig_min", "eig_max"), diag_rows)
     _write_cost_csv(os.path.join(out_dir, "cost_comparison.csv"), costs)
 
     diag = {
         "P_final_trace": float(np.trace(P_path.matrices[-1])),
-        "P_final_eig_min": float(np.linalg.eigvalsh(P_path.matrices[-1])[0]),
+        "P_final_eig_min": float(eig_range[-1, 0]),
         "u_min": float(np.min(u_path.values)),
         "u_max": float(np.max(u_path.values)),
     }

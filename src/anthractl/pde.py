@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solveh_banded
 
 from .grid import DiffusionField, ScalarField, SpatialGrid, as_cell_values
 from .host import DivisionGuardError
@@ -167,6 +168,52 @@ def _solve_checked(M: sp.spmatrix, rhs: np.ndarray, x0=None) -> np.ndarray:
             raise SolverBreakdownError(
                 f"implicit solve stalled at relative residual {res / rhs_norm:.3e}")
     return x
+
+
+class _FixedStencilStepper:
+    """Backward-Euler solves of (I + h*(D + diag(r))) x = rhs for a fixed
+    stencil D and a reaction diagonal r that changes from step to step.
+
+    I + h*D is assembled once; each solve writes 1 + h*(D_ii + r_i) into
+    the recorded diagonal slots of that CSR matrix in place, so the matrix
+    equals the one a per-step rebuild would produce.  A tridiagonal stencil
+    (1-D) is solved directly as a banded SPD system; any wider stencil (2-D)
+    runs warm-started CG.  Every solve is residual-checked to 1e-12, and a
+    failed check or a failed banded factorization falls back to
+    _solve_checked on the same matrix.
+    """
+
+    def __init__(self, D: sp.spmatrix, h: float):
+        n = D.shape[0]
+        M = (sp.identity(n, format="csr") + h * D).tocsr()
+        M.sort_indices()
+        rows = np.repeat(np.arange(n), np.diff(M.indptr))
+        self._diag_pos = np.flatnonzero(M.indices == rows)  # one per row: I adds it
+        self._M = M
+        self._h = float(h)
+        self._D_diag = D.diagonal()
+        bandwidth = int(np.max(np.abs(M.indices - rows)))
+        self._banded = None
+        if bandwidth <= 1:
+            # upper form for solveh_banded: row 0 the superdiagonal, row 1 the diagonal
+            self._banded = np.zeros((2, n))
+            self._banded[0, 1:] = M.diagonal(1)
+
+    def solve(self, r: np.ndarray, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        """Solve (I + h*(D + diag(r))) x = rhs; x0 warm-starts CG."""
+        diag = 1.0 + self._h * (self._D_diag + r)
+        M = self._M
+        M.data[self._diag_pos] = diag
+        if self._banded is None:
+            return _solve_checked(M, rhs, x0=x0)
+        self._banded[1] = diag
+        try:
+            x = solveh_banded(self._banded, rhs, check_finite=False)
+        except np.linalg.LinAlgError:
+            return _solve_checked(M, rhs, x0=x0)
+        if not np.linalg.norm(M @ x - rhs) <= _LINEAR_RTOL * np.linalg.norm(rhs):
+            return _solve_checked(M, rhs, x0=x0)
+        return x
 
 
 def step_implicit(theta: ScalarField, L: OperatorMatrix, alpha, dt: float) -> ScalarField:

@@ -15,15 +15,16 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.linalg import expm
 
 from .grid import DiffusionField, ScalarField, SpatialGrid, as_cell_values
 from .host import DivisionGuardError
 from .ode_control import GridMismatchError
-from .pde import FieldPath, OperatorMatrix, _solve_checked, assemble_operator
+from .pde import FieldPath, OperatorMatrix, _FixedStencilStepper, assemble_operator
 
 __all__ = [
     "RiccatiBlowupError",
+    "StiffStepError",
     "PdeCostSpec",
     "LinearizationPoint",
     "RiccatiState",
@@ -47,10 +48,15 @@ _SYM_TOL = 1e-10        # Riccati symmetry tolerance
 _PSD_TOL = -1e-8        # smallest admissible Riccati eigenvalue
 _NORM_CAP = 1e12        # Riccati blow-up guard
 _SWEEP_TOL = 1e-6       # sweep stopping tolerance on max-norm control change
+_RK4_STABLE_H_RHO = 2.78  # just inside RK4's real-axis stability limit (about 2.785)
 
 
 class RiccatiBlowupError(RuntimeError):
     """Riccati integration exceeded the norm cap (finite-time escape)."""
+
+
+class StiffStepError(ArithmeticError):
+    """An explicit RK4 step is too long for the spectrum of the operator."""
 
 
 # --------------------------------------------------------------------------
@@ -165,6 +171,8 @@ class RiccatiPath:
 
     times: np.ndarray
     matrices: np.ndarray = field(repr=False)  # (n_t, N, N)
+    # (n_t, 2) smallest and largest eigenvalue of each matrix, when known
+    eig_range: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -175,10 +183,23 @@ class RiccatiPath:
             raise ValueError("Riccati path times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "matrices", m)
+        if self.eig_range is not None:
+            e = np.asarray(self.eig_range, dtype=float)
+            if e.shape != (t.shape[0], 2):
+                raise ValueError(f"eig_range must have shape {(t.shape[0], 2)}, got {e.shape}")
+            object.__setattr__(self, "eig_range", e)
 
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
+
+    def eigenvalue_range(self) -> np.ndarray:
+        """(n_t, 2): smallest and largest eigenvalue of every stored matrix,
+        computed on first use unless the integrator already supplied them."""
+        if self.eig_range is None:
+            object.__setattr__(self, "eig_range",
+                               np.array([_eig_extremes(P) for P in self.matrices]))
+        return self.eig_range
 
     def P_at(self, s: float) -> np.ndarray:
         """P at pseudo-time s, linearly interpolated between samples."""
@@ -202,14 +223,24 @@ class RiccatiPath:
 _RICCATI_MAX_CELLS = 256  # dense N x N storage; larger grids are out of scope
 
 
+def _eig_extremes(P: np.ndarray) -> tuple:
+    eigs = np.linalg.eigvalsh(P)
+    return float(eigs[0]), float(eigs[-1])
+
+
 def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: float,
                       store_every: int = 1, check_psd: bool = True) -> RiccatiPath:
     """Integrate dP/ds = G P + P G - P diag(b^2/k1) P + I from P(0) = k2*I,
 
     where G = -L1 is the linearized generator and b the control diagonal.
-    Classical RK4 with symmetrization after every step; aborts if ||P||
-    exceeds 1e12 (finite-time blow-up guard).  With check_psd, every stored
-    matrix must have smallest eigenvalue >= -1e-8.
+    The equation is autonomous, so each step is the exact Davison-Maki
+    step: with P = Y X^{-1}, (X, Y) solve the linear system
+    d/ds [X; Y] = [[-G, W], [I, G]] [X; Y], W = diag(b^2/k1), whose
+    propagator Phi = expm(h*H) is computed once; then
+    P <- (Phi21 + Phi22 P)(Phi11 + Phi12 P)^{-1}, symmetrized.  Aborts if
+    ||P|| exceeds 1e12 (finite-time blow-up guard).  With check_psd, every
+    stored matrix must have smallest eigenvalue >= -1e-8; the eigenvalue
+    extremes computed for that check are kept in the path's eig_range.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -231,25 +262,25 @@ def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: fl
     k2 = cost.k2_values(n)
     G = -L1.matrix.toarray()
     w = b * b / k1           # diagonal of B^2 / k1
-    eye = np.eye(n)
-
-    def rhs(P):
-        GP = G @ P
-        return GP + GP.T - (P * w) @ P + eye
 
     P = np.diag(k2).astype(float)
     n_steps = int(round(T / dt)) if T > 0.0 else 0
     h = T / n_steps if n_steps else 0.0
+    Phi = expm(h * np.block([[-G, np.diag(w)], [np.eye(n), G]]))
+    Phi11, Phi12 = Phi[:n, :n], Phi[:n, n:]
+    Phi21, Phi22 = Phi[n:, :n], Phi[n:, n:]
 
     times = [0.0]
     mats = [P.copy()]
+    eig_range = []
 
     def check_state(P_now, s_now):
         norm = float(np.max(np.abs(P_now)))
         if not np.isfinite(norm) or norm > _NORM_CAP:
             raise RiccatiBlowupError(f"||P|| reached {norm:.3e} at pseudo-time {s_now:g}")
         if check_psd:
-            lam = float(np.linalg.eigvalsh(P_now)[0])
+            eig_range.append(_eig_extremes(P_now))
+            lam = eig_range[-1][0]
             if lam < _PSD_TOL:
                 raise RiccatiBlowupError(
                     f"P lost positive semidefiniteness (min eigenvalue {lam:.3e}) "
@@ -257,11 +288,13 @@ def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: fl
 
     check_state(P, 0.0)
     for k in range(1, n_steps + 1):
-        k1_ = rhs(P)
-        k2_ = rhs(P + 0.5 * h * k1_)
-        k3_ = rhs(P + 0.5 * h * k2_)
-        k4_ = rhs(P + h * k3_)
-        P = P + (h / 6.0) * (k1_ + 2.0 * k2_ + 2.0 * k3_ + k4_)
+        X = Phi11 + Phi12 @ P
+        Y = Phi21 + Phi22 @ P
+        try:
+            P = np.linalg.solve(X.T, Y.T)  # (Y X^{-1})^T, symmetrized next
+        except np.linalg.LinAlgError:
+            raise RiccatiBlowupError(
+                f"Riccati step matrix became singular at pseudo-time {k * h:g}") from None
         P = 0.5 * (P + P.T)
         norm = float(np.max(np.abs(P)))
         if not np.isfinite(norm) or norm > _NORM_CAP:
@@ -270,7 +303,8 @@ def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: fl
             check_state(P, k * h)
             times.append(k * h)
             mats.append(P.copy())
-    return RiccatiPath(np.asarray(times), np.asarray(mats))
+    return RiccatiPath(np.asarray(times), np.asarray(mats),
+                       eig_range=np.asarray(eig_range) if check_psd else None)
 
 
 def riccati_feedback(P_path: RiccatiPath, theta, t: float, B, cost: PdeCostSpec,
@@ -307,6 +341,20 @@ def _uniform_times(T: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, T, n + 1)
 
 
+def _check_rk4_step(L1: OperatorMatrix, h: float) -> None:
+    """Refuse an explicit RK4 step of -L1 that its spectrum makes unstable.
+
+    rho = max_i sum_j |L1_ij| bounds the spectral radius of L1 (Gershgorin),
+    so h*rho <= 2.78 keeps every mode inside RK4's stability interval.
+    """
+    rho = float(abs(L1.matrix).sum(axis=1).max())
+    if h * rho > _RK4_STABLE_H_RHO:
+        raise StiffStepError(
+            f"explicit RK4 step too long for the linearized operator: "
+            f"h*rho = {h * rho:.4g} > {_RK4_STABLE_H_RHO} (h = {h:g}, Gershgorin "
+            f"bound rho = {rho:.4g}); refine dt or coarsen the grid")
+
+
 def integrate_linearized(theta0, L1: OperatorMatrix, B, u_path: FieldPath,
                          alpha, T: float, dt: float) -> FieldPath:
     """RK4 integration of the linearized dynamics
@@ -333,6 +381,7 @@ def integrate_linearized(theta0, L1: OperatorMatrix, B, u_path: FieldPath,
 
     times = _uniform_times(T, dt)
     h = times[1] - times[0] if len(times) > 1 else 0.0
+    _check_rk4_step(L1, h)
     out = np.empty((len(times), n))
     out[0] = th
     for k in range(len(times) - 1):
@@ -370,6 +419,7 @@ def closed_loop_linearized(theta0, L1: OperatorMatrix, B, P_path: RiccatiPath,
 
     times = _uniform_times(T, dt)
     h = times[1] - times[0] if len(times) > 1 else 0.0
+    _check_rk4_step(L1, h)
     out = np.empty((len(times), n))
     us = np.empty((len(times), n))
     out[0] = th
@@ -390,44 +440,52 @@ def closed_loop_linearized(theta0, L1: OperatorMatrix, B, P_path: RiccatiPath,
 # nonlinear forward model with a time-varying control path
 # --------------------------------------------------------------------------
 
+def _require_step_grid(times: np.ndarray, n: int, **paths: FieldPath) -> None:
+    """Raise GridMismatchError unless every path has n cells and is sampled
+    on the step grid `times`."""
+    for name, path in paths.items():
+        if path.values.shape[1] != n:
+            raise GridMismatchError(f"{name} path is not sized to the grid")
+        if path.times.shape != times.shape or np.max(np.abs(path.times - times)) > 1e-9:
+            raise GridMismatchError(f"{name} path times do not match the step grid")
+
+
+def _controlled_reaction(al: np.ndarray, t1: float, u: np.ndarray, t: float) -> np.ndarray:
+    """Reaction diagonal alpha/(1 - theta1*u) of the full operator at time t."""
+    floor = 1.0 - t1 * u
+    if np.any(floor <= 0.0):
+        raise DivisionGuardError(
+            f"control denominator 1 - theta1*u reached "
+            f"{float(np.min(floor)):.3e} <= 0 at t={t:g}")
+    return al / floor
+
+
+def _controlled_stepper(grid: SpatialGrid, A: DiffusionField, h: float) -> _FixedStencilStepper:
+    D = assemble_operator(grid, A, alpha=0.0, u=0.0, theta1=0.0).matrix
+    return _FixedStencilStepper(D, h)
+
+
 def integrate_controlled(theta0, grid: SpatialGrid, A: DiffusionField, alpha,
                          u_path: FieldPath, theta1: float, T: float, dt: float) -> FieldPath:
     """Backward-Euler integration of the nonlinear model with a control that
-    varies in both space and time; the operator diagonal is rebuilt each step
-    from the control at the target time level."""
+    varies in both space and time.  u_path must be sampled on the step grid
+    (GridMismatchError otherwise); each step takes the operator diagonal from
+    the control at its target time level."""
     n = grid.n_cells
+    times = _uniform_times(T, dt)
+    _require_step_grid(times, n, u=u_path)
     th = as_cell_values(theta0, n).copy()
     al = as_cell_values(alpha, n)
     t1 = float(theta1)
-
-    times = _uniform_times(T, dt)
-    h = times[1] - times[0] if len(times) > 1 else 0.0
-    D = assemble_operator(grid, A, alpha=0.0, u=0.0, theta1=t1).matrix
-    eye = sp.identity(n, format="csr")
-
-    ut, uv = u_path.times, u_path.values
-
-    def u_at(t):
-        if t <= ut[0]:
-            return uv[0]
-        if t >= ut[-1]:
-            return uv[-1]
-        j = int(np.searchsorted(ut, t, side="right"))
-        w = (t - ut[j - 1]) / (ut[j] - ut[j - 1])
-        return (1.0 - w) * uv[j - 1] + w * uv[j]
+    h = times[1] - times[0]
+    stepper = _controlled_stepper(grid, A, h)
 
     out = np.empty((len(times), n))
     out[0] = th
-    for k in range(len(times) - 1):
-        t_new = times[k + 1]
-        floor = 1.0 - t1 * u_at(t_new)
-        if np.any(floor <= 0.0):
-            raise DivisionGuardError(
-                f"control denominator 1 - theta1*u reached "
-                f"{float(np.min(floor)):.3e} <= 0 at t={t_new:g}")
-        M = (eye + h * (D + sp.diags(al / floor))).tocsr()
-        th = _solve_checked(M, th + h * al, x0=th)
-        out[k + 1] = th
+    for k in range(1, len(times)):
+        r = _controlled_reaction(al, t1, u_path.values[k], times[k])
+        th = stepper.solve(r, th + h * al, x0=th)
+        out[k] = th
     return FieldPath(times, out)
 
 
@@ -447,32 +505,22 @@ def solve_adjoint_pde(theta_path: FieldPath, u_star: FieldPath, cost: PdeCostSpe
     """
     n = grid.n_cells
     times = _uniform_times(T, dt)
-    if theta_path.values.shape[1] != n or u_star.values.shape[1] != n:
-        raise GridMismatchError("paths are not sized to the grid")
-    for name, path in (("theta", theta_path), ("u", u_star)):
-        if path.times.shape != times.shape or np.max(np.abs(path.times - times)) > 1e-9:
-            raise GridMismatchError(f"{name} path times do not match the step grid")
+    _require_step_grid(times, n, theta=theta_path, u=u_star)
 
     al = as_cell_values(alpha, n)
     t1 = float(theta1)
     k2 = cost.k2_values(n)
-    h = times[1] - times[0] if len(times) > 1 else 0.0
-    D = assemble_operator(grid, A, alpha=0.0, u=0.0, theta1=t1).matrix
-    eye = sp.identity(n, format="csr")
+    h = times[1] - times[0]
+    stepper = _controlled_stepper(grid, A, h)
 
     n_t = len(times)
     p = np.empty((n_t, n))
     p[-1] = 2.0 * k2 * theta_path.values[-1]
     for k in range(n_t - 2, -1, -1):
         # implicit step toward time level k: (I + h L_u(t_k)) p_k = p_{k+1} + h*2*theta(t_k)
-        floor = 1.0 - t1 * u_star.values[k]
-        if np.any(floor <= 0.0):
-            raise DivisionGuardError(
-                f"control denominator 1 - theta1*u reached "
-                f"{float(np.min(floor)):.3e} <= 0 at t={times[k]:g}")
-        M = (eye + h * (D + sp.diags(al / floor))).tocsr()
+        r = _controlled_reaction(al, t1, u_star.values[k], times[k])
         rhs = p[k + 1] + h * 2.0 * theta_path.values[k]
-        p[k] = _solve_checked(M, rhs, x0=p[k + 1])
+        p[k] = stepper.solve(r, rhs, x0=p[k + 1])
     return FieldPath(times, p)
 
 

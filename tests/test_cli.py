@@ -3,12 +3,17 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from anthractl import FieldPath
 from anthractl.cli import (
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERICAL,
     EXIT_OK,
+    _fmt,
+    _write_field_path_csv,
     bundled_scenarios,
     main,
     parse_config,
@@ -241,6 +246,33 @@ def test_run_riccati_pde(tmp_path):
                            "cost_comparison.csv", "report.json"])
     assert rep["costs"]["controlled_is_best"] is True
     assert rep["diagnostics"]["P_final_eig_min"] >= 0.0
+
+
+@pytest.mark.parametrize("cells, expected", [(56, EXIT_NUMERICAL), (52, EXIT_OK)])
+def test_riccati_pde_refuses_unstable_linearized_step(tmp_path, capsys, cells, expected):
+    # h*rho = 0.005 * (1 + 4*0.05*cells^2): 3.14 at 56 cells, 2.71 at 52
+    data = dict(_tiny_riccati(), time={"T": 1.0, "dt": 0.005},
+                grid={"extents": [1.0], "resolution": [cells], "diffusion": 0.05})
+    code, run_dir = _run(tmp_path, data)
+    assert code == expected
+    if expected == EXIT_NUMERICAL:
+        assert "h*rho" in capsys.readouterr().err
+    else:
+        assert _report(run_dir)["costs"]["controlled_is_best"] is True
+
+
+def test_field_path_csv_bytes_match_per_value_formatting(tmp_path):
+    times = np.array([0.0, 2.5e-7, 0.1, 1.0 / 3.0])
+    values = np.array([[0.0, -0.0, 1.0, 123456789012345.0],
+                       [1e-300, -2.5, np.pi, 7.0],
+                       [0.1 + 0.2, 1e20, -1e-7, 0.5],
+                       [np.nan, np.inf, -np.inf, 3.0]])
+    path = tmp_path / "path.csv"
+    _write_field_path_csv(str(path), FieldPath(times, values))
+    expected = "t,cell,value\n" + "".join(
+        f"{_fmt(t)},{j},{_fmt(v)}\n"
+        for i, t in enumerate(times) for j, v in enumerate(values[i]))
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_run_sweep_pde(tmp_path):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from anthractl import pde
 from anthractl import (
     DivisionGuardError,
     FieldPath,
@@ -85,6 +88,53 @@ def test_step_implicit_preserves_nonnegativity(rng):
     th = ScalarField(rng.uniform(0.0, 1.0, 16))
     out = step_implicit(th, L, 2.0, 0.1)
     assert np.min(out.values) >= -1e-12
+
+
+def _rebuilt_step(D, h, r):
+    # the per-step assembly the fixed-stencil stepper replaces
+    n = D.shape[0]
+    return (sp.identity(n, format="csr") + h * (D + sp.diags(r))).tocsr()
+
+
+@pytest.mark.parametrize("resolution", [(64,), (40, 40)])
+def test_fixed_stencil_stepper_matches_rebuilt_solve(resolution, rng):
+    grid, A = build_grid(GridSpec((1.0,) * len(resolution), resolution), A_spec=0.03)
+    D = assemble_operator(grid, A, alpha=0.0, u=0.0, theta1=0.5).matrix
+    h = 0.01
+    stepper = pde._FixedStencilStepper(D, h)
+    assert (stepper._banded is not None) == (len(resolution) == 1)
+    x = rng.uniform(0.1, 1.0, grid.n_cells)
+    for _ in range(4):  # the diagonal is rewritten in place every step
+        r = rng.uniform(0.5, 4.0, grid.n_cells)
+        rhs = x + h * rng.uniform(0.0, 2.0, grid.n_cells)
+        ref = pde._solve_checked(_rebuilt_step(D, h, r), rhs, x0=x)
+        x = stepper.solve(r, rhs, x0=x)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("broken", ["raises", "wrong"])
+def test_fixed_stencil_stepper_falls_back_when_banded_solve_fails(broken, monkeypatch, rng):
+    grid, A = _setup_1d(n=64, A=0.03)
+    D = assemble_operator(grid, A, alpha=0.0, u=0.0, theta1=0.5).matrix
+    h = 0.01
+    calls = []
+
+    def fake_solveh_banded(ab, b, **kwargs):
+        calls.append(1)
+        if broken == "raises":
+            raise np.linalg.LinAlgError("not positive definite")
+        return np.zeros_like(b)
+
+    monkeypatch.setattr(pde, "solveh_banded", fake_solveh_banded)
+    stepper = pde._FixedStencilStepper(D, h)
+    r = rng.uniform(0.5, 4.0, grid.n_cells)
+    rhs = rng.uniform(0.1, 1.0, grid.n_cells)
+    x = stepper.solve(r, rhs, x0=rhs)
+    M = _rebuilt_step(D, h, r)
+    exact = spla.spsolve(M.tocsc(), rhs)
+    assert calls
+    assert np.linalg.norm(M @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert np.linalg.norm(x - exact) <= 1e-11 * np.linalg.norm(exact)
 
 
 def test_integrate_pde_path_shape_and_store_every():

@@ -13,6 +13,7 @@ from anthractl import (
     PdeCostSpec,
     RiccatiBlowupError,
     ScalarField,
+    StiffStepError,
     assemble_operator,
     build_grid,
     closed_loop_linearized,
@@ -79,7 +80,53 @@ def test_riccati_matrices_symmetric_psd():
     for i in range(path.times.shape[0]):
         P = path.matrices[i]
         assert np.max(np.abs(P - P.T)) < 1e-10
-        assert np.linalg.eigvalsh(P)[0] >= -1e-8
+        eigs = np.linalg.eigvalsh(P)
+        assert eigs[0] >= -1e-8
+        # the extremes kept from the PSD check are the ones recomputed here
+        assert path.eigenvalue_range()[i].tolist() == [eigs[0], eigs[-1]]
+
+
+def _riccati_rk4_reference(L1, b, cost, T, dt):
+    """Classical RK4 on dP/ds = G P + P G - P W P + I (G = -L1), symmetrized
+    every step; the stored matrices at every step."""
+    n = L1.n_cells
+    G = -L1.matrix.toarray()
+    w = b * b / cost.k1_values(n)
+    eye = np.eye(n)
+
+    def rhs(P):
+        GP = G @ P
+        return GP + GP.T - (P * w) @ P + eye
+
+    P = np.diag(cost.k2_values(n))
+    mats = [P]
+    for _ in range(int(round(T / dt))):
+        s1 = rhs(P)
+        s2 = rhs(P + 0.5 * dt * s1)
+        s3 = rhs(P + 0.5 * dt * s2)
+        s4 = rhs(P + dt * s3)
+        P = P + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+        P = 0.5 * (P + P.T)
+        mats.append(P)
+    return np.asarray(mats)
+
+
+def test_riccati_exact_step_matches_fine_rk4():
+    grid, A = _grid_1d(n=32, A=0.02)
+    L1, b = linearize(1.0, LinearizationPoint(4.0), 0.5, grid, A)
+    cost = PdeCostSpec(k1=0.5, k2=1.0)
+    path = integrate_riccati(L1, b, cost, T=1.0, dt=0.005)
+    fine = _riccati_rk4_reference(L1, b, cost, T=1.0, dt=0.005 / 20)[::20]
+    assert np.max(np.abs(path.matrices - fine)) < 1e-8
+
+
+def test_riccati_stiff_fine_grid_stays_psd():
+    # a draw like the benchmark's riccati-00: explicit RK4 at dt = 0.005 loses
+    # positive semidefiniteness at s = 0.015 on this grid
+    grid, A = _grid_1d(n=47, A=0.0416)
+    L1, b = linearize(1.45, LinearizationPoint(4.0), 0.5, grid, A)
+    path = integrate_riccati(L1, b, PdeCostSpec(k1=0.5, k2=0.5), T=1.0, dt=0.005)
+    assert np.min(path.eigenvalue_range()[:, 0]) > 0.0
 
 
 def test_riccati_lookback_indexing():
@@ -131,6 +178,21 @@ def test_closed_loop_beats_constant_controls():
     assert J_fb <= const_cost(1.0)
 
 
+def test_linearized_rk4_refuses_unstable_step():
+    # h*rho = 0.005 * (1 + 4*0.05*56^2) = 3.14 > 2.78
+    grid, A = _grid_1d(n=56, A=0.05)
+    cost, eps = PdeCostSpec(k1=0.5, k2=0.5), LinearizationPoint(4.0)
+    L1, b = linearize(1.0, eps, 0.5, grid, A)
+    T, dt = 1.0, 0.005
+    times = np.linspace(0.0, T, 201)
+    up = FieldPath(times, np.zeros((201, grid.n_cells)))
+    with pytest.raises(StiffStepError, match="h\\*rho"):
+        integrate_linearized(0.3, L1, b, up, 1.0, T, dt)
+    P = integrate_riccati(L1, b, cost, T=T, dt=dt)
+    with pytest.raises(StiffStepError, match="h\\*rho"):
+        closed_loop_linearized(0.3, L1, b, P, cost, eps, 0.5, 1.0, T, dt)
+
+
 def test_integrate_linearized_equilibrium():
     # constant u: d(theta)/dt = -alpha*theta - b*u + alpha settles at
     # theta* = 1 - b*u/alpha; the gap decays like e^{-alpha T}
@@ -157,6 +219,13 @@ def test_integrate_controlled_matches_constant_operator_path():
     L = assemble_operator(grid, A, alpha, u_const, theta1)
     th_ref = integrate_pde(ScalarField.constant(grid, 0.2), L, alpha, T, dt)
     assert np.max(np.abs(th_ctl.values - th_ref.values)) < 1e-10
+
+
+def test_integrate_controlled_rejects_off_grid_control():
+    grid, A = _grid_1d(n=4)
+    coarse = FieldPath(np.array([0.0, 1.0]), np.full((2, 4), 0.2))
+    with pytest.raises(GridMismatchError):
+        integrate_controlled(0.2, grid, A, 1.0, coarse, 0.5, 1.0, 0.1)
 
 
 def test_adjoint_terminal_condition_and_shape():

@@ -24,6 +24,12 @@ matrix and running CG every step, and the fixed-stencil stepper the PDE
 control layer uses.  It reports the largest deviation between the two paths,
 which must stay within 1e-10.
 
+The host_staged lane integrates a _STAGED_STEPS-step forecast for each
+severity model two ways: through integrate_ode, where the severity forcing
+reaches host_rk4_single as stage-sampled alpha, and through the generic
+per-step loop (the forcing hidden behind a lambda).  It counts the trajectory
+values where the two differ; that count must be 0.
+
 --json PATH also writes every result, with the environment, as JSON.
 """
 
@@ -40,7 +46,19 @@ import numpy as np
 import scipy
 import scipy.sparse as sp
 
-from anthractl import GridSpec, assemble_operator, build_grid
+from anthractl import (
+    AsiCoefficients,
+    DoddCoefficients,
+    DuthieCoefficients,
+    GridSpec,
+    HostState,
+    ModelParams,
+    SeverityForcing,
+    WeatherSeries,
+    assemble_operator,
+    build_grid,
+    integrate_ode,
+)
 from anthractl import _kernels as K
 from anthractl.pde import _FixedStencilStepper, _solve_checked
 
@@ -58,7 +76,7 @@ def _single_args(n_steps: int):
             K.FORCING_SEASONAL, 4.0, 0.75, 0.2,
             K.FORCING_CONST, 0.5, 0.0, 0.0,
             K.FORCING_PROPORTIONAL, 0.1, 0.0, 0.0,
-            1.0, u_t, u_v)
+            1.0, u_t, u_v, np.empty((0, 3)))
 
 
 def _batch_args(m: int, n_steps: int):
@@ -197,6 +215,50 @@ def _implicit_step_lane(repeats: int):
     return lane
 
 
+#: Steps of each host_staged forecast (the bundled forecast-demo grid).
+_STAGED_STEPS = 1_000
+
+_STAGED_MODELS = (
+    ("asi", AsiCoefficients(a0=0.1, a01=0.05, a10=0.01), {}),
+    ("dodd", DoddCoefficients(a0=-24.0, a01=0.35, a10=0.066, a02=-0.0012,
+                              a20=-0.0005, b=1.21), {"incubation": 6.0}),
+    ("duthie", DuthieCoefficients(a=2.0, b=0.8, c=0.5, d=1.5, e=1.2, t_mid=20.0,
+                                  g=0.3, h=2.0), {}),
+)
+
+
+def _host_staged_lane(repeats: int):
+    rng = np.random.default_rng(13)
+    weather = WeatherSeries(times=np.linspace(0.0, 1.0, 17),
+                            temperature=rng.uniform(15.0, 30.0, 17),
+                            wetness=rng.uniform(2.0, 24.0, 17),
+                            humidity=rng.uniform(60.0, 100.0, 17))
+    x0 = HostState(0.2, 0.5, 0.0)
+    dt = 1.0 / _STAGED_STEPS
+    lane = {}
+    for model, coefficients, extra in _STAGED_MODELS:
+        frc = SeverityForcing(weather, model, coefficients, scale=2.0, **extra)
+        staged = ModelParams.with_default_forcings(theta1=0.6, alpha=frc)
+        generic = ModelParams.with_default_forcings(
+            theta1=0.6, alpha=lambda t, th, frc=frc: frc(t, th))
+
+        def run(params):
+            return integrate_ode(params, 0.2, x0, T=1.0, dt=dt)
+
+        t_staged = _best_of(run, (staged,), repeats)
+        t_generic = _best_of(run, (generic,), repeats)
+        a, b = run(staged), run(generic)
+        mismatches = sum(int(np.sum(getattr(a, name).view(np.int64)
+                                    != getattr(b, name).view(np.int64)))
+                         for name in ("theta", "v", "v_r"))
+        lane[model] = {"steps": _STAGED_STEPS,
+                       "staged_us_per_step": t_staged / _STAGED_STEPS * 1e6,
+                       "generic_us_per_step": t_generic / _STAGED_STEPS * 1e6,
+                       "speedup": t_generic / t_staged,
+                       "mismatches": mismatches}
+    return lane
+
+
 # ---------------------------------------------------------------------------
 #  Timing
 # ---------------------------------------------------------------------------
@@ -270,6 +332,7 @@ def main() -> None:
 
     root = _feedback_root_lane(args.repeats)
     implicit = _implicit_step_lane(args.repeats)
+    staged = _host_staged_lane(args.repeats)
     workloads = {name: workload for name, _, _, workload in _workloads(args)}
     numba_times = {}
     agree = {}
@@ -307,6 +370,11 @@ def main() -> None:
               f"rebuild+CG {r['rebuild_us_per_step']:.1f}us/step, "
               f"fixed stencil {r['fixed_us_per_step']:.1f}us/step, "
               f"{r['speedup']:.2f}x, max deviation {r['max_abs_deviation']:.1e}")
+    for name, r in staged.items():
+        print(f"host_staged ({name}, {r['steps']} steps): "
+              f"staged {r['staged_us_per_step']:.1f}us/step, "
+              f"generic loop {r['generic_us_per_step']:.1f}us/step, "
+              f"{r['speedup']:.2f}x, mismatches {r['mismatches']}")
 
     if args.json is not None:
         report = {
@@ -326,11 +394,16 @@ def main() -> None:
                         for name, workload in workloads.items()},
             "feedback_root": root,
             "implicit_step": implicit,
+            "host_staged": staged,
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report, indent=2) + "\n")
     if root["mismatches"]:
         sys.exit(f"feedback_root: {root['mismatches']} draws differ from bisection")
+    staged_mismatches = sum(r["mismatches"] for r in staged.values())
+    if staged_mismatches:
+        sys.exit(f"host_staged: {staged_mismatches} trajectory values differ "
+                 f"from the generic loop")
     worst = max(r["max_abs_deviation"] for r in implicit.values())
     if not worst <= _IMPLICIT_MAX_DEVIATION:
         sys.exit(f"implicit_step: the fixed-stencil path deviates by {worst:.3e} "

@@ -26,6 +26,7 @@ __all__ = [
     "FORCING_CONST",
     "FORCING_SEASONAL",
     "FORCING_PROPORTIONAL",
+    "FORCING_STAGED",
     "HAVE_NUMBA",
     "backend_name",
     "host_rk4_single",
@@ -39,6 +40,9 @@ FORCING_PROPORTIONAL = 2
 #: Time-sampled forcing with linear interpolation between knots (coupled
 #: kernel only; knot arrays travel alongside the code).
 FORCING_SAMPLED = 3
+#: alpha given at the RK4 stage times of each step (host kernel only): row i
+#: of an (n, 3) array holds alpha at t_i, t_i + h/2 and t_i + h.
+FORCING_STAGED = 4
 
 _TWO_PI = 2.0 * math.pi
 
@@ -272,7 +276,13 @@ def _host_rk4_single_impl(theta0, v0, vr0, t0, h, n,
                           a_code, a0, a1, a2,
                           b_code, b0, b1, b2,
                           g_code, g0, g1, g2,
-                          eta0, u_t, u_v):
+                          eta0, u_t, u_v, a_stage):
+    staged = a_code == FORCING_STAGED
+    if staged:
+        a_code = FORCING_CONST
+    a_lo = a0
+    a_mid = a0
+    a_hi = a0
     out_th = np.empty(n + 1)
     out_v = np.empty(n + 1)
     out_vr = np.empty(n + 1)
@@ -287,23 +297,29 @@ def _host_rk4_single_impl(theta0, v0, vr0, t0, h, n,
         u1 = _interp_knots(t, u_t, u_v)
         um = _interp_knots(t + 0.5 * h, u_t, u_v)
         u2 = _interp_knots(t + h, u_t, u_v)
+        if staged:
+            # the stage value enters as a constant alpha; float() keeps the
+            # fallback loop on Python floats
+            a_lo = float(a_stage[i, 0])
+            a_mid = float(a_stage[i, 1])
+            a_hi = float(a_stage[i, 2])
         d1t, d1v, d1r, s1 = _host_rhs(t, th, vv, vr, u1, theta1, theta2, vmax,
-                                      a_code, a0, a1, a2, b_code, b0, b1, b2,
+                                      a_code, a_lo, a1, a2, b_code, b0, b1, b2,
                                       g_code, g0, g1, g2, eta0)
         d2t, d2v, d2r, s2 = _host_rhs(t + 0.5 * h, th + 0.5 * h * d1t,
                                       vv + 0.5 * h * d1v, vr + 0.5 * h * d1r, um,
                                       theta1, theta2, vmax,
-                                      a_code, a0, a1, a2, b_code, b0, b1, b2,
+                                      a_code, a_mid, a1, a2, b_code, b0, b1, b2,
                                       g_code, g0, g1, g2, eta0)
         d3t, d3v, d3r, s3 = _host_rhs(t + 0.5 * h, th + 0.5 * h * d2t,
                                       vv + 0.5 * h * d2v, vr + 0.5 * h * d2r, um,
                                       theta1, theta2, vmax,
-                                      a_code, a0, a1, a2, b_code, b0, b1, b2,
+                                      a_code, a_mid, a1, a2, b_code, b0, b1, b2,
                                       g_code, g0, g1, g2, eta0)
         d4t, d4v, d4r, s4 = _host_rhs(t + h, th + h * d3t, vv + h * d3v,
                                       vr + h * d3r, u2,
                                       theta1, theta2, vmax,
-                                      a_code, a0, a1, a2, b_code, b0, b1, b2,
+                                      a_code, a_hi, a1, a2, b_code, b0, b1, b2,
                                       g_code, g0, g1, g2, eta0)
         status = s1
         if status == 0:
@@ -343,7 +359,7 @@ def _host_rk4_batch_numba_impl(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
             codes[s, 0], q[s, 0, 0], q[s, 0, 1], q[s, 0, 2],
             codes[s, 1], q[s, 1, 0], q[s, 1, 1], q[s, 1, 2],
             codes[s, 2], q[s, 2, 0], q[s, 2, 1], q[s, 2, 2],
-            eta0[s], u_t, u_vals[s])
+            eta0[s], u_t, u_vals[s], np.empty((0, 3)))
         out_th[s] = th
         out_v[s] = vv
         out_vr[s] = vr
@@ -526,6 +542,45 @@ def _coupled_sub(t, th, pp, tau, branch, theta1, k, a_code, a0, a1, a2, a_t, a_v
     return th_end, pp_end, end_flip, any_flip
 
 
+@_jit
+def _bisect_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
+                   a_code, a0, a1, a2, a_t, a_v, stop):
+    """Bisect (tau_lo, tau_hi] for the first end-state flip, 60 halvings.
+
+    With stop, it returns once the midpoint rounds to a bracket end: the
+    midpoint's substep is then the one that set that end, so it would set it
+    to itself again and the bracket can no longer change.
+    """
+    for _ in range(60):
+        mid = 0.5 * (tau_lo + tau_hi)
+        if stop and (mid == tau_lo or mid == tau_hi):
+            break
+        _, _, ef_m, _ = _coupled_sub(
+            tc, th, pp, mid, branch, theta1, k,
+            a_code, a0, a1, a2, a_t, a_v)
+        if ef_m == 1:
+            tau_hi = mid
+        else:
+            tau_lo = mid
+    return tau_hi
+
+
+@_jit
+def _locate_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
+                   a_code, a0, a1, a2, a_t, a_v):
+    """Switch time of the bracket, stopping at its fixed point."""
+    return _bisect_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
+                          a_code, a0, a1, a2, a_t, a_v, True)
+
+
+@_jit
+def _locate_switch_full(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
+                        a_code, a0, a1, a2, a_t, a_v):
+    """_locate_switch with all 60 halvings: the reference."""
+    return _bisect_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
+                          a_code, a0, a1, a2, a_t, a_v, False)
+
+
 def _coupled_rk4_impl(theta0, p0, t0, h, n, theta1, k,
                       a_code, a0, a1, a2, a_t, a_v):
     """Integrate (theta, p) forward with u supplied by the feedback law.
@@ -580,15 +635,8 @@ def _coupled_rk4_impl(theta0, p0, t0, h, n, theta1, k,
                 # the frozen-branch step is the consistent choice.
                 th, pp = th_e, pp_e
                 break
-            for _ in range(60):
-                mid = 0.5 * (tau_lo + tau_hi)
-                _, _, ef_m, _ = _coupled_sub(
-                    tc, th, pp, mid, branch, theta1, k,
-                    a_code, a0, a1, a2, a_t, a_v)
-                if ef_m == 1:
-                    tau_hi = mid
-                else:
-                    tau_lo = mid
+            tau_hi = _locate_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
+                                    a_code, a0, a1, a2, a_t, a_v)
             th_sw, pp_sw, _, _ = _coupled_sub(
                 tc, th, pp, tau_hi, branch, theta1, k,
                 a_code, a0, a1, a2, a_t, a_v)

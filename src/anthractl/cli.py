@@ -161,8 +161,14 @@ def _need(data: dict, key: str, where: str):
     return data[key]
 
 
+def _require_object(data, where: str) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected an object, got {data!r}")
+
+
 def _num(data: dict, key: str, where: str, default=None, minimum=None,
          maximum=None, strict_min=False):
+    _require_object(data, where)
     if key not in data:
         if default is None:
             raise ConfigError(f"{where}: missing required numeric key {key!r}")
@@ -181,6 +187,41 @@ def _num(data: dict, key: str, where: str, default=None, minimum=None,
     return v
 
 
+def _int(data: dict, key: str, where: str, default: int, minimum=None) -> int:
+    _require_object(data, where)
+    if key not in data:
+        return default
+    raw = data[key]
+    try:
+        v = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        v = None
+    if v is None or (isinstance(raw, float) and v != raw):
+        raise ConfigError(f"{where}.{key}: expected an integer, got {raw!r}")
+    if minimum is not None and v < minimum:
+        raise ConfigError(f"{where}.{key}: must be >= {minimum}, got {v}")
+    return v
+
+
+def _shooting_settings(cfg: ScenarioConfig) -> tuple:
+    sh = cfg.data.get("shooting", {})
+    where = f"{cfg.name}.shooting"
+    return (_num(sh, "tol", where, default=1e-8, minimum=0.0, strict_min=True),
+            _int(sh, "max_iter", where, default=100, minimum=1))
+
+
+def _store_every(cfg: ScenarioConfig) -> int:
+    return _int(cfg.data, "store_every", cfg.name, default=1, minimum=1)
+
+
+def _sweep_settings(cfg: ScenarioConfig) -> tuple:
+    sw = cfg.data.get("sweep", {})
+    where = f"{cfg.name}.sweep"
+    return (_num(sw, "relax", where, default=0.5, minimum=0.0, strict_min=True,
+                 maximum=1.0),
+            _int(sw, "max_iter", where, default=100, minimum=1))
+
+
 def parse_config(path: str) -> ScenarioConfig:
     """Load and validate a scenario config file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -194,7 +235,7 @@ def parse_config(path: str) -> ScenarioConfig:
     if mode not in _MODES:
         raise ConfigError(f"{path}.mode: must be one of {', '.join(_MODES)}; got {mode!r}")
     name = data.get("name") or os.path.splitext(os.path.basename(path))[0]
-    seed = int(data.get("seed", 0))
+    seed = _int(data, "seed", path, default=0)
     cfg = ScenarioConfig(name=str(name), mode=mode, seed=seed, data=data,
                          base_dir=os.path.dirname(os.path.abspath(path)) or ".")
     _validate_mode(cfg)
@@ -383,6 +424,8 @@ def _validate_mode(cfg: ScenarioConfig):
             _build_host_params(cfg)
         _build_initial_state(cfg)
         _time_grid(cfg)
+        if mode == "optimize-ode":
+            _shooting_settings(cfg)
         cost = cfg.data.get("cost", {})
         _num(cost, "k", f"{cfg.name}.cost", default=1.0, minimum=0.0, strict_min=True)
         if mode != "optimize-ode":
@@ -401,6 +444,7 @@ def _validate_mode(cfg: ScenarioConfig):
         _num(init, "theta", f"{cfg.name}.initial", minimum=0.0)
         _time_grid(cfg)
         if mode == "simulate-pde":
+            _store_every(cfg)
             u = _num(cfg.data.get("control", {}), "u", f"{cfg.name}.control",
                      default=0.0, minimum=0.0, maximum=1.0)
             if 1.0 - theta1 * u <= 0.0:
@@ -416,11 +460,7 @@ def _validate_mode(cfg: ScenarioConfig):
                 raise ConfigError(f"{cfg.name}.theta1: must be positive for the "
                                   f"feedback offset")
         if mode == "sweep-pde":
-            sw = cfg.data.get("sweep", {})
-            _num(sw, "relax", f"{cfg.name}.sweep", default=0.5, minimum=0.0,
-                 strict_min=True, maximum=1.0)
-            if int(sw.get("max_iter", 100)) < 1:
-                raise ConfigError(f"{cfg.name}.sweep.max_iter: must be >= 1")
+            _sweep_settings(cfg)
     else:  # pragma: no cover - mode already checked in parse_config
         raise ConfigError(f"unknown mode {mode!r}")
 
@@ -448,13 +488,24 @@ def _write_csv(path: str, header, rows):
             fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
-def _write_field_path_csv(path: str, fp: FieldPath):
-    """(t, cell, value) rows for a sampled field path."""
+def _write_field_path_csv(path: str, fp: FieldPath, columns: str = "value",
+                          centers=None):
+    """(t, cell, value) rows for a sampled field path; with ``centers`` each
+    row also carries its cell's coordinates after the cell index.  ``columns``
+    names the header columns that follow "t,cell".
+
+    Each cell's leading columns and each level's t are formatted once, and
+    rows are converted to Python floats one level at a time.
+    """
+    cells = [f"{j}," for j in range(fp.values.shape[1])]
+    if centers is not None:
+        cells = [c + "".join(f"{_fmt(x)}," for x in xs)
+                 for c, xs in zip(cells, centers.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,cell,value\n")
-        for t, row in zip(fp.times.tolist(), fp.values.tolist()):
-            ts = _fmt(t)
-            fh.write("".join(f"{ts},{j},{_fmt(v)}\n" for j, v in enumerate(row)))
+        fh.write(f"t,cell,{columns}\n")
+        for t, row in zip(fp.times.tolist(), fp.values):
+            ts = _fmt(t) + ","
+            fh.write("".join(f"{ts}{c}{v:.12g}\n" for c, v in zip(cells, row.tolist())))
 
 
 def _write_cost_csv(path: str, costs: dict):
@@ -514,8 +565,7 @@ def _run_ode_like(cfg: ScenarioConfig, out_dir: str, alpha_override=None,
     outputs = list(extra_outputs)
 
     if cfg.mode == "optimize-ode":
-        tol = float(cfg.data.get("shooting", {}).get("tol", 1e-8))
-        max_iter = int(cfg.data.get("shooting", {}).get("max_iter", 100))
+        tol, max_iter = _shooting_settings(cfg)
         sol = shoot_p0(x0.theta, params, cost, T=T, dt=dt, tol=tol, max_iter=max_iter)
         u_values = np.clip(sol.control.values, 0.0, 1.0)
         diag.update({
@@ -559,7 +609,7 @@ def _run_forecast(cfg: ScenarioConfig, out_dir: str) -> RunReport:
     forcing = _build_severity(cfg)
     T, dt = _time_grid(cfg)
     times = np.linspace(0.0, T, int(round(T / dt)) + 1)
-    alphas = np.array([forcing(t) for t in times])
+    alphas = forcing.at(times)
     _write_csv(os.path.join(out_dir, "forecast_series.csv"), ("t", "alpha"),
                zip(times, alphas))
     diag = {
@@ -578,7 +628,7 @@ def _run_simulate_pde(cfg: ScenarioConfig, out_dir: str) -> RunReport:
     theta0 = ScalarField.constant(grid, _num(cfg.data["initial"], "theta",
                                              f"{cfg.name}.initial", minimum=0.0))
     T, dt = _time_grid(cfg)
-    store_every = int(cfg.data.get("store_every", 1))
+    store_every = _store_every(cfg)
     u_const = _num(cfg.data.get("control", {}), "u", f"{cfg.name}.control",
                    default=0.0, minimum=0.0, maximum=1.0)
     k1 = _num(cfg.data.get("cost", {"k1": 1.0}), "k1", f"{cfg.name}.cost",
@@ -599,14 +649,9 @@ def _run_simulate_pde(cfg: ScenarioConfig, out_dir: str) -> RunReport:
     _, J0 = run_const(0.0) if u_const != 0.0 else (path, J)
     _, J1 = run_const(1.0) if u_const != 1.0 else (path, J)
 
-    snap = os.path.join(out_dir, "pde_snapshots.csv")
-    dim = grid.dimension
-    with open(snap, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,cell," + ("x," if dim == 1 else "x,y,") + "theta\n")
-        for i, t in enumerate(path.times):
-            for j in range(grid.n_cells):
-                coords = ",".join(_fmt(c) for c in grid.centers[j])
-                fh.write(f"{_fmt(t)},{j},{coords},{_fmt(path.values[i, j])}\n")
+    _write_field_path_csv(os.path.join(out_dir, "pde_snapshots.csv"), path,
+                          columns=("x," if grid.dimension == 1 else "x,y,") + "theta",
+                          centers=grid.centers)
 
     costs = _cost_triple(J, J0, J1)
     _write_cost_csv(os.path.join(out_dir, "cost_comparison.csv"), costs)
@@ -678,10 +723,7 @@ def _run_sweep_pde(cfg: ScenarioConfig, out_dir: str) -> RunReport:
                                              f"{cfg.name}.initial", minimum=0.0))
     T, dt = _time_grid(cfg)
     cost = _build_pde_cost(cfg)
-    sw = cfg.data.get("sweep", {})
-    relax = _num(sw, "relax", f"{cfg.name}.sweep", default=0.5, minimum=0.0,
-                 strict_min=True, maximum=1.0)
-    max_iter = int(sw.get("max_iter", 100))
+    relax, max_iter = _sweep_settings(cfg)
 
     res = forward_backward_sweep(theta0, grid, A, alpha, cost, T, dt,
                                  theta1=theta1, relax=relax, max_iter=max_iter)

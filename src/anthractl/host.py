@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import _kernels
+from .severity import SeverityForcing
 
 __all__ = [
     "DivisionGuardError",
@@ -390,6 +391,15 @@ def _pack_forcing(f) -> Optional[tuple]:
     return None
 
 
+def _stage_alpha(f: SeverityForcing, t0: float, h: float, n: int) -> np.ndarray:
+    """(n, 3) alpha at t_i, t_i + h/2 and t_i + h, t_i = t0 + h*i, for
+    FORCING_STAGED; the times are the floats the generic loop evaluates at."""
+    t = t0 + h * np.arange(n)
+    return f.at(np.stack([t, t + 0.5 * h, t + h], axis=1))
+
+
+_NO_STAGES = np.empty((0, 3))
+
 _GUARD_MESSAGES = {
     1: "1 - theta1*u <= 0",
     2: "theta reached 1",
@@ -423,8 +433,9 @@ def integrate_ode(
     ControlSignal, a plain callable of time, or a constant.
 
     Recognized forcing/control combinations are dispatched to the compiled
-    kernel; anything opaque falls back to a straightforward Python loop with
-    identical arithmetic.  If the state hits v = 0 or theta = 1, or the
+    kernel; a SeverityForcing alpha enters it sampled once at every RK4
+    stage time.  Anything opaque falls back to a straightforward Python loop
+    with identical arithmetic.  If the state hits v = 0 or theta = 1, or the
     control pushes 1 - theta1*u nonpositive, integration aborts with
     DivisionGuardError — valid inputs cannot reach those points, so this is a
     diagnostic, not a recoverable condition.
@@ -434,7 +445,10 @@ def integrate_ode(
     n, h = _grid(t0, T, dt)
     u_fn, knots_t, knots_v = _normalize_control(u)
 
-    packs = tuple(_pack_forcing(f) for f in (p.alpha, p.beta, p.gamma))
+    packs = [_pack_forcing(f) for f in (p.alpha, p.beta, p.gamma)]
+    staged = isinstance(p.alpha, SeverityForcing)
+    if staged:
+        packs[0] = (_kernels.FORCING_STAGED, 0.0, 0.0, 0.0)
     eta_pack = _pack_forcing(p.eta)
     packable = (
         all(q is not None for q in packs)
@@ -445,6 +459,7 @@ def integrate_ode(
 
     if packable:
         a, b, g = packs
+        a_stage = _stage_alpha(p.alpha, t0, h, n) if staged else _NO_STAGES
         theta, v, v_r, status, i_fail = _kernels.host_rk4_single(
             x0.theta, x0.v, x0.v_r, t0, h, n,
             p.theta1, p.theta2, p.v_max,
@@ -453,6 +468,7 @@ def integrate_ode(
             g[0], g[1], g[2], g[3],
             eta_pack[1],
             np.asarray(knots_t, dtype=float), np.asarray(knots_v, dtype=float),
+            a_stage,
         )
         if status != 0:
             raise DivisionGuardError(

@@ -311,25 +311,39 @@ def riccati_feedback(P_path: RiccatiPath, theta, t: float, B, cost: PdeCostSpec,
                      eps: LinearizationPoint, theta1: float) -> ScalarField:
     """LQR feedback u(t,.) = (1/k1) B P(T-t) theta(t,.) + 1/(eps*theta1),
     clamped cellwise to [0,1]."""
+    _check_horizon(P_path, t)
+    n = P_path.matrices.shape[1]
+    gain, offset = _feedback_coefficients(n, B, cost, eps, theta1)
+    u, clamped = _lqr_feedback(P_path, as_cell_values(theta, n), t, gain, offset)
+    if clamped > 0.0:
+        logger.info("riccati_feedback clamped %.1f%% of cells at t=%g",
+                    100.0 * clamped, t)
+    return ScalarField(u)
+
+
+def _check_horizon(P_path: RiccatiPath, t: float) -> None:
     T = P_path.horizon
     if not -1e-12 <= t <= T + 1e-12:
         raise ValueError(f"t={t} outside the Riccati horizon [0, {T}]")
-    n = P_path.matrices.shape[1]
-    th = as_cell_values(theta, n)
+
+
+def _feedback_coefficients(n: int, B, cost: PdeCostSpec, eps: LinearizationPoint,
+                           theta1: float) -> tuple:
+    """(b/k1, 1/(eps*theta1)) of the LQR feedback, validated."""
     b = as_cell_values(B, n)
     k1 = cost.k1_values(n)
     eps_v = eps.epsilon_values(n)
     t1 = float(theta1)
     if t1 <= 0.0:
         raise ValueError("theta1 must be positive for the feedback offset")
-    P = P_path.P_lookback(t)
-    raw = (b / k1) * (P @ th) + 1.0 / (eps_v * t1)
-    u = np.clip(raw, 0.0, 1.0)
-    clamped = float(np.mean((raw < 0.0) | (raw > 1.0)))
-    if clamped > 0.0:
-        logger.info("riccati_feedback clamped %.1f%% of cells at t=%g",
-                    100.0 * clamped, t)
-    return ScalarField(u)
+    return b / k1, 1.0 / (eps_v * t1)
+
+
+def _lqr_feedback(P_path: RiccatiPath, th: np.ndarray, t: float,
+                  gain: np.ndarray, offset: np.ndarray) -> tuple:
+    """(u, share of clamped cells) of the feedback gain*P(T-t)*th + offset."""
+    raw = gain * (P_path.P_lookback(t) @ th) + offset
+    return np.clip(raw, 0.0, 1.0), float(np.mean((raw < 0.0) | (raw > 1.0)))
 
 
 # --------------------------------------------------------------------------
@@ -403,21 +417,28 @@ def closed_loop_linearized(theta0, L1: OperatorMatrix, B, P_path: RiccatiPath,
     The feedback is evaluated at every RK4 stage (time and stage state), so
     the closed loop is integrated at full fourth order.  Returns
     (theta_path, u_path) sampled on the step grid; the stored u is the
-    feedback at the stored states.
+    feedback at the stored states.  Clamping is logged once per run, as the
+    number of feedback evaluations that clamped any cell and the largest
+    clamped share.
     """
     n = L1.n_cells
     th = as_cell_values(theta0, n).copy()
     b = as_cell_values(B, n)
     al = as_cell_values(alpha, n)
     A1 = L1.matrix
+    gain, offset = _feedback_coefficients(n, b, cost, eps, theta1)
+    clamps = []
 
     def u_of(t, x):
-        return riccati_feedback(P_path, x, t, b, cost, eps, theta1).values
+        u, clamped = _lqr_feedback(P_path, x, t, gain, offset)
+        clamps.append(clamped)
+        return u
 
     def f(t, x):
         return -(A1 @ x) - b * u_of(t, x) + al
 
     times = _uniform_times(T, dt)
+    _check_horizon(P_path, float(times[-1]))
     h = times[1] - times[0] if len(times) > 1 else 0.0
     _check_rk4_step(L1, h)
     out = np.empty((len(times), n))
@@ -433,6 +454,11 @@ def closed_loop_linearized(theta0, L1: OperatorMatrix, B, P_path: RiccatiPath,
         th = th + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
         out[k + 1] = th
         us[k + 1] = u_of(times[k + 1], th)
+    n_clamped = sum(c > 0.0 for c in clamps)
+    if n_clamped:
+        logger.info("closed_loop_linearized: the feedback clamped cells in %d of "
+                    "%d evaluations (at most %.1f%% of cells)",
+                    n_clamped, len(clamps), 100.0 * max(clamps))
     return FieldPath(times, out), FieldPath(times, us)
 
 

@@ -178,10 +178,22 @@ def eval_duthie_response(c: DuthieCoefficients, T, W):
     fT = duthie_temperature_factor(c, T)
     excess = W - c.c
     if c.form == "form1":
-        out = fT * (-np.expm1(-((c.b * excess) ** c.d)))
+        out = fT * (-np.expm1(-_scalar_pow(c.b * excess, c.d)))
     else:
-        out = c.a * (-np.expm1(-((fT * excess) ** c.d)))
+        out = c.a * (-np.expm1(-_scalar_pow(fT * excess, c.d)))
     return float(out) if np.asarray(out).ndim == 0 else out
+
+
+def _scalar_pow(base, d: float):
+    """base ** d, taking numpy's scalar pow at every element of an array.
+
+    numpy's array power runs a vectorized pow whose last bit can differ from
+    the libm pow behind a scalar ``**``, so an array evaluation would not
+    match evaluations one time at a time.
+    """
+    if np.ndim(base) == 0:
+        return base ** d
+    return np.array([x ** d for x in base.ravel()]).reshape(base.shape)
 
 
 # --------------------------------------------------------------------------
@@ -299,11 +311,29 @@ class SeverityForcing:
 
     def __call__(self, t: float, theta: float = 0.0) -> float:
         T, W, H = self.series.sample(t)
+        return max(self.scale * self._model_value(T, W, H), 0.0)
+
+    def at(self, times) -> np.ndarray:
+        """alpha at every entry of ``times``, in one vectorized pass.
+
+        Bit-identical to calling the forcing at each time: the weather is
+        interpolated by the same np.interp, the regressions run elementwise,
+        and both max() calls become np.where(b > a, b, a), which keeps
+        max()'s choice of its first argument on ties (-0.0) and on NaN.
+        """
+        s = self.series
+        t = np.asarray(times, dtype=float)
+        value = self._model_value(np.interp(t, s.times, s.temperature),
+                                  np.interp(t, s.times, s.wetness),
+                                  np.interp(t, s.times, s.humidity))
+        x = self.scale * value
+        return np.where(0.0 > x, 0.0, x)
+
+    def _model_value(self, T, W, H):
+        co = self.coefficients
         if self.model == "asi":
-            value = eval_asi(self.coefficients, T, W)
-        elif self.model == "dodd":
-            value = eval_dodd_fraction(self.coefficients, T, H, self.incubation)
-        else:
-            W_eff = max(W, self.coefficients.c)  # stay in the response domain
-            value = eval_duthie_response(self.coefficients, T, W_eff)
-        return max(self.scale * value, 0.0)
+            return eval_asi(co, T, W)
+        if self.model == "dodd":
+            return eval_dodd_fraction(co, T, H, self.incubation)
+        # max(W, c) keeps W in the response domain
+        return eval_duthie_response(co, T, np.where(co.c > W, co.c, W))

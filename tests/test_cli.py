@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from anthractl import FieldPath
+from anthractl import FieldPath, GridSpec, build_grid
 from anthractl.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -174,6 +174,28 @@ def test_exit_code_missing_file(capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def _with(data, **over):
+    data.update(over)
+    return data
+
+
+@pytest.mark.parametrize("data, key", [
+    (_with(_tiny_pde(), store_every=0), "store_every"),
+    (_with(_tiny_pde(), store_every=2.5), "store_every"),
+    (_tiny_ode("optimize-ode", shooting={"tol": "x"}), "shooting.tol"),
+    (_with(_tiny_sweep(), sweep={"max_iter": "abc"}), "sweep.max_iter"),
+    (_tiny_ode(seed="x"), "seed"),
+    (_tiny_ode(initial=3), "initial"),
+], ids=["store_every", "store_every_fraction", "shooting_tol", "sweep_max_iter",
+        "seed", "initial"])
+def test_bad_value_exits_config_in_validate_and_run(tmp_path, capsys, data, key):
+    path = _write_cfg(tmp_path, data)
+    assert main(["validate", path]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 #  running scenarios
 # ---------------------------------------------------------------------------
@@ -272,6 +294,16 @@ def test_field_path_csv_bytes_match_per_value_formatting(tmp_path):
     expected = "t,cell,value\n" + "".join(
         f"{_fmt(t)},{j},{_fmt(v)}\n"
         for i, t in enumerate(times) for j, v in enumerate(values[i]))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+    # simulate-pde snapshots on a 2-D grid: cell coordinates after the index
+    grid, _ = build_grid(GridSpec((1.0, 0.3), (2, 3)))
+    six = np.concatenate([values, values[:, :2] / 3.0], axis=1)
+    _write_field_path_csv(str(path), FieldPath(times, six), columns="x,y,theta",
+                          centers=grid.centers)
+    expected = "t,cell,x,y,theta\n" + "".join(
+        f"{_fmt(t)},{j},{','.join(_fmt(c) for c in grid.centers[j])},{_fmt(six[i, j])}\n"
+        for i, t in enumerate(times) for j in range(grid.n_cells))
     assert path.read_bytes() == expected.encode("utf-8")
 
 

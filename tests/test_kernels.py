@@ -26,8 +26,9 @@ def test_backend_name_is_valid():
 
 def test_flag_constants_are_distinct():
     codes = {_kernels.FORCING_CONST, _kernels.FORCING_SEASONAL,
-             _kernels.FORCING_PROPORTIONAL, _kernels.FORCING_SAMPLED}
-    assert len(codes) == 4
+             _kernels.FORCING_PROPORTIONAL, _kernels.FORCING_SAMPLED,
+             _kernels.FORCING_STAGED}
+    assert len(codes) == 5
 
 
 def _run_single(fn):
@@ -40,7 +41,7 @@ def _run_single(fn):
         FORCING_CONST, 0.5, 0.0, 0.0,
         _kernels.FORCING_PROPORTIONAL, 0.1, 0.0, 0.0,
         1.0,
-        knots_t, knots_v)
+        knots_t, knots_v, np.empty((0, 3)))
 
 
 def test_compiled_and_python_single_kernels_agree_bitwise():
@@ -165,3 +166,37 @@ def test_bad_backend_flag_warns_subprocess():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode != 0
     assert "not recognized" in out.stderr
+
+
+@pytest.mark.skipif(backend_name() != "numpy",
+                    reason="compiled kernels ignore the patched module global")
+@pytest.mark.parametrize("p0", [0.70, 0.7619851105816545, 0.80])
+def test_event_location_stop_matches_full_bisection(monkeypatch, p0):
+    # fig1's switch location stops once the bisection bracket is a fixed
+    # point; the full 60 halvings must give the same bits, with more
+    # substep evaluations.
+    dummy = np.zeros(1)
+    args = (0.2, p0, 0.0, 1e-3, 1000, 0.6, 1.0,
+            FORCING_SEASONAL, 4.0, 0.75, 0.2, dummy, dummy)
+    substep = _kernels._coupled_sub
+    counts = []
+
+    def run():
+        calls = []
+
+        def counted(*a):
+            calls.append(1)
+            return substep(*a)
+
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "_coupled_sub", counted)
+            out = _kernels.coupled_rk4_py(*args)
+        counts.append(len(calls))
+        return out
+
+    early = run()
+    monkeypatch.setattr(_kernels, "_locate_switch", _kernels._locate_switch_full)
+    full = run()
+    assert counts[0] < counts[1]
+    for a, b in zip(early, full):
+        assert np.array_equal(a, b)

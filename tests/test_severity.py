@@ -270,3 +270,74 @@ def test_forcing_drives_host_model_frozen():
     traj = integrate_ode(params, ControlSignal.constant(0.0),
                          HostState(0.2, 0.3, 0.1), T=1.0, dt=1e-3)
     assert traj.theta[-1] == pytest.approx(0.5546676858964041, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+#  vectorized evaluation: bit-identical to one call per time
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _weather(seed: int) -> WeatherSeries:
+    rng = np.random.default_rng(seed)
+    return WeatherSeries(times=np.linspace(0.0, 1.0, 9),
+                         temperature=rng.uniform(10.0, 35.0, 9),
+                         wetness=rng.uniform(0.0, 24.0, 9),
+                         humidity=rng.uniform(50.0, 100.0, 9))
+
+
+_small = st.floats(-0.05, 0.05)
+_forcings = st.one_of(
+    # asi with a0 on both sides of zero, so some outputs are clamped
+    st.builds(lambda a0, a01, a10, a11, a02, a20, scale, seed: SeverityForcing(
+        _weather(seed), "asi", AsiCoefficients(a0, a01, a10, a11, a02, a20), scale),
+        st.floats(-5.0, 5.0), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+        _small, _small, _small, st.floats(0.0, 5.0), st.integers(0, 2**31)),
+    st.builds(lambda a0, a01, a10, a02, a20, b, inc, scale, seed: SeverityForcing(
+        _weather(seed), "dodd", DoddCoefficients(a0, a01, a10, a02, a20, b),
+        scale, incubation=inc),
+        st.floats(-30.0, 5.0), st.floats(0.0, 0.5), st.floats(0.0, 0.2),
+        _small, _small, st.floats(-2.0, 2.0), st.floats(0.5, 10.0),
+        st.floats(0.0, 5.0), st.integers(0, 2**31)),
+    # duthie in both forms; c up to 20 puts part of the weather below it
+    st.builds(lambda b, c, d, e, t_mid, g, h, form, scale, seed: SeverityForcing(
+        _weather(seed), "duthie",
+        DuthieCoefficients(2.0, b, c, d, e, t_mid, g, h, form), scale),
+        st.floats(0.1, 2.0), st.floats(0.0, 20.0), st.floats(0.3, 4.0),
+        st.floats(0.5, 2.0), st.floats(0.0, 30.0), st.floats(0.05, 1.0),
+        st.floats(0.5, 3.0), st.sampled_from(["form1", "form2"]),
+        st.floats(0.0, 5.0), st.integers(0, 2**31)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frc=_forcings, n=st.integers(1, 400))
+def test_forcing_at_matches_calls_bitwise(frc, n):
+    h = 1.2 / n
+    t = -0.1 + h * np.arange(n)
+    stages = np.stack([t, t + 0.5 * h, t + h], axis=1)
+    assert np.array_equal(_bits(frc.at(stages)),
+                          _bits([[frc(s) for s in row] for row in stages]))
+
+
+@pytest.mark.parametrize("frc", [
+    SeverityForcing(_weather(3), "asi", AsiCoefficients(a0=-1.0, a01=0.1, a10=0.05), 2.0),
+    SeverityForcing(_weather(4), "dodd", DoddCoefficients(
+        -24.0, 0.35, 0.066, -0.0012, -0.0005, 1.21), 2.0, incubation=6.0),
+    SeverityForcing(_weather(5), "duthie",
+                    DuthieCoefficients(2.0, 0.8, 6.0, 1.5, 1.2, 20.0, 0.3, 2.0), 1.5),
+], ids=["asi", "dodd", "duthie"])
+@pytest.mark.parametrize("u", [0.0, 0.2, 1.0])
+def test_integrate_ode_staged_alpha_matches_generic_loop(frc, u):
+    # A lambda hides the forcing from the kernel dispatch, so the second run
+    # takes the generic per-step loop.
+    params = ModelParams.with_default_forcings(theta1=0.6, alpha=frc)
+    opaque = ModelParams.with_default_forcings(theta1=0.6, alpha=lambda t, th: frc(t, th))
+    x0 = HostState(0.2, 0.5, 0.0)
+    for control in (u, ControlSignal.constant(u, 0.1, 0.9)):
+        a = integrate_ode(params, control, x0, t0=0.1, T=0.9, dt=1e-3)
+        b = integrate_ode(opaque, control, x0, t0=0.1, T=0.9, dt=1e-3)
+        for name in ("times", "theta", "v", "v_r"):
+            assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name)))

@@ -16,6 +16,7 @@ Output directory precedence: --out flag, then the config's "out_dir",
 then $ANTHRACTL_OUT_DIR, then ./anthractl-out.
 
 Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 I/O error.
+batch exits with the worst code of its scenarios (4 > 3 > 2).
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .grid import GridSpec, ScalarField, build_grid
+from .grid import DiffusionField, GridSpec, ScalarField, SpatialGrid, build_grid
 from .host import (
     ConstantForcing,
     ControlSignal,
@@ -40,8 +41,8 @@ from .host import (
     ProportionalForcing,
     SampledPath,
     SeasonalForcing,
-    Trajectory,
     integrate_ode,
+    time_grid,
 )
 from .ode_control import (
     BangRegimeError,
@@ -58,6 +59,7 @@ from .pde import (
     integrate_pde,
 )
 from .pde_control import (
+    _RICCATI_MAX_CELLS,
     LinearizationPoint,
     PdeCostSpec,
     RiccatiBlowupError,
@@ -90,6 +92,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+_EXIT_LABELS = {EXIT_CONFIG: "config error", EXIT_NUMERICAL: "numerical failure",
+                EXIT_IO: "i/o error"}
 
 
 class ConfigError(ValueError):
@@ -101,15 +105,51 @@ class ConfigError(ValueError):
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class OdePlan:
+    """The built inputs of a simulate-ode, optimize-ode or forecast run."""
+
+    params: ModelParams
+    x0: HostState
+    cost: CostSpec
+    T: float
+    h: float                                # step of the run's time grid
+    times: np.ndarray = field(repr=False)   # time_grid(0, T, dt)
+    u: float | None = None                  # constant control; None to optimize
+    shooting: tuple | None = None           # (tol, max_iter) of optimize-ode
+    forcing: SeverityForcing | None = None  # the forecast's alpha
+
+
+@dataclass(frozen=True)
+class PdePlan:
+    """The built inputs of a simulate-pde, riccati-pde or sweep-pde run."""
+
+    grid: SpatialGrid
+    A: DiffusionField
+    alpha: np.ndarray = field(repr=False)
+    theta1: float
+    theta0: ScalarField = field(repr=False)
+    cost: PdeCostSpec
+    T: float
+    h: float                                # step of the run's time grid
+    times: np.ndarray = field(repr=False)   # time_grid(0, T, dt)
+    u: float = 0.0                          # simulate-pde constant control
+    store_every: int = 1                    # simulate-pde
+    eps: LinearizationPoint | None = None   # riccati-pde
+    sweep: tuple = (0.5, 100)               # sweep-pde (relax, max_iter)
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: name, mode, seed, raw data, and its base dir
-    (used to resolve relative file references such as weather CSVs)."""
+    """Validated scenario: name, mode, seed, raw data, its base dir (used to
+    resolve relative file references such as weather CSVs), and the plan
+    that a run executes, built once from the data by parse_config."""
 
     name: str
     mode: str
     seed: int
     data: dict = field(repr=False)
     base_dir: str = "."
+    plan: OdePlan | PdePlan | None = field(default=None, repr=False)
 
     def out_dir_hint(self):
         return self.data.get("out_dir")
@@ -155,15 +195,16 @@ def resolve_config_path(ref: str) -> str:
                             f"(bundled: {', '.join(sorted(bundled)) or 'none'})")
 
 
-def _need(data: dict, key: str, where: str):
-    if key not in data:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return data[key]
-
-
 def _require_object(data, where: str) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object, got {data!r}")
+
+
+def _need(data: dict, key: str, where: str):
+    _require_object(data, where)
+    if key not in data:
+        raise ConfigError(f"{where}: missing required key {key!r}")
+    return data[key]
 
 
 def _num(data: dict, key: str, where: str, default=None, minimum=None,
@@ -203,27 +244,9 @@ def _int(data: dict, key: str, where: str, default: int, minimum=None) -> int:
     return v
 
 
-def _shooting_settings(cfg: ScenarioConfig) -> tuple:
-    sh = cfg.data.get("shooting", {})
-    where = f"{cfg.name}.shooting"
-    return (_num(sh, "tol", where, default=1e-8, minimum=0.0, strict_min=True),
-            _int(sh, "max_iter", where, default=100, minimum=1))
-
-
-def _store_every(cfg: ScenarioConfig) -> int:
-    return _int(cfg.data, "store_every", cfg.name, default=1, minimum=1)
-
-
-def _sweep_settings(cfg: ScenarioConfig) -> tuple:
-    sw = cfg.data.get("sweep", {})
-    where = f"{cfg.name}.sweep"
-    return (_num(sw, "relax", where, default=0.5, minimum=0.0, strict_min=True,
-                 maximum=1.0),
-            _int(sw, "max_iter", where, default=100, minimum=1))
-
-
 def parse_config(path: str) -> ScenarioConfig:
-    """Load and validate a scenario config file."""
+    """Load a scenario config file and build its plan; every check that a
+    run depends on happens here, so a config that parses can be run."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -238,19 +261,19 @@ def parse_config(path: str) -> ScenarioConfig:
     seed = _int(data, "seed", path, default=0)
     cfg = ScenarioConfig(name=str(name), mode=mode, seed=seed, data=data,
                          base_dir=os.path.dirname(os.path.abspath(path)) or ".")
-    _validate_mode(cfg)
-    return cfg
+    build = _pde_plan if mode.endswith("-pde") else _ode_plan
+    return replace(cfg, plan=build(cfg))
 
 
-# --- forcing builders ------------------------------------------------------
+# --- plan builders ---------------------------------------------------------
 
 def _build_host_forcing(spec, where: str, default=None):
     if spec is None:
         if default is None:
             raise ConfigError(f"{where}: missing forcing spec")
-        return ConstantForcing(default)
+        spec = default
     if isinstance(spec, (int, float)):
-        return ConstantForcing(float(spec))
+        spec = {"kind": "constant", "value": spec}
     if not isinstance(spec, dict):
         raise ConfigError(f"{where}: expected a number or an object with 'kind'")
     kind = _need(spec, "kind", where)
@@ -265,6 +288,8 @@ def _build_host_forcing(spec, where: str, default=None):
             )
         if kind == "proportional":
             return ProportionalForcing(_num(spec, "coeff", where, minimum=0.0))
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}.kind: unknown forcing kind {kind!r}")
@@ -272,9 +297,8 @@ def _build_host_forcing(spec, where: str, default=None):
 
 def _build_host_params(cfg: ScenarioConfig, alpha_override=None) -> ModelParams:
     host = _need(cfg.data, "host", cfg.name)
-    if not isinstance(host, dict):
-        raise ConfigError(f"{cfg.name}.host: expected an object")
     where = f"{cfg.name}.host"
+    _require_object(host, where)
     theta2 = _num(host, "theta2", where, default=1.0, minimum=0.0, strict_min=True, maximum=1.0)
     alpha = alpha_override if alpha_override is not None else \
         _build_host_forcing(host.get("alpha"), where + ".alpha")
@@ -291,6 +315,8 @@ def _build_host_params(cfg: ScenarioConfig, alpha_override=None) -> ModelParams:
             gamma=gamma,
             eta=_build_host_forcing(host.get("eta"), where + ".eta", default=theta2),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -298,30 +324,65 @@ def _build_host_params(cfg: ScenarioConfig, alpha_override=None) -> ModelParams:
 def _build_initial_state(cfg: ScenarioConfig) -> HostState:
     init = _need(cfg.data, "initial", cfg.name)
     where = f"{cfg.name}.initial"
-    try:
-        return HostState(
-            theta=_num(init, "theta", where),
-            v=_num(init, "v", where, default=0.5),
-            v_r=_num(init, "v_r", where, default=0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return HostState(
+        theta=_num(init, "theta", where),
+        v=_num(init, "v", where, default=0.5),
+        v_r=_num(init, "v_r", where, default=0.0),
+    )
 
 
-def _time_grid(cfg: ScenarioConfig):
+def _time_block(cfg: ScenarioConfig) -> tuple:
+    """(T, h, times) of the config's time block on the shared time grid."""
     tblock = _need(cfg.data, "time", cfg.name)
     where = f"{cfg.name}.time"
     T = _num(tblock, "T", where, minimum=0.0, strict_min=True)
     dt = _num(tblock, "dt", where, minimum=0.0, strict_min=True)
     if dt > T:
         raise ConfigError(f"{where}: dt must not exceed T")
-    return T, dt
+    try:
+        _, h, times = time_grid(0.0, T, dt)
+    except ValueError as exc:  # numpy refuses an array of T/dt + 1 times
+        raise ConfigError(f"{where}: T/dt = {T / dt:.3g} steps: {exc}") from None
+    return T, h, times
+
+
+def _control(cfg: ScenarioConfig, theta1: float) -> float:
+    u = _num(cfg.data.get("control", {}), "u", f"{cfg.name}.control",
+             default=0.0, minimum=0.0, maximum=1.0)
+    if 1.0 - theta1 * u <= 0.0:
+        raise ConfigError(f"{cfg.name}: 1 - theta1*u must stay positive")
+    return u
+
+
+def _shooting_settings(cfg: ScenarioConfig) -> tuple:
+    sh = cfg.data.get("shooting", {})
+    where = f"{cfg.name}.shooting"
+    return (_num(sh, "tol", where, default=1e-8, minimum=0.0, strict_min=True),
+            _int(sh, "max_iter", where, default=100, minimum=1))
+
+
+def _store_every(cfg: ScenarioConfig, n_steps: int) -> int:
+    """The stored-path stride; it must divide the step count, because the
+    cost quadrature needs a uniformly stored path."""
+    k = _int(cfg.data, "store_every", cfg.name, default=1, minimum=1)
+    if n_steps % k:
+        raise ConfigError(f"{cfg.name}.store_every: must divide the {n_steps} "
+                          f"time steps, got {k}")
+    return k
+
+
+def _sweep_settings(cfg: ScenarioConfig) -> tuple:
+    sw = cfg.data.get("sweep", {})
+    where = f"{cfg.name}.sweep"
+    return (_num(sw, "relax", where, default=0.5, minimum=0.0, strict_min=True,
+                 maximum=1.0),
+            _int(sw, "max_iter", where, default=100, minimum=1))
 
 
 def _build_pde_alpha(spec, centers, where: str) -> np.ndarray:
     x = centers[:, 0]
     if isinstance(spec, (int, float)):
-        return np.full(x.shape, float(spec))
+        spec = {"kind": "constant", "value": spec}
     if not isinstance(spec, dict):
         raise ConfigError(f"{where}: expected a number or an object with 'kind'")
     kind = _need(spec, "kind", where)
@@ -329,7 +390,10 @@ def _build_pde_alpha(spec, centers, where: str) -> np.ndarray:
         v = _num(spec, "value", where, minimum=0.0)
         return np.full(x.shape, v)
     if kind == "cells":
-        vals = np.asarray(spec.get("values", []), dtype=float)
+        try:
+            vals = np.asarray(spec.get("values", []), dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}.values: expected an array of numbers") from None
         if vals.shape != x.shape:
             raise ConfigError(f"{where}.values: expected {x.shape[0]} entries, got {vals.size}")
         if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
@@ -350,6 +414,7 @@ def _build_pde_alpha(spec, centers, where: str) -> np.ndarray:
 def _build_grid(cfg: ScenarioConfig):
     gblock = _need(cfg.data, "grid", cfg.name)
     where = f"{cfg.name}.grid"
+    _require_object(gblock, where)
     extents = gblock.get("extents")
     resolution = gblock.get("resolution")
     if not isinstance(extents, (list, tuple)) or not isinstance(resolution, (list, tuple)):
@@ -362,15 +427,15 @@ def _build_grid(cfg: ScenarioConfig):
 
 
 def _build_pde_cost(cfg: ScenarioConfig) -> PdeCostSpec:
-    cblock = _need(cfg.data, "cost", cfg.name)
+    # a plain simulation may leave its cost block out: k1 then defaults to 1
+    optional = cfg.mode == "simulate-pde"
+    cblock = cfg.data.get("cost", {}) if optional else _need(cfg.data, "cost", cfg.name)
     where = f"{cfg.name}.cost"
-    try:
-        return PdeCostSpec(
-            k1=_num(cblock, "k1", where, minimum=0.0, strict_min=True),
-            k2=_num(cblock, "k2", where, default=0.0, minimum=0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return PdeCostSpec(
+        k1=_num(cblock, "k1", where, default=1.0 if optional else None, minimum=0.0,
+                strict_min=True),
+        k2=_num(cblock, "k2", where, default=0.0, minimum=0.0),
+    )
 
 
 def _build_severity(cfg: ScenarioConfig) -> SeverityForcing:
@@ -381,6 +446,8 @@ def _build_severity(cfg: ScenarioConfig) -> SeverityForcing:
     if not isinstance(coeffs, dict):
         raise ConfigError(f"{where}.coefficients: expected an object")
     weather_ref = _need(cfg.data, "weather", cfg.name)
+    if not isinstance(weather_ref, str):
+        raise ConfigError(f"{cfg.name}.weather: expected a file name, got {weather_ref!r}")
     weather_path = weather_ref if os.path.isabs(weather_ref) else \
         os.path.join(cfg.base_dir, weather_ref)
     if not os.path.exists(weather_path):
@@ -409,60 +476,55 @@ def _build_severity(cfg: ScenarioConfig) -> SeverityForcing:
         )
     except TypeError as exc:
         raise ConfigError(f"{where}.coefficients: {exc}") from None
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _validate_mode(cfg: ScenarioConfig):
-    """Mode-specific structural validation (builders raise ConfigError)."""
-    mode = cfg.data["mode"]
-    if mode in ("simulate-ode", "optimize-ode", "forecast"):
-        if mode == "forecast":
-            _build_severity(cfg)
-            _build_host_params(cfg, alpha_override=ConstantForcing(0.0))
-        else:
-            _build_host_params(cfg)
-        _build_initial_state(cfg)
-        _time_grid(cfg)
-        if mode == "optimize-ode":
-            _shooting_settings(cfg)
-        cost = cfg.data.get("cost", {})
-        _num(cost, "k", f"{cfg.name}.cost", default=1.0, minimum=0.0, strict_min=True)
-        if mode != "optimize-ode":
-            u = _num(cfg.data.get("control", {}), "u", f"{cfg.name}.control",
-                     default=0.0, minimum=0.0, maximum=1.0)
-            theta1 = _num(_need(cfg.data, "host", cfg.name), "theta1", cfg.name,
-                          minimum=0.0, maximum=1.0)
-            if 1.0 - theta1 * u <= 0.0:
-                raise ConfigError(f"{cfg.name}: 1 - theta1*u must stay positive")
-    elif mode in ("simulate-pde", "riccati-pde", "sweep-pde"):
-        grid, _ = _build_grid(cfg)
-        theta1 = _num(cfg.data, "theta1", cfg.name, minimum=0.0, maximum=1.0)
-        _build_pde_alpha(_need(cfg.data, "alpha", cfg.name), grid.centers,
-                         f"{cfg.name}.alpha")
-        init = _need(cfg.data, "initial", cfg.name)
-        _num(init, "theta", f"{cfg.name}.initial", minimum=0.0)
-        _time_grid(cfg)
-        if mode == "simulate-pde":
-            _store_every(cfg)
-            u = _num(cfg.data.get("control", {}), "u", f"{cfg.name}.control",
-                     default=0.0, minimum=0.0, maximum=1.0)
-            if 1.0 - theta1 * u <= 0.0:
-                raise ConfigError(f"{cfg.name}: 1 - theta1*u must stay positive")
-            _num(cfg.data.get("cost", {"k1": 1.0}), "k1", f"{cfg.name}.cost",
-                 default=1.0, minimum=0.0, strict_min=True)
-        else:
-            _build_pde_cost(cfg)
-        if mode == "riccati-pde":
-            lin = _need(cfg.data, "linearization", cfg.name)
-            _num(lin, "epsilon", f"{cfg.name}.linearization", minimum=0.0, strict_min=True)
-            if theta1 <= 0.0:
-                raise ConfigError(f"{cfg.name}.theta1: must be positive for the "
-                                  f"feedback offset")
-        if mode == "sweep-pde":
-            _sweep_settings(cfg)
-    else:  # pragma: no cover - mode already checked in parse_config
-        raise ConfigError(f"unknown mode {mode!r}")
+def _ode_plan(cfg: ScenarioConfig) -> OdePlan:
+    forcing = _build_severity(cfg) if cfg.mode == "forecast" else None
+    params = _build_host_params(cfg, alpha_override=forcing)
+    T, h, times = _time_block(cfg)
+    optimize = cfg.mode == "optimize-ode"
+    k = _num(cfg.data.get("cost", {}), "k", f"{cfg.name}.cost", default=1.0,
+             minimum=0.0, strict_min=True)
+    return OdePlan(params=params, x0=_build_initial_state(cfg), cost=CostSpec(k=k),
+                   T=T, h=h, times=times,
+                   u=None if optimize else _control(cfg, params.theta1),
+                   shooting=_shooting_settings(cfg) if optimize else None,
+                   forcing=forcing)
+
+
+def _pde_plan(cfg: ScenarioConfig) -> PdePlan:
+    grid, A = _build_grid(cfg)
+    theta1 = _num(cfg.data, "theta1", cfg.name, minimum=0.0, maximum=1.0)
+    alpha = _build_pde_alpha(_need(cfg.data, "alpha", cfg.name), grid.centers,
+                             f"{cfg.name}.alpha")
+    theta0 = ScalarField.constant(grid, _num(_need(cfg.data, "initial", cfg.name), "theta",
+                                             f"{cfg.name}.initial", minimum=0.0))
+    T, h, times = _time_block(cfg)
+    cost = _build_pde_cost(cfg)
+    if cfg.mode == "simulate-pde":
+        settings = {"u": _control(cfg, theta1),
+                    "store_every": _store_every(cfg, len(times) - 1)}
+    elif cfg.mode == "riccati-pde":
+        if grid.n_cells > _RICCATI_MAX_CELLS:
+            raise ConfigError(f"{cfg.name}.grid.resolution: riccati-pde supports at "
+                              f"most {_RICCATI_MAX_CELLS} cells, got {grid.n_cells}")
+        if theta1 <= 0.0:
+            raise ConfigError(f"{cfg.name}.theta1: must be positive for the "
+                              f"feedback offset")
+        lin = _need(cfg.data, "linearization", cfg.name)
+        settings = {"eps": LinearizationPoint(_num(lin, "epsilon", f"{cfg.name}.linearization",
+                                                   minimum=0.0, strict_min=True))}
+    else:  # sweep-pde
+        if not 0.0 < theta1 < 1.0:
+            raise ConfigError(f"{cfg.name}.theta1: the sweep feedback needs "
+                              f"0 < theta1 < 1, got {theta1}")
+        settings = {"sweep": _sweep_settings(cfg)}
+    return PdePlan(grid=grid, A=A, alpha=alpha, theta1=theta1, theta0=theta0, cost=cost,
+                   T=T, h=h, times=times, **settings)
 
 
 # --------------------------------------------------------------------------
@@ -541,7 +603,9 @@ def _write_report(out_dir: str, report: RunReport):
 
 
 # --------------------------------------------------------------------------
-# mode runners
+# mode runners: each takes its plan and the scenario directory, writes its
+# mode's files there and returns (J, J0, J1) for the controlled, u=0 and
+# u=1 runs, its diagnostics and the names of the files it wrote
 # --------------------------------------------------------------------------
 
 def _host_cost_for_control(params, cost, x0, T, dt, u_values, times) -> float:
@@ -552,21 +616,26 @@ def _host_cost_for_control(params, cost, x0, T, dt, u_values, times) -> float:
     return eval_cost_JT(u, theta, cost, dt)
 
 
-def _run_ode_like(cfg: ScenarioConfig, out_dir: str, alpha_override=None,
-                  extra_outputs=(), extra_diag=None) -> RunReport:
-    params = _build_host_params(cfg, alpha_override=alpha_override)
-    x0 = _build_initial_state(cfg)
-    T, dt = _time_grid(cfg)
-    k = _num(cfg.data.get("cost", {}), "k", f"{cfg.name}.cost", default=1.0,
-             minimum=0.0, strict_min=True)
-    cost = CostSpec(k=k)
-    times = np.linspace(0.0, T, int(round(T / dt)) + 1)
-    diag = dict(extra_diag or {})
-    outputs = list(extra_outputs)
+def _run_ode_like(plan: OdePlan, out_dir: str) -> tuple:
+    params, cost, x0, T, h, times = (plan.params, plan.cost, plan.x0, plan.T, plan.h,
+                                     plan.times)
+    diag = {}
+    outputs = []
 
-    if cfg.mode == "optimize-ode":
-        tol, max_iter = _shooting_settings(cfg)
-        sol = shoot_p0(x0.theta, params, cost, T=T, dt=dt, tol=tol, max_iter=max_iter)
+    if plan.forcing is not None:
+        alphas = plan.forcing.at(times)
+        _write_csv(os.path.join(out_dir, "forecast_series.csv"), ("t", "alpha"),
+                   zip(times, alphas))
+        outputs.append("forecast_series.csv")
+        diag.update({
+            "severity_model": plan.forcing.model,
+            "alpha_max": float(np.max(alphas)),
+            "alpha_mean": float(np.mean(alphas)),
+        })
+
+    if plan.shooting is not None:
+        tol, max_iter = plan.shooting
+        sol = shoot_p0(x0.theta, params, cost, T=T, dt=h, tol=tol, max_iter=max_iter)
         u_values = np.clip(sol.control.values, 0.0, 1.0)
         diag.update({
             "p0": sol.p0,
@@ -574,123 +643,69 @@ def _run_ode_like(cfg: ScenarioConfig, out_dir: str, alpha_override=None,
             "shooting_iterations": sol.iterations,
         })
     else:
-        u_const = _num(cfg.data.get("control", {}), "u", f"{cfg.name}.control",
-                       default=0.0, minimum=0.0, maximum=1.0)
-        u_values = np.full(times.shape, u_const)
+        u_values = np.full(times.shape, plan.u)
 
     u = ControlSignal(times=times, values=u_values)
-    traj = integrate_ode(params, u, x0, t0=0.0, T=T, dt=dt)
+    traj = integrate_ode(params, u, x0, t0=0.0, T=T, dt=h)
     theta = SampledPath(times=traj.times, values=traj.theta)
-    J = eval_cost_JT(u, theta, cost, dt)
-    J0 = _host_cost_for_control(params, cost, x0, T, dt, np.zeros(times.shape), times)
-    J1 = _host_cost_for_control(params, cost, x0, T, dt, np.ones(times.shape), times)
+    J = eval_cost_JT(u, theta, cost, h)
+    J0 = _host_cost_for_control(params, cost, x0, T, h, np.zeros(times.shape), times)
+    J1 = _host_cost_for_control(params, cost, x0, T, h, np.ones(times.shape), times)
 
-    rows = zip(traj.times, traj.theta, traj.v, traj.v_r, u_values)
-    if cfg.mode == "optimize-ode":
-        p_vals = sol.adjoint_path.values
-        rows = zip(traj.times, traj.theta, traj.v, traj.v_r, u_values, p_vals)
-        _write_csv(os.path.join(out_dir, "ode_series.csv"),
-                   ("t", "theta", "v", "v_r", "u", "p"), rows)
+    columns = ("t", "theta", "v", "v_r", "u")
+    series = [traj.times, traj.theta, traj.v, traj.v_r, u_values]
+    if plan.shooting is not None:
+        columns += ("p",)
+        series.append(sol.adjoint_path.values)
         diag["theta_T_controlled"] = float(traj.theta[-1])
     else:
-        _write_csv(os.path.join(out_dir, "ode_series.csv"),
-                   ("t", "theta", "v", "v_r", "u"), rows)
         diag["theta_T"] = float(traj.theta[-1])
+    _write_csv(os.path.join(out_dir, "ode_series.csv"), columns, zip(*series))
     outputs.append("ode_series.csv")
-
-    costs = _cost_triple(J, J0, J1)
-    _write_cost_csv(os.path.join(out_dir, "cost_comparison.csv"), costs)
-    outputs.append("cost_comparison.csv")
-    return RunReport(name=cfg.name, mode=cfg.mode, seed=cfg.seed, costs=costs,
-                     diagnostics=diag, outputs=tuple(outputs), out_dir=out_dir)
+    return (J, J0, J1), diag, outputs
 
 
-def _run_forecast(cfg: ScenarioConfig, out_dir: str) -> RunReport:
-    forcing = _build_severity(cfg)
-    T, dt = _time_grid(cfg)
-    times = np.linspace(0.0, T, int(round(T / dt)) + 1)
-    alphas = forcing.at(times)
-    _write_csv(os.path.join(out_dir, "forecast_series.csv"), ("t", "alpha"),
-               zip(times, alphas))
-    diag = {
-        "severity_model": forcing.model,
-        "alpha_max": float(np.max(alphas)),
-        "alpha_mean": float(np.mean(alphas)),
-    }
-    return _run_ode_like(cfg, out_dir, alpha_override=forcing,
-                         extra_outputs=("forecast_series.csv",), extra_diag=diag)
-
-
-def _run_simulate_pde(cfg: ScenarioConfig, out_dir: str) -> RunReport:
-    grid, A = _build_grid(cfg)
-    theta1 = _num(cfg.data, "theta1", cfg.name, minimum=0.0, maximum=1.0)
-    alpha = _build_pde_alpha(cfg.data["alpha"], grid.centers, f"{cfg.name}.alpha")
-    theta0 = ScalarField.constant(grid, _num(cfg.data["initial"], "theta",
-                                             f"{cfg.name}.initial", minimum=0.0))
-    T, dt = _time_grid(cfg)
-    store_every = _store_every(cfg)
-    u_const = _num(cfg.data.get("control", {}), "u", f"{cfg.name}.control",
-                   default=0.0, minimum=0.0, maximum=1.0)
-    k1 = _num(cfg.data.get("cost", {"k1": 1.0}), "k1", f"{cfg.name}.cost",
-              default=1.0, minimum=0.0, strict_min=True)
-    k2 = _num(cfg.data.get("cost", {}), "k2", f"{cfg.name}.cost", default=0.0,
-              minimum=0.0)
-    cost = PdeCostSpec(k1=k1, k2=k2)
+def _run_simulate_pde(plan: PdePlan, out_dir: str) -> tuple:
+    grid = plan.grid
 
     def run_const(u_val):
-        L = assemble_operator(grid, A, alpha, u_val, theta1, reaction="full")
-        path = integrate_pde(theta0, L, alpha, T, dt, store_every=store_every)
+        L = assemble_operator(grid, plan.A, plan.alpha, u_val, plan.theta1, reaction="full")
+        path = integrate_pde(plan.theta0, L, plan.alpha, plan.T, plan.h,
+                             store_every=plan.store_every)
         u_path = FieldPath(path.times, np.full(path.values.shape, u_val))
-        # cost on the stored grid; with store_every=1 this is the dt grid
-        step = float(path.times[1] - path.times[0]) if path.n_times > 1 else dt
-        return path, eval_cost_JT3(path, u_path, cost, grid, step)
+        # cost on the stored grid, whose step is store_every time steps
+        return path, eval_cost_JT3(path, u_path, plan.cost, grid, plan.h * plan.store_every)
 
-    path, J = run_const(u_const)
-    _, J0 = run_const(0.0) if u_const != 0.0 else (path, J)
-    _, J1 = run_const(1.0) if u_const != 1.0 else (path, J)
+    path, J = run_const(plan.u)
+    _, J0 = run_const(0.0) if plan.u != 0.0 else (path, J)
+    _, J1 = run_const(1.0) if plan.u != 1.0 else (path, J)
 
     _write_field_path_csv(os.path.join(out_dir, "pde_snapshots.csv"), path,
                           columns=("x," if grid.dimension == 1 else "x,y,") + "theta",
                           centers=grid.centers)
-
-    costs = _cost_triple(J, J0, J1)
-    _write_cost_csv(os.path.join(out_dir, "cost_comparison.csv"), costs)
     diag = {
         "theta_final_min": float(np.min(path.values[-1])),
         "theta_final_max": float(np.max(path.values[-1])),
-        "control": u_const,
+        "control": plan.u,
     }
-    return RunReport(name=cfg.name, mode=cfg.mode, seed=cfg.seed, costs=costs,
-                     diagnostics=diag,
-                     outputs=("pde_snapshots.csv", "cost_comparison.csv"),
-                     out_dir=out_dir)
+    return (J, J0, J1), diag, ["pde_snapshots.csv"]
 
 
-def _run_riccati_pde(cfg: ScenarioConfig, out_dir: str) -> RunReport:
-    grid, A = _build_grid(cfg)
-    theta1 = _num(cfg.data, "theta1", cfg.name, minimum=0.0, maximum=1.0)
-    alpha = _build_pde_alpha(cfg.data["alpha"], grid.centers, f"{cfg.name}.alpha")
-    theta0 = ScalarField.constant(grid, _num(cfg.data["initial"], "theta",
-                                             f"{cfg.name}.initial", minimum=0.0))
-    T, dt = _time_grid(cfg)
-    cost = _build_pde_cost(cfg)
-    eps = LinearizationPoint(_num(cfg.data["linearization"], "epsilon",
-                                  f"{cfg.name}.linearization", minimum=0.0,
-                                  strict_min=True))
-
-    L1, b = linearize(alpha, eps, theta1, grid, A)
-    P_path = integrate_riccati(L1, b, cost, T=T, dt=dt)
-    theta_path, u_path = closed_loop_linearized(theta0, L1, b, P_path, cost, eps,
-                                                theta1, alpha, T, dt)
-    J = eval_cost_JT3(theta_path, u_path, cost, grid, dt)
+def _run_riccati_pde(plan: PdePlan, out_dir: str) -> tuple:
+    grid, cost, T, h = plan.grid, plan.cost, plan.T, plan.h
+    L1, b = linearize(plan.alpha, plan.eps, plan.theta1, grid, plan.A)
+    P_path = integrate_riccati(L1, b, cost, T=T, dt=h)
+    theta_path, u_path = closed_loop_linearized(plan.theta0, L1, b, P_path, cost, plan.eps,
+                                                plan.theta1, plan.alpha, T, h)
+    J = eval_cost_JT3(theta_path, u_path, cost, grid, h)
 
     def const_cost(u_val):
         up = FieldPath(theta_path.times,
                        np.full(theta_path.values.shape, u_val))
-        th = integrate_linearized(theta0, L1, b, up, alpha, T, dt)
-        return eval_cost_JT3(th, up, cost, grid, dt)
+        th = integrate_linearized(plan.theta0, L1, b, up, plan.alpha, T, h)
+        return eval_cost_JT3(th, up, cost, grid, h)
 
-    costs = _cost_triple(J, const_cost(0.0), const_cost(1.0))
+    J0, J1 = const_cost(0.0), const_cost(1.0)
 
     _write_field_path_csv(os.path.join(out_dir, "theta_path.csv"), theta_path)
     _write_field_path_csv(os.path.join(out_dir, "u_path.csv"), u_path)
@@ -700,7 +715,6 @@ def _run_riccati_pde(cfg: ScenarioConfig, out_dir: str) -> RunReport:
                                                  eig_range.tolist())]
     _write_csv(os.path.join(out_dir, "riccati_diagnostics.csv"),
                ("s", "trace", "eig_min", "eig_max"), diag_rows)
-    _write_cost_csv(os.path.join(out_dir, "cost_comparison.csv"), costs)
 
     diag = {
         "P_final_trace": float(np.trace(P_path.matrices[-1])),
@@ -708,57 +722,43 @@ def _run_riccati_pde(cfg: ScenarioConfig, out_dir: str) -> RunReport:
         "u_min": float(np.min(u_path.values)),
         "u_max": float(np.max(u_path.values)),
     }
-    return RunReport(name=cfg.name, mode=cfg.mode, seed=cfg.seed, costs=costs,
-                     diagnostics=diag,
-                     outputs=("theta_path.csv", "u_path.csv",
-                              "riccati_diagnostics.csv", "cost_comparison.csv"),
-                     out_dir=out_dir)
+    return (J, J0, J1), diag, ["theta_path.csv", "u_path.csv", "riccati_diagnostics.csv"]
 
 
-def _run_sweep_pde(cfg: ScenarioConfig, out_dir: str) -> RunReport:
-    grid, A = _build_grid(cfg)
-    theta1 = _num(cfg.data, "theta1", cfg.name, minimum=0.0, maximum=1.0)
-    alpha = _build_pde_alpha(cfg.data["alpha"], grid.centers, f"{cfg.name}.alpha")
-    theta0 = ScalarField.constant(grid, _num(cfg.data["initial"], "theta",
-                                             f"{cfg.name}.initial", minimum=0.0))
-    T, dt = _time_grid(cfg)
-    cost = _build_pde_cost(cfg)
-    relax, max_iter = _sweep_settings(cfg)
-
-    res = forward_backward_sweep(theta0, grid, A, alpha, cost, T, dt,
-                                 theta1=theta1, relax=relax, max_iter=max_iter)
+def _run_sweep_pde(plan: PdePlan, out_dir: str) -> tuple:
+    grid, cost, T, h = plan.grid, plan.cost, plan.T, plan.h
+    relax, max_iter = plan.sweep
+    res = forward_backward_sweep(plan.theta0, grid, plan.A, plan.alpha, cost, T, h,
+                                 theta1=plan.theta1, relax=relax, max_iter=max_iter)
     J = float(res.cost_history[-1])
 
     def const_cost(u_val):
         up = FieldPath(res.u_path.times, np.full(res.u_path.values.shape, u_val))
-        th = integrate_controlled(theta0, grid, A, alpha, up, theta1, T, dt)
-        return eval_cost_JT3(th, up, cost, grid, dt)
+        th = integrate_controlled(plan.theta0, grid, plan.A, plan.alpha, up, plan.theta1,
+                                  T, h)
+        return eval_cost_JT3(th, up, cost, grid, h)
 
-    costs = _cost_triple(J, const_cost(0.0), const_cost(1.0))
+    J0, J1 = const_cost(0.0), const_cost(1.0)
 
     _write_field_path_csv(os.path.join(out_dir, "u_path.csv"), res.u_path)
     _write_field_path_csv(os.path.join(out_dir, "theta_path.csv"), res.theta_path)
     _write_field_path_csv(os.path.join(out_dir, "adjoint_path.csv"), res.adjoint_path)
     _write_csv(os.path.join(out_dir, "cost_history.csv"), ("iteration", "cost"),
                list(enumerate(res.cost_history)))
-    _write_cost_csv(os.path.join(out_dir, "cost_comparison.csv"), costs)
 
     diag = {
         "converged": bool(res.converged),
         "iterations": int(res.iterations),
         "u_max": float(np.max(res.u_path.values)),
     }
-    return RunReport(name=cfg.name, mode=cfg.mode, seed=cfg.seed, costs=costs,
-                     diagnostics=diag,
-                     outputs=("u_path.csv", "theta_path.csv", "adjoint_path.csv",
-                              "cost_history.csv", "cost_comparison.csv"),
-                     out_dir=out_dir)
+    return (J, J0, J1), diag, ["u_path.csv", "theta_path.csv", "adjoint_path.csv",
+                               "cost_history.csv"]
 
 
 _RUNNERS = {
     "simulate-ode": _run_ode_like,
     "optimize-ode": _run_ode_like,
-    "forecast": _run_forecast,
+    "forecast": _run_ode_like,
     "simulate-pde": _run_simulate_pde,
     "riccati-pde": _run_riccati_pde,
     "sweep-pde": _run_sweep_pde,
@@ -766,13 +766,15 @@ _RUNNERS = {
 
 
 def execute(cfg: ScenarioConfig, out_root: str) -> RunReport:
-    """Run one validated scenario; outputs go to <out_root>/<name>/."""
+    """Run one parsed scenario's plan; outputs go to <out_root>/<name>/."""
     out_dir = os.path.join(out_root, cfg.name)
     os.makedirs(out_dir, exist_ok=True)
-    report = _RUNNERS[cfg.mode](cfg, out_dir)
-    report = RunReport(name=report.name, mode=report.mode, seed=report.seed,
-                       costs=report.costs, diagnostics=report.diagnostics,
-                       outputs=report.outputs + ("report.json",),
+    (J, J0, J1), diag, outputs = _RUNNERS[cfg.mode](cfg.plan, out_dir)
+    costs = _cost_triple(J, J0, J1)
+    _write_cost_csv(os.path.join(out_dir, "cost_comparison.csv"), costs)
+    report = RunReport(name=cfg.name, mode=cfg.mode, seed=cfg.seed, costs=costs,
+                       diagnostics=diag,
+                       outputs=(*outputs, "cost_comparison.csv", "report.json"),
                        out_dir=out_dir)
     _write_report(out_dir, report)
     for fn in report.outputs:
@@ -798,10 +800,7 @@ def _resolve_out_root(args, cfg: ScenarioConfig | None = None) -> str:
 
 def _load(ref: str, seed_override=None) -> ScenarioConfig:
     cfg = parse_config(resolve_config_path(ref))
-    if seed_override is not None:
-        cfg = ScenarioConfig(name=cfg.name, mode=cfg.mode, seed=int(seed_override),
-                             data=cfg.data, base_dir=cfg.base_dir)
-    return cfg
+    return cfg if seed_override is None else replace(cfg, seed=int(seed_override))
 
 
 def _cmd_run(args) -> int:
@@ -824,7 +823,7 @@ def _cmd_batch(args) -> int:
         raise ConfigError("batch scenarios must have distinct names "
                           f"(got {', '.join(names)})")
     out_root = _resolve_out_root(args)
-    failures = []
+    worst = EXIT_OK
 
     def worker(cfg):
         try:
@@ -836,20 +835,16 @@ def _cmd_batch(args) -> int:
         results = list(pool.map(worker, cfgs))
     for cfg, res in zip(cfgs, results):
         if isinstance(res, Exception):
-            failures.append((cfg.name, res))
             print(f"{cfg.name}: FAILED: {res}", file=sys.stderr)
+            code = _exit_code(res)
+            if code is None:
+                raise res
+            worst = max(worst, code)
         else:
             c = res.costs
             print(f"{cfg.name} [{cfg.mode}] -> {res.out_dir} "
                   f"controlled={_fmt(c['controlled'])}")
-    if failures:
-        exc = failures[0][1]
-        if isinstance(exc, ConfigError):
-            return EXIT_CONFIG
-        if isinstance(exc, _NUMERICAL_ERRORS):
-            return EXIT_NUMERICAL
-        return EXIT_IO
-    return EXIT_OK
+    return worst
 
 
 def _cmd_validate(args) -> int:
@@ -904,19 +899,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _exit_code(exc: BaseException) -> int | None:
+    """The exit code of a failure class, or None for an unexpected error."""
+    if isinstance(exc, ConfigError):
+        return EXIT_CONFIG
+    if isinstance(exc, _NUMERICAL_ERRORS):
+        return EXIT_NUMERICAL
+    if isinstance(exc, OSError):
+        return EXIT_IO
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        detail = f"{type(exc).__name__}: {exc}" if code == EXIT_NUMERICAL else exc
+        print(f"{_EXIT_LABELS[code]}: {detail}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

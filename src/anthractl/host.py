@@ -391,10 +391,11 @@ def _pack_forcing(f) -> Optional[tuple]:
     return None
 
 
-def _stage_alpha(f: SeverityForcing, t0: float, h: float, n: int) -> np.ndarray:
-    """(n, 3) alpha at t_i, t_i + h/2 and t_i + h, t_i = t0 + h*i, for
-    FORCING_STAGED; the times are the floats the generic loop evaluates at."""
-    t = t0 + h * np.arange(n)
+def _stage_alpha(f: SeverityForcing, times: np.ndarray, h: float) -> np.ndarray:
+    """(n, 3) alpha at t_i, t_i + h/2 and t_i + h for the n steps of the grid
+    `times`, for FORCING_STAGED; the times are the floats the generic loop
+    evaluates at."""
+    t = times[:-1]
     return f.at(np.stack([t, t + 0.5 * h, t + h], axis=1))
 
 
@@ -407,7 +408,11 @@ _GUARD_MESSAGES = {
 }
 
 
-def _grid(t0: float, T: float, dt: float) -> tuple:
+def time_grid(t0: float, T: float, dt: float) -> tuple:
+    """(n, h, times) of the uniform step grid on [t0, T] that every solver
+    steps on: n = max(1, round((T - t0)/dt)) steps of h = (T - t0)/n, so a
+    dt that does not divide the horizon is rounded to the nearest step that
+    does, and times = t0 + h*arange(n + 1)."""
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if not T > t0:
@@ -415,7 +420,8 @@ def _grid(t0: float, T: float, dt: float) -> tuple:
     if dt > (T - t0) * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} exceeds the horizon T-t0={T - t0}")
     n = max(1, int(round((T - t0) / dt)))
-    return n, (T - t0) / n
+    h = (T - t0) / n
+    return n, h, t0 + h * np.arange(n + 1)
 
 
 def integrate_ode(
@@ -442,7 +448,7 @@ def integrate_ode(
     """
     if dt is None:
         dt = 1e-3 * (T - t0)
-    n, h = _grid(t0, T, dt)
+    n, h, times = time_grid(t0, T, dt)
     u_fn, knots_t, knots_v = _normalize_control(u)
 
     packs = [_pack_forcing(f) for f in (p.alpha, p.beta, p.gamma)]
@@ -459,7 +465,7 @@ def integrate_ode(
 
     if packable:
         a, b, g = packs
-        a_stage = _stage_alpha(p.alpha, t0, h, n) if staged else _NO_STAGES
+        a_stage = _stage_alpha(p.alpha, times, h) if staged else _NO_STAGES
         theta, v, v_r, status, i_fail = _kernels.host_rk4_single(
             x0.theta, x0.v, x0.v_r, t0, h, n,
             p.theta1, p.theta2, p.v_max,
@@ -475,11 +481,9 @@ def integrate_ode(
                 f"integration aborted at step {i_fail} (t≈{t0 + i_fail * h:.6g}): "
                 + _GUARD_MESSAGES[int(status)]
             )
-        times = t0 + h * np.arange(n + 1)
         return Trajectory(times=times, theta=theta, v=v, v_r=v_r)
 
     # Generic fallback: one RK4 step at a time through eval_rhs.
-    times = t0 + h * np.arange(n + 1)
     theta = np.empty(n + 1)
     v = np.empty(n + 1)
     v_r = np.empty(n + 1)
@@ -529,7 +533,7 @@ def integrate_ode_batch(
     m = len(params)
     if not (len(controls) == len(x0s) == m):
         raise ValueError("params, controls and x0s must have equal length")
-    n, h = _grid(t0, T, dt)
+    n, h, times = time_grid(t0, T, dt)
 
     knots_t = None
     knot_vals = []
@@ -592,7 +596,6 @@ def integrate_ode_batch(
         i = int(bad[0])
         raise DivisionGuardError(
             f"scenario {i} aborted: " + _GUARD_MESSAGES[int(status[i])])
-    times = t0 + h * np.arange(n + 1)
     return [Trajectory(times=times, theta=theta[i], v=v[i], v_r=v_r[i]) for i in range(m)]
 
 

@@ -30,6 +30,7 @@ from .host import (
     SampledPath,
     SeasonalForcing,
     Trajectory,
+    time_grid,
 )
 
 __all__ = [
@@ -213,17 +214,6 @@ def _time_only_alpha(params: ModelParams) -> Callable[[float], float]:
     return lambda t: alpha(t, 0.0)
 
 
-def _grid(t0: float, T: float, dt: float) -> Tuple[int, float]:
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if not T > t0:
-        raise ValueError(f"need T > t0, got t0={t0}, T={T}")
-    if dt > (T - t0) * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt} exceeds the horizon T-t0={T - t0}")
-    n = max(1, int(round((T - t0) / dt)))
-    return n, (T - t0) / n
-
-
 def integrate_coupled(
     p0: float,
     theta0: float,
@@ -240,9 +230,8 @@ def integrate_coupled(
     are recomputed from the node values of (theta, p), so they satisfy the
     feedback law exactly as optimal_u_feedback states it.
     """
-    n, h = _grid(t0, T, dt)
+    n, h, times = time_grid(t0, T, dt)
     alpha = params.alpha
-    times = t0 + h * np.arange(n + 1)
     dummy = np.zeros(1)
 
     if isinstance(alpha, ConstantForcing):
@@ -289,7 +278,7 @@ def integrate_adjoint(
     Used by the gradient checks, where u is given rather than optimal.
     Returns (theta path, p path) on the forward-ordered grid.
     """
-    n, h = _grid(t0, T, dt)
+    n, h, times = time_grid(t0, T, dt)
     if isinstance(u, (int, float)):
         uval = float(u)
         u_fn = lambda t: uval  # noqa: E731
@@ -306,7 +295,6 @@ def integrate_adjoint(
             raise DivisionGuardError(f"1 - theta1*u = {floor} <= 0 at t = {t}")
         return al * (1.0 - a / floor), al * b / floor - 2.0 * a
 
-    times = t0 + h * np.arange(n + 1)
     th = np.empty(n + 1)
     p = np.empty(n + 1)
     th[n] = theta_T
@@ -344,8 +332,10 @@ def shoot_p0(
     Secant iteration seeded with p0 in {0, 1}; once a sign change of the
     residual is bracketed, any secant step that escapes the bracket (or fails
     to shrink it) is replaced by bisection.  Raises ShootingError with the
-    best residual if the budget runs out.
+    best residual if the budget runs out.  The returned cost is evaluated on
+    the step grid the integration takes (see time_grid).
     """
+    h = time_grid(t0, T, dt)[1]
 
     def residual(p0_guess: float):
         th, p, u = integrate_coupled(p0_guess, theta0, params, cost, T, dt, t0=t0)
@@ -361,7 +351,7 @@ def shoot_p0(
         th, p, u = out_a
         return OptimalSolution(
             control=u, theta_path=th, adjoint_path=p,
-            cost=eval_cost_JT(u, th, cost, dt),
+            cost=eval_cost_JT(u, th, cost, h),
             p0=a, residual=abs(ra), iterations=evaluations)
     rb, out_b = residual(b)
     evaluations += 1
@@ -377,7 +367,7 @@ def shoot_p0(
             th, p, u = best[3] if best[1] == cur else residual(cur)[1]
             return OptimalSolution(
                 control=u, theta_path=th, adjoint_path=p,
-                cost=eval_cost_JT(u, th, cost, dt),
+                cost=eval_cost_JT(u, th, cost, h),
                 p0=cur, residual=abs(r_cur), iterations=evaluations)
         nxt = None
         if r_cur != r_prev:
@@ -404,7 +394,7 @@ def shoot_p0(
             th, p, u = out_nxt
             return OptimalSolution(
                 control=u, theta_path=th, adjoint_path=p,
-                cost=eval_cost_JT(u, th, cost, dt),
+                cost=eval_cost_JT(u, th, cost, h),
                 p0=cur, residual=abs(r_cur), iterations=evaluations)
 
     raise ShootingError(

@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solveh_banded
 
 from .grid import DiffusionField, ScalarField, SpatialGrid, as_cell_values
-from .host import DivisionGuardError
+from .host import DivisionGuardError, time_grid
 
 __all__ = [
     "SingularOperatorError",
@@ -258,7 +258,7 @@ class FieldPath:
 
 def integrate_pde(theta0: ScalarField, L: OperatorMatrix, alpha, T: float,
                   dt: float, store_every: int = 1) -> FieldPath:
-    """March theta0 to time T with backward-Euler steps of size dt.
+    """March theta0 to time T with backward-Euler steps on time_grid(0, T, dt).
 
     The step matrix is factorized once (the operator is constant in time)
     and every solve is residual-checked against the same 1e-12 target as
@@ -277,15 +277,14 @@ def integrate_pde(theta0: ScalarField, L: OperatorMatrix, alpha, T: float,
         raise ValueError("theta0 must be nonnegative")
     al = as_cell_values(alpha, n)
 
-    n_steps = int(round(T / dt)) if T > 0.0 else 0
-    times = [0.0]
-    states = [th.copy()]
-    if n_steps == 0:
-        return FieldPath(np.asarray(times), np.asarray(states))
+    if T == 0.0:
+        return FieldPath(np.zeros(1), th[None, :])
 
-    h = T / n_steps
+    n_steps, h, times = time_grid(0.0, T, dt)
     M = (sp.identity(n, format="csc") + h * L.matrix).tocsc()
     lu = spla.splu(M)
+    stored = [0]
+    states = [th.copy()]
     for k in range(1, n_steps + 1):
         rhs = th + h * al
         x = lu.solve(rhs)
@@ -294,9 +293,9 @@ def integrate_pde(theta0: ScalarField, L: OperatorMatrix, alpha, T: float,
             x = _solve_checked(M, rhs, x0=x)
         th = x
         if k % store_every == 0 or k == n_steps:
-            times.append(k * h)
+            stored.append(k)
             states.append(th.copy())
-    return FieldPath(np.asarray(times), np.asarray(states))
+    return FieldPath(times[stored], np.asarray(states))
 
 
 # --------------------------------------------------------------------------

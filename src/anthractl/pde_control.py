@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .grid import DiffusionField, ScalarField, SpatialGrid, as_cell_values
-from .host import DivisionGuardError
+from .host import DivisionGuardError, time_grid
 from .ode_control import GridMismatchError
 from .pde import FieldPath, OperatorMatrix, _FixedStencilStepper, assemble_operator
 
@@ -203,14 +203,7 @@ class RiccatiPath:
 
     def P_at(self, s: float) -> np.ndarray:
         """P at pseudo-time s, linearly interpolated between samples."""
-        t = self.times
-        if s <= t[0]:
-            return self.matrices[0]
-        if s >= t[-1]:
-            return self.matrices[-1]
-        j = int(np.searchsorted(t, s, side="right"))
-        w = (s - t[j - 1]) / (t[j] - t[j - 1])
-        return (1.0 - w) * self.matrices[j - 1] + w * self.matrices[j]
+        return _interp_samples(self.times, self.matrices, s)
 
     def P_lookback(self, t_phys: float) -> np.ndarray:
         """P(T - t): the matrix the feedback uses at physical time t."""
@@ -221,6 +214,18 @@ class RiccatiPath:
 
 
 _RICCATI_MAX_CELLS = 256  # dense N x N storage; larger grids are out of scope
+
+
+def _interp_samples(times: np.ndarray, samples: np.ndarray, t: float) -> np.ndarray:
+    """samples[j] linearly interpolated in t, (1-w)*samples[j-1] + w*samples[j],
+    with the end samples extended as constants."""
+    if t <= times[0]:
+        return samples[0]
+    if t >= times[-1]:
+        return samples[-1]
+    j = int(np.searchsorted(times, t, side="right"))
+    w = (t - times[j - 1]) / (times[j] - times[j - 1])
+    return (1.0 - w) * samples[j - 1] + w * samples[j]
 
 
 def _eig_extremes(P: np.ndarray) -> tuple:
@@ -264,13 +269,12 @@ def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: fl
     w = b * b / k1           # diagonal of B^2 / k1
 
     P = np.diag(k2).astype(float)
-    n_steps = int(round(T / dt)) if T > 0.0 else 0
-    h = T / n_steps if n_steps else 0.0
+    n_steps, h, times = time_grid(0.0, T, dt) if T > 0.0 else (0, 0.0, np.zeros(1))
     Phi = expm(h * np.block([[-G, np.diag(w)], [np.eye(n), G]]))
     Phi11, Phi12 = Phi[:n, :n], Phi[:n, n:]
     Phi21, Phi22 = Phi[n:, :n], Phi[n:, n:]
 
-    times = [0.0]
+    stored = [0]
     mats = [P.copy()]
     eig_range = []
 
@@ -301,9 +305,9 @@ def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: fl
             raise RiccatiBlowupError(f"||P|| reached {norm:.3e} at pseudo-time {k * h:g}")
         if k % store_every == 0 or k == n_steps:
             check_state(P, k * h)
-            times.append(k * h)
+            stored.append(k)
             mats.append(P.copy())
-    return RiccatiPath(np.asarray(times), np.asarray(mats),
+    return RiccatiPath(times[stored], np.asarray(mats),
                        eig_range=np.asarray(eig_range) if check_psd else None)
 
 
@@ -350,11 +354,6 @@ def _lqr_feedback(P_path: RiccatiPath, th: np.ndarray, t: float,
 # linearized dynamics (for LQR evaluation)
 # --------------------------------------------------------------------------
 
-def _uniform_times(T: float, dt: float) -> np.ndarray:
-    n = max(1, int(round(T / dt)))
-    return np.linspace(0.0, T, n + 1)
-
-
 def _check_rk4_step(L1: OperatorMatrix, h: float) -> None:
     """Refuse an explicit RK4 step of -L1 that its spectrum makes unstable.
 
@@ -369,34 +368,19 @@ def _check_rk4_step(L1: OperatorMatrix, h: float) -> None:
             f"bound rho = {rho:.4g}); refine dt or coarsen the grid")
 
 
-def integrate_linearized(theta0, L1: OperatorMatrix, B, u_path: FieldPath,
-                         alpha, T: float, dt: float) -> FieldPath:
-    """RK4 integration of the linearized dynamics
-    d(theta)/dt = -L1 theta - B u(t) + alpha with u interpolated from u_path."""
-    n = L1.n_cells
-    th = as_cell_values(theta0, n).copy()
-    b = as_cell_values(B, n)
-    al = as_cell_values(alpha, n)
+def _linearized_rk4(theta0, L1: OperatorMatrix, b: np.ndarray, al: np.ndarray,
+                    T: float, dt: float, u_of) -> FieldPath:
+    """RK4 path of d(theta)/dt = -L1 theta - b*u_of(t, theta) + alpha on
+    time_grid(0, T, dt), refused by _check_rk4_step where it is unstable."""
+    _, h, times = time_grid(0.0, T, dt)
+    _check_rk4_step(L1, h)
     A1 = L1.matrix
 
-    ut, uv = u_path.times, u_path.values
-
-    def u_at(t):
-        if t <= ut[0]:
-            return uv[0]
-        if t >= ut[-1]:
-            return uv[-1]
-        j = int(np.searchsorted(ut, t, side="right"))
-        w = (t - ut[j - 1]) / (ut[j] - ut[j - 1])
-        return (1.0 - w) * uv[j - 1] + w * uv[j]
-
     def f(t, x):
-        return -(A1 @ x) - b * u_at(t) + al
+        return -(A1 @ x) - b * u_of(t, x) + al
 
-    times = _uniform_times(T, dt)
-    h = times[1] - times[0] if len(times) > 1 else 0.0
-    _check_rk4_step(L1, h)
-    out = np.empty((len(times), n))
+    th = as_cell_values(theta0, L1.n_cells).copy()
+    out = np.empty((len(times), th.size))
     out[0] = th
     for k in range(len(times) - 1):
         t = times[k]
@@ -407,6 +391,16 @@ def integrate_linearized(theta0, L1: OperatorMatrix, B, u_path: FieldPath,
         th = th + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
         out[k + 1] = th
     return FieldPath(times, out)
+
+
+def integrate_linearized(theta0, L1: OperatorMatrix, B, u_path: FieldPath,
+                         alpha, T: float, dt: float) -> FieldPath:
+    """RK4 integration of the linearized dynamics
+    d(theta)/dt = -L1 theta - B u(t) + alpha with u interpolated from u_path."""
+    n = L1.n_cells
+    ut, uv = u_path.times, u_path.values
+    return _linearized_rk4(theta0, L1, as_cell_values(B, n), as_cell_values(alpha, n),
+                           T, dt, lambda t, x: _interp_samples(ut, uv, t))
 
 
 def closed_loop_linearized(theta0, L1: OperatorMatrix, B, P_path: RiccatiPath,
@@ -422,11 +416,9 @@ def closed_loop_linearized(theta0, L1: OperatorMatrix, B, P_path: RiccatiPath,
     clamped share.
     """
     n = L1.n_cells
-    th = as_cell_values(theta0, n).copy()
     b = as_cell_values(B, n)
-    al = as_cell_values(alpha, n)
-    A1 = L1.matrix
     gain, offset = _feedback_coefficients(n, b, cost, eps, theta1)
+    _check_horizon(P_path, T)
     clamps = []
 
     def u_of(t, x):
@@ -434,32 +426,14 @@ def closed_loop_linearized(theta0, L1: OperatorMatrix, B, P_path: RiccatiPath,
         clamps.append(clamped)
         return u
 
-    def f(t, x):
-        return -(A1 @ x) - b * u_of(t, x) + al
-
-    times = _uniform_times(T, dt)
-    _check_horizon(P_path, float(times[-1]))
-    h = times[1] - times[0] if len(times) > 1 else 0.0
-    _check_rk4_step(L1, h)
-    out = np.empty((len(times), n))
-    us = np.empty((len(times), n))
-    out[0] = th
-    us[0] = u_of(0.0, th)
-    for k in range(len(times) - 1):
-        t = times[k]
-        s1 = f(t, th)
-        s2 = f(t + 0.5 * h, th + 0.5 * h * s1)
-        s3 = f(t + 0.5 * h, th + 0.5 * h * s2)
-        s4 = f(t + h, th + h * s3)
-        th = th + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-        out[k + 1] = th
-        us[k + 1] = u_of(times[k + 1], th)
+    theta_path = _linearized_rk4(theta0, L1, b, as_cell_values(alpha, n), T, dt, u_of)
+    us = np.array([u_of(t, x) for t, x in zip(theta_path.times, theta_path.values)])
     n_clamped = sum(c > 0.0 for c in clamps)
     if n_clamped:
         logger.info("closed_loop_linearized: the feedback clamped cells in %d of "
                     "%d evaluations (at most %.1f%% of cells)",
                     n_clamped, len(clamps), 100.0 * max(clamps))
-    return FieldPath(times, out), FieldPath(times, us)
+    return theta_path, FieldPath(theta_path.times, us)
 
 
 # --------------------------------------------------------------------------
@@ -498,12 +472,11 @@ def integrate_controlled(theta0, grid: SpatialGrid, A: DiffusionField, alpha,
     (GridMismatchError otherwise); each step takes the operator diagonal from
     the control at its target time level."""
     n = grid.n_cells
-    times = _uniform_times(T, dt)
+    _, h, times = time_grid(0.0, T, dt)
     _require_step_grid(times, n, u=u_path)
     th = as_cell_values(theta0, n).copy()
     al = as_cell_values(alpha, n)
     t1 = float(theta1)
-    h = times[1] - times[0]
     stepper = _controlled_stepper(grid, A, h)
 
     out = np.empty((len(times), n))
@@ -530,13 +503,12 @@ def solve_adjoint_pde(theta_path: FieldPath, u_star: FieldPath, cost: PdeCostSpe
     which is exactly the forward structure, stepped implicitly.
     """
     n = grid.n_cells
-    times = _uniform_times(T, dt)
+    _, h, times = time_grid(0.0, T, dt)
     _require_step_grid(times, n, theta=theta_path, u=u_star)
 
     al = as_cell_values(alpha, n)
     t1 = float(theta1)
     k2 = cost.k2_values(n)
-    h = times[1] - times[0]
     stepper = _controlled_stepper(grid, A, h)
 
     n_t = len(times)
@@ -678,7 +650,7 @@ def forward_backward_sweep(theta0, grid: SpatialGrid, A: DiffusionField, alpha,
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n = grid.n_cells
-    times = _uniform_times(T, dt)
+    _, h, times = time_grid(0.0, T, dt)
     al = as_cell_values(alpha, n)
     k1 = cost.k1_values(n)
     t1 = float(theta1)
@@ -701,7 +673,7 @@ def forward_backward_sweep(theta0, grid: SpatialGrid, A: DiffusionField, alpha,
         change = float(np.max(np.abs(u_next - u_vals)))
         u_vals = u_next
         u_path = FieldPath(times, u_vals)
-        history.append(eval_cost_JT3(theta_path, u_path, cost, grid, dt))
+        history.append(eval_cost_JT3(theta_path, u_path, cost, grid, h))
         if change < _SWEEP_TOL:
             converged = True
             break
@@ -709,7 +681,7 @@ def forward_backward_sweep(theta0, grid: SpatialGrid, A: DiffusionField, alpha,
     # final state/adjoint consistent with the returned control
     theta_path = integrate_controlled(theta0, grid, A, al, u_path, theta1, T, dt)
     p_path = solve_adjoint_pde(theta_path, u_path, cost, grid, A, T, dt, al, theta1)
-    history.append(eval_cost_JT3(theta_path, u_path, cost, grid, dt))
+    history.append(eval_cost_JT3(theta_path, u_path, cost, grid, h))
     return SweepResult(
         u_path=u_path,
         theta_path=theta_path,

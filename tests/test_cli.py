@@ -1,10 +1,15 @@
 """Command-line interface: configs, exit codes, outputs, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anthractl import FieldPath, GridSpec, build_grid
 from anthractl.cli import (
@@ -59,6 +64,22 @@ def _tiny_pde():
         "cost": {"k1": 1.0, "k2": 0.0},
         "time": {"T": 0.5, "dt": 0.01},
         "store_every": 10,
+    }
+
+
+def _tiny_forecast():
+    # the weather file resolves to the packaged sample next to the bundled configs
+    return {
+        "name": "tiny-forecast",
+        "mode": "forecast",
+        "weather": "weather-sample.csv",
+        "severity": {"model": "asi",
+                     "coefficients": {"a0": 0.1, "a01": 0.05, "a10": 0.01}},
+        "host": {"theta1": 0.6},
+        "initial": {"theta": 0.2, "v": 0.5, "v_r": 0.0},
+        "control": {"u": 0.2},
+        "cost": {"k": 1.0},
+        "time": {"T": 0.5, "dt": 0.005},
     }
 
 
@@ -186,14 +207,39 @@ def _with(data, **over):
     (_with(_tiny_sweep(), sweep={"max_iter": "abc"}), "sweep.max_iter"),
     (_tiny_ode(seed="x"), "seed"),
     (_tiny_ode(initial=3), "initial"),
+    (_with(_tiny_pde(), store_every=7), "store_every"),
+    (_with(_tiny_riccati(), grid={"extents": [1.0], "resolution": [300]}), "grid.resolution"),
+    (_with(_tiny_sweep(), theta1=0.0), "theta1"),
+    (_with(_tiny_sweep(), theta1=1.0), "theta1"),
+    (_tiny_ode(time={"T": 1e6, "dt": 1e-13}), "time"),
 ], ids=["store_every", "store_every_fraction", "shooting_tol", "sweep_max_iter",
-        "seed", "initial"])
+        "seed", "initial", "store_every_not_dividing_steps", "riccati_cells",
+        "sweep_theta1_zero", "sweep_theta1_one", "steps_beyond_array_size"])
 def test_bad_value_exits_config_in_validate_and_run(tmp_path, capsys, data, key):
     path = _write_cfg(tmp_path, data)
     assert main(["validate", path]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+# A dt that does not divide T runs on the nearest grid that does:
+# h = T/round(T/dt).  The pde dt gives 50 steps, which store_every 10 divides.
+@pytest.mark.parametrize("data, dt", [
+    (_tiny_ode(), 0.0007),
+    (_tiny_ode("optimize-ode"), 0.0007),
+    (_tiny_forecast(), 0.0007),
+    (_tiny_pde(), 0.0101),
+    (_tiny_riccati(), 0.03),
+    (_tiny_sweep(), 0.03),
+], ids=["simulate-ode", "optimize-ode", "forecast", "simulate-pde", "riccati-pde",
+        "sweep-pde"])
+def test_non_dividing_dt_runs_on_rounded_grid(tmp_path, data, dt):
+    data = dict(data, time={"T": 0.5, "dt": dt})
+    path = _write_cfg(tmp_path, data)
+    assert main(["validate", path]) == EXIT_OK
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert parse_config(path).plan.h == 0.5 / round(0.5 / dt)
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +366,7 @@ def test_run_sweep_pde(tmp_path):
 def test_run_forecast_with_relative_weather(tmp_path):
     (tmp_path / "wx.csv").write_text(
         "t,T,W,H\n0.0,18.0,2.0,80.0\n0.5,24.0,5.0,85.0\n1.0,21.0,3.0,90.0\n")
-    data = {
-        "name": "tiny-forecast",
-        "mode": "forecast",
-        "weather": "wx.csv",   # resolved relative to the config file
-        "severity": {"model": "asi",
-                     "coefficients": {"a0": 0.1, "a01": 0.05, "a10": 0.01}},
-        "host": {"theta1": 0.6},
-        "initial": {"theta": 0.2, "v": 0.5, "v_r": 0.0},
-        "control": {"u": 0.2},
-        "cost": {"k": 1.0},
-        "time": {"T": 0.5, "dt": 0.005},
-    }
+    data = dict(_tiny_forecast(), weather="wx.csv")  # resolved next to the config
     code, run_dir = _run(tmp_path, data)
     assert code == EXIT_OK
     rep = _check_manifest(run_dir,
@@ -415,7 +450,96 @@ def test_batch_rejects_duplicate_names(tmp_path, capsys):
     assert "distinct names" in capsys.readouterr().err
 
 
+def test_batch_exits_with_worst_failure_class(tmp_path, capsys):
+    # a numerical failure (v = 0 divides) listed before an I/O failure (a file
+    # where the scenario directory should go): the I/O class wins
+    a = _write_cfg(tmp_path, _tiny_ode(initial={"theta": 0.2, "v": 0.0}), "a.json")
+    b = _write_cfg(tmp_path, dict(_tiny_pde(), name="blocked"), "b.json")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "blocked").write_text("not a directory")
+    assert main(["batch", a, b, "--out", str(tmp_path / "out"), "--jobs", "1"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "tiny-simulate-ode: FAILED" in err and "blocked: FAILED" in err
+
+
 def test_batch_missing_config_is_io_error(tmp_path):
     a = _write_cfg(tmp_path, _tiny_ode(), "a.json")
     assert main(["batch", a, "/no/such.json",
                  "--out", str(tmp_path / "out")]) == EXIT_IO
+
+
+# ---------------------------------------------------------------------------
+#  property: validate accepts exactly what run can execute
+# ---------------------------------------------------------------------------
+
+_TINY = (_tiny_ode, lambda: _tiny_ode("optimize-ode"), _tiny_forecast, _tiny_pde,
+         _tiny_riccati, _tiny_sweep)
+_DELETE = object()
+_ODD_VALUES = st.sampled_from([_DELETE, None, True, -1, 0, 0.5, 1, 2.5, 1e6, "x",
+                               [], [1, 2], {}, {"kind": "constant"}])
+
+
+def _leaves(data, prefix=()):
+    for key, value in data.items():
+        if isinstance(value, dict) and value:
+            yield from _leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def _mutated_value(draw, path):
+    key = ".".join(path)
+    if key == "time.T":
+        return draw(st.one_of(st.floats(-0.1, 2.0), _ODD_VALUES))
+    if key == "time.dt":
+        return draw(st.one_of(st.floats(2e-3, 0.6), st.sampled_from([0.0, -0.01]),
+                              _ODD_VALUES))
+    if key == "grid.resolution":
+        return draw(st.one_of(st.lists(st.integers(-1, 300), max_size=3), _ODD_VALUES))
+    if key == "store_every":
+        return draw(st.one_of(st.integers(-1, 60), _ODD_VALUES))
+    return draw(_ODD_VALUES)
+
+
+@st.composite
+def _mutated_config(draw):
+    data = json.loads(json.dumps(draw(st.sampled_from(_TINY))()))
+    path = draw(st.sampled_from(sorted(_leaves(data))))
+    value = _mutated_value(draw, path)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return data
+
+
+def _work(data) -> float:
+    """steps x cells of a config, or 0 where it is not well-formed."""
+    try:
+        cells = int(np.prod(data["grid"]["resolution"])) if "grid" in data else 1
+        steps = float(data["time"]["T"]) / float(data["time"]["dt"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return 0.0
+    return abs(steps) * abs(cells)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=_mutated_config())
+def test_mutated_configs_exit_cleanly_and_validate_agrees_with_run(data):
+    assume(_work(data) <= 1e5)
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        path = os.path.join(tmp, "mutated.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        # an uncaught exception (a traceback) fails the test here
+        validated = main(["validate", path])
+        ran = main(["run", path, "--out", os.path.join(tmp, "out")])
+    assert validated in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)
+    assert ran in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)
+    if validated == EXIT_OK:
+        assert ran != EXIT_CONFIG

@@ -30,6 +30,13 @@ reaches host_rk4_single as stage-sampled alpha, and through the generic
 per-step loop (the forcing hidden behind a lambda).  It counts the trajectory
 values where the two differ; that count must be 0.
 
+The riccati_lanes lane rolls out a riccati-pde scenario's linearized
+dynamics on _RICCATI_CELLS-cell grids two ways: as three separate RK4 loops
+(closed_loop_linearized, then integrate_linearized under u=0 and u=1), and
+as the three lanes of one loop (_closed_loop_lanes) that the CLI runs.  It
+counts the state and control values where the two differ; that count must
+be 0.
+
 --json PATH also writes every result, with the environment, as JSON.
 """
 
@@ -52,15 +59,22 @@ from anthractl import (
     DuthieCoefficients,
     GridSpec,
     HostState,
+    LinearizationPoint,
     ModelParams,
+    PdeCostSpec,
     SeverityForcing,
     WeatherSeries,
     assemble_operator,
     build_grid,
+    closed_loop_linearized,
+    integrate_linearized,
     integrate_ode,
+    integrate_riccati,
+    linearize,
 )
 from anthractl import _kernels as K
-from anthractl.pde import _FixedStencilStepper, _solve_checked
+from anthractl.pde import FieldPath, _FixedStencilStepper, _solve_checked
+from anthractl.pde_control import _closed_loop_lanes
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +273,44 @@ def _host_staged_lane(repeats: int):
     return lane
 
 
+#: Grid sizes of the riccati_lanes rollouts (a pde_sweep riccati draw spans 1-64).
+_RICCATI_CELLS = (16, 64)
+_RICCATI_T, _RICCATI_DT = 1.0, 0.005
+
+
+def _riccati_lanes_lane(repeats: int):
+    lane = {}
+    for cells in _RICCATI_CELLS:
+        grid, A = build_grid(GridSpec((1.0,), (cells,)), A_spec=0.02)
+        eps, cost, theta1 = LinearizationPoint(4.0), PdeCostSpec(k1=0.5, k2=0.5), 0.5
+        L1, b = linearize(1.0, eps, theta1, grid, A)
+        P_path = integrate_riccati(L1, b, cost, T=_RICCATI_T, dt=_RICCATI_DT)
+        args = (0.3, L1, b, P_path, cost, eps, theta1, 1.0, _RICCATI_T, _RICCATI_DT)
+
+        def separate():
+            theta, u = closed_loop_linearized(*args)
+            rest = [integrate_linearized(
+                        0.3, L1, b, FieldPath(theta.times, np.full(theta.values.shape, c)),
+                        1.0, _RICCATI_T, _RICCATI_DT) for c in (0.0, 1.0)]
+            return [theta.values, u.values] + [th.values for th in rest]
+
+        def lanes():
+            theta, u, _, rest = _closed_loop_lanes(*args, constants=(0.0, 1.0))
+            return [theta.values, u.values] + [th.values for th in rest]
+
+        t_separate = _best_of(separate, (), repeats)
+        t_lanes = _best_of(lanes, (), repeats)
+        steps = separate()[0].shape[0] - 1
+        mismatches = sum(int(np.sum(a.view(np.int64) != b.view(np.int64)))
+                         for a, b in zip(separate(), lanes()))
+        lane[str(cells)] = {"cells": cells, "steps": steps,
+                            "separate_us_per_step": t_separate / steps * 1e6,
+                            "lanes_us_per_step": t_lanes / steps * 1e6,
+                            "speedup": t_separate / t_lanes,
+                            "mismatches": mismatches}
+    return lane
+
+
 # ---------------------------------------------------------------------------
 #  Timing
 # ---------------------------------------------------------------------------
@@ -333,6 +385,7 @@ def main() -> None:
     root = _feedback_root_lane(args.repeats)
     implicit = _implicit_step_lane(args.repeats)
     staged = _host_staged_lane(args.repeats)
+    riccati = _riccati_lanes_lane(args.repeats)
     workloads = {name: workload for name, _, _, workload in _workloads(args)}
     numba_times = {}
     agree = {}
@@ -375,6 +428,11 @@ def main() -> None:
               f"staged {r['staged_us_per_step']:.1f}us/step, "
               f"generic loop {r['generic_us_per_step']:.1f}us/step, "
               f"{r['speedup']:.2f}x, mismatches {r['mismatches']}")
+    for r in riccati.values():
+        print(f"riccati_lanes ({r['cells']} cells, {r['steps']} steps): "
+              f"separate {r['separate_us_per_step']:.1f}us/step, "
+              f"lanes {r['lanes_us_per_step']:.1f}us/step, "
+              f"{r['speedup']:.2f}x, mismatches {r['mismatches']}")
 
     if args.json is not None:
         report = {
@@ -395,6 +453,7 @@ def main() -> None:
             "feedback_root": root,
             "implicit_step": implicit,
             "host_staged": staged,
+            "riccati_lanes": riccati,
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report, indent=2) + "\n")
@@ -404,6 +463,10 @@ def main() -> None:
     if staged_mismatches:
         sys.exit(f"host_staged: {staged_mismatches} trajectory values differ "
                  f"from the generic loop")
+    riccati_mismatches = sum(r["mismatches"] for r in riccati.values())
+    if riccati_mismatches:
+        sys.exit(f"riccati_lanes: {riccati_mismatches} values of the lane loop "
+                 f"differ from the separate rollouts")
     worst = max(r["max_abs_deviation"] for r in implicit.values())
     if not worst <= _IMPLICIT_MAX_DEVIATION:
         sys.exit(f"implicit_step: the fixed-stencil path deviates by {worst:.3e} "

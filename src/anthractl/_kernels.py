@@ -592,13 +592,15 @@ def _coupled_rk4_impl(theta0, p0, t0, h, n, theta1, k,
     a surface crossing, locates the crossing time by bisection on frozen-
     branch substeps, and restarts the step from the switch point on the other
     branch.  The reported u values are recomputed from the node values with
-    the plain (unfrozen) law.
+    the plain (unfrozen) law.  theta0 and p0 are taken as floats, so a numpy
+    scalar p0 (a secant iterate) does not turn every scalar operation of the
+    pure-Python loop into a numpy-scalar one.
     """
     out_th = np.empty(n + 1)
     out_p = np.empty(n + 1)
     out_u = np.empty(n + 1)
-    th = theta0
-    pp = p0
+    th = float(theta0)
+    pp = float(p0)
     out_th[0] = th
     out_p[0] = pp
     out_u[0] = feedback_u(_alpha_at(a_code, a0, a1, a2, a_t, a_v, t0),

@@ -63,11 +63,10 @@ from .pde_control import (
     LinearizationPoint,
     PdeCostSpec,
     RiccatiBlowupError,
-    closed_loop_linearized,
+    _closed_loop_lanes,
     eval_cost_JT3,
     forward_backward_sweep,
     integrate_controlled,
-    integrate_linearized,
     integrate_riccati,
     linearize,
 )
@@ -79,7 +78,8 @@ from .severity import (
     WeatherSeries,
 )
 
-__all__ = ["ConfigError", "ScenarioConfig", "RunReport", "parse_config", "execute", "main"]
+__all__ = ["ConfigError", "NonFiniteResultError", "ScenarioConfig", "RunReport",
+           "parse_config", "execute", "main"]
 
 _MODES = ("simulate-ode", "optimize-ode", "simulate-pde", "riccati-pde",
           "sweep-pde", "forecast")
@@ -98,6 +98,10 @@ _EXIT_LABELS = {EXIT_CONFIG: "config error", EXIT_NUMERICAL: "numerical failure"
 
 class ConfigError(ValueError):
     """Scenario config failed validation; message names the offending key."""
+
+
+class NonFiniteResultError(ArithmeticError):
+    """A run produced a non-finite trajectory value or cost."""
 
 
 # --------------------------------------------------------------------------
@@ -608,10 +612,16 @@ def _write_report(out_dir: str, report: RunReport):
 # u=1 runs, its diagnostics and the names of the files it wrote
 # --------------------------------------------------------------------------
 
+def _require_finite_trajectory(traj, control: str) -> None:
+    if not all(np.all(np.isfinite(v)) for v in (traj.theta, traj.v, traj.v_r)):
+        raise NonFiniteResultError(f"the host trajectory under {control} is not finite")
+
+
 def _host_cost_for_control(params, cost, x0, T, dt, u_values, times) -> float:
     """Integrate the host model under a sampled control and evaluate J_T."""
     u = ControlSignal(times=times, values=u_values)
     traj = integrate_ode(params, u, x0, t0=0.0, T=T, dt=dt)
+    _require_finite_trajectory(traj, f"u={_fmt(u_values[0])}")
     theta = SampledPath(times=traj.times, values=traj.theta)
     return eval_cost_JT(u, theta, cost, dt)
 
@@ -647,6 +657,7 @@ def _run_ode_like(plan: OdePlan, out_dir: str) -> tuple:
 
     u = ControlSignal(times=times, values=u_values)
     traj = integrate_ode(params, u, x0, t0=0.0, T=T, dt=h)
+    _require_finite_trajectory(traj, "the run's control")
     theta = SampledPath(times=traj.times, values=traj.theta)
     J = eval_cost_JT(u, theta, cost, h)
     J0 = _host_cost_for_control(params, cost, x0, T, h, np.zeros(times.shape), times)
@@ -695,17 +706,14 @@ def _run_riccati_pde(plan: PdePlan, out_dir: str) -> tuple:
     grid, cost, T, h = plan.grid, plan.cost, plan.T, plan.h
     L1, b = linearize(plan.alpha, plan.eps, plan.theta1, grid, plan.A)
     P_path = integrate_riccati(L1, b, cost, T=T, dt=h)
-    theta_path, u_path = closed_loop_linearized(plan.theta0, L1, b, P_path, cost, plan.eps,
-                                                plan.theta1, plan.alpha, T, h)
+    # the closed loop and the u=0 and u=1 baselines, as lanes of one RK4 loop
+    theta_path, u_path, clamping, baselines = _closed_loop_lanes(
+        plan.theta0, L1, b, P_path, cost, plan.eps, plan.theta1, plan.alpha, T, h,
+        constants=(0.0, 1.0))
     J = eval_cost_JT3(theta_path, u_path, cost, grid, h)
-
-    def const_cost(u_val):
-        up = FieldPath(theta_path.times,
-                       np.full(theta_path.values.shape, u_val))
-        th = integrate_linearized(plan.theta0, L1, b, up, plan.alpha, T, h)
-        return eval_cost_JT3(th, up, cost, grid, h)
-
-    J0, J1 = const_cost(0.0), const_cost(1.0)
+    J0, J1 = (eval_cost_JT3(th, FieldPath(th.times, np.full(th.values.shape, u_val)),
+                            cost, grid, h)
+              for th, u_val in zip(baselines, (0.0, 1.0)))
 
     _write_field_path_csv(os.path.join(out_dir, "theta_path.csv"), theta_path)
     _write_field_path_csv(os.path.join(out_dir, "u_path.csv"), u_path)
@@ -721,6 +729,8 @@ def _run_riccati_pde(plan: PdePlan, out_dir: str) -> tuple:
         "P_final_eig_min": float(eig_range[-1, 0]),
         "u_min": float(np.min(u_path.values)),
         "u_max": float(np.max(u_path.values)),
+        "feedback_clamped_evaluations": int(clamping[0]),
+        "feedback_clamped_share_max": float(clamping[2]),
     }
     return (J, J0, J1), diag, ["theta_path.csv", "u_path.csv", "riccati_diagnostics.csv"]
 
@@ -771,6 +781,9 @@ def execute(cfg: ScenarioConfig, out_root: str) -> RunReport:
     os.makedirs(out_dir, exist_ok=True)
     (J, J0, J1), diag, outputs = _RUNNERS[cfg.mode](cfg.plan, out_dir)
     costs = _cost_triple(J, J0, J1)
+    if not all(np.isfinite((J, J0, J1))):
+        raise NonFiniteResultError(
+            f"non-finite cost: controlled={_fmt(J)} u_zero={_fmt(J0)} u_one={_fmt(J1)}")
     _write_cost_csv(os.path.join(out_dir, "cost_comparison.csv"), costs)
     report = RunReport(name=cfg.name, mode=cfg.mode, seed=cfg.seed, costs=costs,
                        diagnostics=diag,

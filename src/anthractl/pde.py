@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solveh_banded
+from scipy.linalg import get_lapack_funcs
 
 from .grid import DiffusionField, ScalarField, SpatialGrid, as_cell_values
 from .host import DivisionGuardError, time_grid
@@ -42,6 +42,10 @@ __all__ = [
 
 _LINEAR_RTOL = 1e-12      # relative residual target for the implicit solve
 _CONST_FIELD_TOL = 1e-12  # spatial-constancy tolerance in verify_bounds
+
+# LAPACK's SPD tridiagonal solver for float64, the routine scipy's
+# solveh_banded calls for a two-row band
+_ptsv, = get_lapack_funcs(("ptsv",), (np.empty(0),))
 
 
 class SingularOperatorError(ValueError):
@@ -174,13 +178,14 @@ class _FixedStencilStepper:
     """Backward-Euler solves of (I + h*(D + diag(r))) x = rhs for a fixed
     stencil D and a reaction diagonal r that changes from step to step.
 
-    I + h*D is assembled once; each solve writes 1 + h*(D_ii + r_i) into
-    the recorded diagonal slots of that CSR matrix in place, so the matrix
-    equals the one a per-step rebuild would produce.  A tridiagonal stencil
-    (1-D) is solved directly as a banded SPD system; any wider stencil (2-D)
-    runs warm-started CG.  Every solve is residual-checked to 1e-12, and a
-    failed check or a failed banded factorization falls back to
-    _solve_checked on the same matrix.
+    I + h*D is assembled once; a solve through the CSR matrix first writes
+    1 + h*(D_ii + r_i) into its recorded diagonal slots in place, so the
+    matrix equals the one a per-step rebuild would produce.  A tridiagonal
+    stencil (1-D, two or more cells) is solved directly with LAPACK ptsv as
+    an SPD tridiagonal system; any wider stencil (2-D) runs warm-started
+    CG.  Every solve is residual-checked to 1e-12, and a failed check or a
+    failed tridiagonal factorization falls back to _solve_checked on the
+    same matrix.
     """
 
     def __init__(self, D: sp.spmatrix, h: float):
@@ -193,26 +198,26 @@ class _FixedStencilStepper:
         self._h = float(h)
         self._D_diag = D.diagonal()
         bandwidth = int(np.max(np.abs(M.indices - rows)))
-        self._banded = None
-        if bandwidth <= 1:
-            # upper form for solveh_banded: row 0 the superdiagonal, row 1 the diagonal
-            self._banded = np.zeros((2, n))
-            self._banded[0, 1:] = M.diagonal(1)
+        self._offdiag = M.diagonal(1) if n > 1 and bandwidth <= 1 else None
+
+    def _solve_csr(self, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        self._M.data[self._diag_pos] = diag
+        return _solve_checked(self._M, rhs, x0=x0)
 
     def solve(self, r: np.ndarray, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
         """Solve (I + h*(D + diag(r))) x = rhs; x0 warm-starts CG."""
         diag = 1.0 + self._h * (self._D_diag + r)
-        M = self._M
-        M.data[self._diag_pos] = diag
-        if self._banded is None:
-            return _solve_checked(M, rhs, x0=x0)
-        self._banded[1] = diag
-        try:
-            x = solveh_banded(self._banded, rhs, check_finite=False)
-        except np.linalg.LinAlgError:
-            return _solve_checked(M, rhs, x0=x0)
-        if not np.linalg.norm(M @ x - rhs) <= _LINEAR_RTOL * np.linalg.norm(rhs):
-            return _solve_checked(M, rhs, x0=x0)
+        e = self._offdiag
+        if e is None:
+            return self._solve_csr(diag, rhs, x0)
+        _, _, x, info = _ptsv(diag, e, rhs)
+        if info != 0:
+            return self._solve_csr(diag, rhs, x0)
+        res = diag * x
+        res[:-1] += e * x[1:]
+        res[1:] += e * x[:-1]
+        if not np.linalg.norm(res - rhs) <= _LINEAR_RTOL * np.linalg.norm(rhs):
+            return self._solve_csr(diag, rhs, x0)
         return x
 
 

@@ -223,7 +223,7 @@ def _interp_samples(times: np.ndarray, samples: np.ndarray, t: float) -> np.ndar
         return samples[0]
     if t >= times[-1]:
         return samples[-1]
-    j = int(np.searchsorted(times, t, side="right"))
+    j = int(times.searchsorted(t, side="right"))
     w = (t - times[j - 1]) / (times[j] - times[j - 1])
     return (1.0 - w) * samples[j - 1] + w * samples[j]
 
@@ -318,7 +318,7 @@ def riccati_feedback(P_path: RiccatiPath, theta, t: float, B, cost: PdeCostSpec,
     _check_horizon(P_path, t)
     n = P_path.matrices.shape[1]
     gain, offset = _feedback_coefficients(n, B, cost, eps, theta1)
-    u, clamped = _lqr_feedback(P_path, as_cell_values(theta, n), t, gain, offset)
+    u, clamped = _lqr_feedback(P_path.P_lookback(t), as_cell_values(theta, n), gain, offset)
     if clamped > 0.0:
         logger.info("riccati_feedback clamped %.1f%% of cells at t=%g",
                     100.0 * clamped, t)
@@ -343,11 +343,49 @@ def _feedback_coefficients(n: int, B, cost: PdeCostSpec, eps: LinearizationPoint
     return b / k1, 1.0 / (eps_v * t1)
 
 
-def _lqr_feedback(P_path: RiccatiPath, th: np.ndarray, t: float,
-                  gain: np.ndarray, offset: np.ndarray) -> tuple:
-    """(u, share of clamped cells) of the feedback gain*P(T-t)*th + offset."""
-    raw = gain * (P_path.P_lookback(t) @ th) + offset
-    return np.clip(raw, 0.0, 1.0), float(np.mean((raw < 0.0) | (raw > 1.0)))
+def _lqr_feedback(P: np.ndarray, th: np.ndarray, gain: np.ndarray,
+                  offset: np.ndarray) -> tuple:
+    """(u, share of clamped cells) of the feedback gain*P*th + offset."""
+    raw = gain * (P @ th) + offset
+    return raw.clip(0.0, 1.0), np.count_nonzero((raw < 0.0) | (raw > 1.0)) / raw.size
+
+
+def _last_call_cache(fn):
+    """fn(t), recomputed only when t differs from the previous call's (RK4's
+    stages 2 and 3 share the time t + h/2)."""
+    last = [None, None]
+
+    def cached(t):
+        if t != last[0]:
+            last[:] = t, fn(t)
+        return last[1]
+    return cached
+
+
+class _RiccatiLaw:
+    """The clamped LQR feedback as a control law u_of(t, theta) of
+    _linearized_rk4, with P(T - t) interpolated once per distinct t.  The
+    clamped share of every evaluation is kept in `shares`."""
+
+    def __init__(self, P_path: RiccatiPath, n: int, B, cost: PdeCostSpec,
+                 eps: LinearizationPoint, theta1: float):
+        self._P_at = _last_call_cache(P_path.P_lookback)
+        self._gain, self._offset = _feedback_coefficients(n, B, cost, eps, theta1)
+        self.shares = []
+
+    def __call__(self, t, x):
+        u, clamped = _lqr_feedback(self._P_at(t), np.ascontiguousarray(x),
+                                   self._gain, self._offset)
+        self.shares.append(clamped)
+        return u
+
+
+def _path_control(times: np.ndarray, samples: np.ndarray):
+    """u_of(t, theta) of a control sampled at `times`, interpolated by
+    _interp_samples once per distinct t.  Scalar samples give a spatially
+    uniform control with the same value per cell as a path of uniform rows."""
+    u_at = _last_call_cache(lambda t: _interp_samples(times, samples, t))
+    return lambda t, x: u_at(t)
 
 
 # --------------------------------------------------------------------------
@@ -369,28 +407,47 @@ def _check_rk4_step(L1: OperatorMatrix, h: float) -> None:
 
 
 def _linearized_rk4(theta0, L1: OperatorMatrix, b: np.ndarray, al: np.ndarray,
-                    T: float, dt: float, u_of) -> FieldPath:
-    """RK4 path of d(theta)/dt = -L1 theta - b*u_of(t, theta) + alpha on
-    time_grid(0, T, dt), refused by _check_rk4_step where it is unstable."""
+                    T: float, dt: float, u_ofs) -> tuple:
+    """RK4 paths of d(theta)/dt = -L1 theta - b*u_of(t, theta) + alpha on
+    time_grid(0, T, dt), one lane per control law in u_ofs, every lane
+    from theta0; refused by _check_rk4_step where it is unstable.
+
+    The lanes are the columns of one (n, lanes) state and share one sparse
+    product per stage; every lane's arithmetic is that of a loop of its
+    own.  Returns (times, states, controls), the last two (lanes, n_t, n):
+    the control of each stored state is the one its step's first stage
+    took, and the final state's is one more evaluation at T.
+    """
     _, h, times = time_grid(0.0, T, dt)
     _check_rk4_step(L1, h)
     A1 = L1.matrix
+    n, lanes = L1.n_cells, len(u_ofs)
+    bc, alc = b[:, None], al[:, None]
+    U = np.empty((n, lanes))
 
-    def f(t, x):
-        return -(A1 @ x) - b * u_of(t, x) + al
+    def control(t, X):
+        for j, u_of in enumerate(u_ofs):
+            U[:, j] = u_of(t, X[:, j])
+        return U
 
-    th = as_cell_values(theta0, L1.n_cells).copy()
-    out = np.empty((len(times), th.size))
-    out[0] = th
+    def f(t, X):
+        return -(A1 @ X) - bc * control(t, X) + alc
+
+    states = np.empty((lanes, len(times), n))
+    controls = np.empty_like(states)
+    X = np.repeat(as_cell_values(theta0, n)[:, None], lanes, axis=1)
     for k in range(len(times) - 1):
         t = times[k]
-        s1 = f(t, th)
-        s2 = f(t + 0.5 * h, th + 0.5 * h * s1)
-        s3 = f(t + 0.5 * h, th + 0.5 * h * s2)
-        s4 = f(t + h, th + h * s3)
-        th = th + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-        out[k + 1] = th
-    return FieldPath(times, out)
+        s1 = f(t, X)
+        states[:, k] = X.T
+        controls[:, k] = U.T
+        s2 = f(t + 0.5 * h, X + 0.5 * h * s1)
+        s3 = f(t + 0.5 * h, X + 0.5 * h * s2)
+        s4 = f(t + h, X + h * s3)
+        X = X + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+    states[:, -1] = X.T
+    controls[:, -1] = control(times[-1], X).T
+    return times, states, controls
 
 
 def integrate_linearized(theta0, L1: OperatorMatrix, B, u_path: FieldPath,
@@ -398,9 +455,10 @@ def integrate_linearized(theta0, L1: OperatorMatrix, B, u_path: FieldPath,
     """RK4 integration of the linearized dynamics
     d(theta)/dt = -L1 theta - B u(t) + alpha with u interpolated from u_path."""
     n = L1.n_cells
-    ut, uv = u_path.times, u_path.values
-    return _linearized_rk4(theta0, L1, as_cell_values(B, n), as_cell_values(alpha, n),
-                           T, dt, lambda t, x: _interp_samples(ut, uv, t))
+    times, states, _ = _linearized_rk4(
+        theta0, L1, as_cell_values(B, n), as_cell_values(alpha, n), T, dt,
+        [_path_control(u_path.times, u_path.values)])
+    return FieldPath(times, states[0])
 
 
 def closed_loop_linearized(theta0, L1: OperatorMatrix, B, P_path: RiccatiPath,
@@ -415,25 +473,39 @@ def closed_loop_linearized(theta0, L1: OperatorMatrix, B, P_path: RiccatiPath,
     number of feedback evaluations that clamped any cell and the largest
     clamped share.
     """
+    theta_path, u_path, _, _ = _closed_loop_lanes(theta0, L1, B, P_path, cost, eps,
+                                                  theta1, alpha, T, dt)
+    return theta_path, u_path
+
+
+def _closed_loop_lanes(theta0, L1: OperatorMatrix, B, P_path: RiccatiPath,
+                       cost: PdeCostSpec, eps: LinearizationPoint, theta1: float,
+                       alpha, T: float, dt: float, constants=()) -> tuple:
+    """closed_loop_linearized, plus one lane of integrate_linearized under
+    each spatially uniform control in `constants`, in one RK4 loop.
+
+    Returns (theta_path, u_path, clamping, constant_paths): clamping is
+    (evaluations that clamped any cell, feedback evaluations, largest
+    clamped share), and constant_paths holds one theta path per constant,
+    each equal to integrate_linearized under a path of that constant.
+    """
     n = L1.n_cells
     b = as_cell_values(B, n)
-    gain, offset = _feedback_coefficients(n, b, cost, eps, theta1)
+    law = _RiccatiLaw(P_path, n, b, cost, eps, theta1)
     _check_horizon(P_path, T)
-    clamps = []
-
-    def u_of(t, x):
-        u, clamped = _lqr_feedback(P_path, x, t, gain, offset)
-        clamps.append(clamped)
-        return u
-
-    theta_path = _linearized_rk4(theta0, L1, b, as_cell_values(alpha, n), T, dt, u_of)
-    us = np.array([u_of(t, x) for t, x in zip(theta_path.times, theta_path.values)])
-    n_clamped = sum(c > 0.0 for c in clamps)
-    if n_clamped:
+    grid_times = time_grid(0.0, T, dt)[2]
+    laws = [law] + [_path_control(grid_times, np.full(grid_times.shape, float(c)))
+                    for c in constants]
+    times, states, controls = _linearized_rk4(theta0, L1, b, as_cell_values(alpha, n),
+                                              T, dt, laws)
+    shares = law.shares
+    clamping = (sum(c > 0.0 for c in shares), len(shares), max(shares))
+    if clamping[0]:
         logger.info("closed_loop_linearized: the feedback clamped cells in %d of "
                     "%d evaluations (at most %.1f%% of cells)",
-                    n_clamped, len(clamps), 100.0 * max(clamps))
-    return theta_path, FieldPath(theta_path.times, us)
+                    clamping[0], clamping[1], 100.0 * clamping[2])
+    return (FieldPath(times, states[0]), FieldPath(times, controls[0]), clamping,
+            [FieldPath(times, s) for s in states[1:]])
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Command-line interface: configs, exit codes, outputs, determinism."""
 
 import contextlib
+import glob
 import io
 import json
+import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +319,31 @@ def test_run_riccati_pde(tmp_path):
     assert rep["diagnostics"]["P_final_eig_min"] >= 0.0
 
 
+def test_non_finite_result_exits_numerical(tmp_path, capsys):
+    # a stiff seasonal forcing overflows the host trajectory into NaN
+    data = _tiny_ode(host={"theta1": 0.6,
+                           "alpha": {"kind": "seasonal", "a": 1e6, "b": 0.75, "c": 0.2}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, run_dir = _run(tmp_path, data)
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "NonFiniteResultError" in err and "Traceback" not in err
+    assert not (run_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("theta0, clamps", [(0.3, False), (2.0, True)])
+def test_riccati_pde_reports_feedback_clamping(tmp_path, theta0, clamps):
+    # far above the linearization point the one-cell feedback saturates at 1
+    code, run_dir = _run(tmp_path, dict(_tiny_riccati(), initial={"theta": theta0}))
+    assert code == EXIT_OK
+    diag = _report(run_dir)["diagnostics"]
+    steps = 50  # T / dt of the tiny riccati config
+    assert 0 <= diag["feedback_clamped_evaluations"] <= 4 * steps + 1
+    assert (diag["feedback_clamped_evaluations"] > 0) == clamps
+    assert diag["feedback_clamped_share_max"] == (1.0 if clamps else 0.0)
+
+
 @pytest.mark.parametrize("cells, expected", [(56, EXIT_NUMERICAL), (52, EXIT_OK)])
 def test_riccati_pde_refuses_unstable_linearized_step(tmp_path, capsys, cells, expected):
     # h*rho = 0.005 * (1 + 4*0.05*cells^2): 3.14 at 56 cells, 2.71 at 52
@@ -361,6 +389,15 @@ def test_run_sweep_pde(tmp_path):
                            "cost_history.csv", "cost_comparison.csv", "report.json"])
     assert rep["diagnostics"]["converged"] is True
     assert rep["costs"]["controlled_is_best"] is True
+
+
+def test_run_sweep_pde_on_one_cell(tmp_path):
+    # a single cell has no tridiagonal band for the implicit stepper
+    data = dict(_tiny_sweep(), grid={"extents": [1.0], "resolution": [1],
+                                     "diffusion": 0.01})
+    code, run_dir = _run(tmp_path, data)
+    assert code == EXIT_OK
+    assert _report(run_dir)["diagnostics"]["converged"] is True
 
 
 def test_run_forecast_with_relative_weather(tmp_path):
@@ -539,7 +576,14 @@ def test_mutated_configs_exit_cleanly_and_validate_agrees_with_run(data):
         # an uncaught exception (a traceback) fails the test here
         validated = main(["validate", path])
         ran = main(["run", path, "--out", os.path.join(tmp, "out")])
+        reports = glob.glob(os.path.join(tmp, "out", "*", "report.json"))
+        costs = None
+        if ran == EXIT_OK:
+            with open(reports[0], "r", encoding="utf-8") as fh:
+                costs = json.load(fh)["costs"]
     assert validated in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)
     assert ran in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)
     if validated == EXIT_OK:
         assert ran != EXIT_CONFIG
+    if ran == EXIT_OK:  # a non-finite cost never exits 0
+        assert all(math.isfinite(costs[k]) for k in ("controlled", "u_zero", "u_one"))

@@ -127,6 +127,29 @@ def test_coupled_kernel_identical_with_bisection_reference(monkeypatch):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.skipif(backend_name() != "numpy",
+                    reason="compiled kernels ignore the patched module global")
+def test_coupled_kernel_sees_python_floats_during_fig1_shooting(monkeypatch):
+    # shoot_p0's secant iterates are numpy scalars; the kernel converts its
+    # initial values, so its scalar loop never runs on numpy scalars
+    from anthractl.cli import parse_config, resolve_config_path
+    from anthractl.ode_control import shoot_p0
+
+    plan = parse_config(resolve_config_path("fig1")).plan
+    root = _kernels._feedback_root
+    arg_types = set()
+
+    def spy(c3, k):
+        arg_types.update((type(c3), type(k)))
+        return root(c3, k)
+
+    monkeypatch.setattr(_kernels, "_feedback_root", spy)
+    tol, max_iter = plan.shooting
+    shoot_p0(plan.x0.theta, plan.params, plan.cost, T=plan.T, dt=plan.h, tol=tol,
+             max_iter=max_iter)
+    assert arg_types == {float}
+
+
 @pytest.mark.skipif(backend_name() != "numba",
                     reason="needs numba active to compare backends")
 def test_numpy_backend_subprocess_matches():

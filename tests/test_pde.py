@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solveh_banded
 
 from anthractl import pde
 from anthractl import (
@@ -102,7 +103,7 @@ def test_fixed_stencil_stepper_matches_rebuilt_solve(resolution, rng):
     D = assemble_operator(grid, A, alpha=0.0, u=0.0, theta1=0.5).matrix
     h = 0.01
     stepper = pde._FixedStencilStepper(D, h)
-    assert (stepper._banded is not None) == (len(resolution) == 1)
+    assert (stepper._offdiag is not None) == (len(resolution) == 1)
     x = rng.uniform(0.1, 1.0, grid.n_cells)
     for _ in range(4):  # the diagonal is rewritten in place every step
         r = rng.uniform(0.5, 4.0, grid.n_cells)
@@ -119,13 +120,13 @@ def test_fixed_stencil_stepper_falls_back_when_banded_solve_fails(broken, monkey
     h = 0.01
     calls = []
 
-    def fake_solveh_banded(ab, b, **kwargs):
+    def fake_ptsv(d, e, b):
         calls.append(1)
-        if broken == "raises":
-            raise np.linalg.LinAlgError("not positive definite")
-        return np.zeros_like(b)
+        if broken == "raises":  # LAPACK: leading minor 3 not positive definite
+            return d, e, b, 3
+        return d, e, np.zeros_like(b), 0
 
-    monkeypatch.setattr(pde, "solveh_banded", fake_solveh_banded)
+    monkeypatch.setattr(pde, "_ptsv", fake_ptsv)
     stepper = pde._FixedStencilStepper(D, h)
     r = rng.uniform(0.5, 4.0, grid.n_cells)
     rhs = rng.uniform(0.1, 1.0, grid.n_cells)
@@ -135,6 +136,40 @@ def test_fixed_stencil_stepper_falls_back_when_banded_solve_fails(broken, monkey
     assert calls
     assert np.linalg.norm(M @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
     assert np.linalg.norm(x - exact) <= 1e-11 * np.linalg.norm(exact)
+
+
+def test_direct_tridiagonal_solve_equals_solveh_banded(rng):
+    # the stepper calls LAPACK ptsv itself, the routine solveh_banded uses
+    # for a two-row band: the same inputs must give the same bits
+    for n in (2, 3, 17, 64):
+        grid, A = _setup_1d(n=n, A=rng.uniform(0.005, 0.5))
+        D = assemble_operator(grid, A, alpha=0.0, u=0.0, theta1=0.5).matrix
+        h = rng.uniform(0.001, 0.1)
+        stepper = pde._FixedStencilStepper(D, h)
+        for _ in range(10):
+            r = rng.uniform(0.0, 5.0, n)
+            rhs = rng.uniform(-1.0, 1.0, n)
+            M = _rebuilt_step(D, h, r)
+            ab = np.zeros((2, n))
+            ab[0, 1:] = M.diagonal(1)
+            ab[1] = M.diagonal()
+            ref = solveh_banded(ab, rhs, check_finite=False)
+            assert np.array_equal(stepper.solve(r, rhs, x0=rhs), ref)
+            d = rng.uniform(2.0, 3.0, n)
+            e = -rng.uniform(0.0, 1.0, n - 1)
+            ab[0, 1:], ab[1] = e, d
+            _, _, x, info = pde._ptsv(d, e, rhs)
+            assert info == 0
+            assert np.array_equal(x, solveh_banded(ab, rhs, check_finite=False))
+
+
+def test_fixed_stencil_stepper_solves_one_cell():
+    # one cell has no off-diagonal band, so it goes through _solve_checked
+    grid, A = _setup_1d(n=1, A=0.02)
+    D = assemble_operator(grid, A, alpha=0.0, u=0.0, theta1=0.5).matrix
+    stepper = pde._FixedStencilStepper(D, 0.01)
+    x = stepper.solve(np.array([2.0]), np.array([0.5]), x0=np.array([0.5]))
+    assert np.allclose(x, 0.5 / 1.02, rtol=1e-12)
 
 
 def test_integrate_pde_path_shape_and_store_every():

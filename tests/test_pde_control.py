@@ -29,6 +29,9 @@ from anthractl import (
     riccati_feedback,
     solve_adjoint_pde,
 )
+from anthractl.grid import as_cell_values
+from anthractl.host import time_grid
+from anthractl.pde_control import _closed_loop_lanes, _interp_samples
 
 # the 1-cell reference problem: alpha=1, eps=4, theta1=0.5, k1=k2=0.5
 # => b = alpha*eps*theta1 = 2 and the stationary Riccati equation
@@ -191,6 +194,91 @@ def test_linearized_rk4_refuses_unstable_step():
     P = integrate_riccati(L1, b, cost, T=T, dt=dt)
     with pytest.raises(StiffStepError, match="h\\*rho"):
         closed_loop_linearized(0.3, L1, b, P, cost, eps, 0.5, 1.0, T, dt)
+
+
+def _separate_rollouts(theta0, L1, b, P_path, cost, eps, theta1, alpha, T, dt):
+    """The closed loop and the u=0 / u=1 baselines as three loops over one
+    state vector each, the stored closed-loop u recomputed after the loop at
+    the stored states (the rollouts before they became lanes of one loop)."""
+    n = L1.n_cells
+    _, h, times = time_grid(0.0, T, dt)
+    al = as_cell_values(alpha, n)
+
+    def feedback(t, x):
+        return riccati_feedback(P_path, x, t, b, cost, eps, theta1).values
+
+    def rollout(u_of):
+        th = as_cell_values(theta0, n).copy()
+        out = [th]
+        for k in range(len(times) - 1):
+            t = times[k]
+
+            def f(t, x):
+                return -(L1.matrix @ x) - b * u_of(t, x) + al
+
+            s1 = f(t, th)
+            s2 = f(t + 0.5 * h, th + 0.5 * h * s1)
+            s3 = f(t + 0.5 * h, th + 0.5 * h * s2)
+            s4 = f(t + h, th + h * s3)
+            th = th + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+            out.append(th)
+        return np.array(out)
+
+    theta = rollout(feedback)
+    u = np.array([feedback(t, x) for t, x in zip(times, theta)])
+    constant = [rollout(lambda t, x, uv=np.full((len(times), n), c):
+                        _interp_samples(times, uv, t))
+                for c in _CONSTANTS]
+    return theta, u, constant
+
+
+# the u=0 and u=1 baselines of riccati-pde, and one more uniform level
+_CONSTANTS = (0.0, 1.0, 0.3)
+
+
+@pytest.mark.parametrize("resolution, level", [
+    ((1,), 0.3), ((16,), 0.3), ((64,), 0.3), ((6, 6), 0.3),
+    ((16,), 2.0),  # far from the linearization point: the feedback clamps at 1
+])
+def test_lane_rollouts_equal_separate_rollouts(resolution, level):
+    grid, A = build_grid(GridSpec((1.0,) * len(resolution), resolution), A_spec=0.02)
+    cost, eps, theta1 = PdeCostSpec(k1=0.5, k2=0.5), LinearizationPoint(4.0), 0.5
+    alpha = np.linspace(0.5, 1.5, grid.n_cells)
+    L1, b = linearize(alpha, eps, theta1, grid, A)
+    T, dt = 0.5, 0.005
+    P = integrate_riccati(L1, b, cost, T=T, dt=dt)
+    theta0 = ScalarField(level * np.linspace(0.7, 1.3, grid.n_cells))
+    args = (theta0, L1, b, P, cost, eps, theta1, alpha, T, dt)
+
+    lookbacks = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(type(P), "P_lookback",
+                  lambda self, t, f=type(P).P_lookback: lookbacks.append(t) or f(self, t))
+        theta, u, clamping, baselines = _closed_loop_lanes(*args, constants=_CONSTANTS)
+    ref_theta, ref_u, ref_baselines = _separate_rollouts(*args)
+    assert np.array_equal(theta.values, ref_theta)
+    assert np.array_equal(u.values, ref_u)  # stage-1 feedback == post-loop recomputation
+    for path, ref in zip(baselines, ref_baselines):
+        assert np.array_equal(path.values, ref)
+
+    # the public integrators are one-lane calls of the same loop
+    th_one, u_one = closed_loop_linearized(*args)
+    assert np.array_equal(th_one.values, theta.values)
+    assert np.array_equal(u_one.values, u.values)
+    for c, path in zip(_CONSTANTS, baselines):
+        up = FieldPath(theta.times, np.full(theta.values.shape, c))
+        th_c = integrate_linearized(theta0, L1, b, up, alpha, T, dt)
+        assert np.array_equal(th_c.values, path.values)
+
+    n_clamped, evaluations, share_max = clamping
+    steps = len(theta.times) - 1
+    assert evaluations == 4 * steps + 1
+    # P(T - t) once per distinct stage time: stages 2 and 3 share t + h/2,
+    # and stage 4's t + h is often the next step's t
+    assert len(lookbacks) == len(set(lookbacks)) <= 3 * steps + 1
+    if level > 1.0:
+        assert n_clamped > 0 and share_max > 0.0
+        assert np.max(u.values) == 1.0
 
 
 def test_integrate_linearized_equilibrium():

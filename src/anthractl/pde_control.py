@@ -362,24 +362,6 @@ def _last_call_cache(fn):
     return cached
 
 
-class _RiccatiLaw:
-    """The clamped LQR feedback as a control law u_of(t, theta) of
-    _linearized_rk4, with P(T - t) interpolated once per distinct t.  The
-    clamped share of every evaluation is kept in `shares`."""
-
-    def __init__(self, P_path: RiccatiPath, n: int, B, cost: PdeCostSpec,
-                 eps: LinearizationPoint, theta1: float):
-        self._P_at = _last_call_cache(P_path.P_lookback)
-        self._gain, self._offset = _feedback_coefficients(n, B, cost, eps, theta1)
-        self.shares = []
-
-    def __call__(self, t, x):
-        u, clamped = _lqr_feedback(self._P_at(t), np.ascontiguousarray(x),
-                                   self._gain, self._offset)
-        self.shares.append(clamped)
-        return u
-
-
 def _path_control(times: np.ndarray, samples: np.ndarray):
     """u_of(t, theta) of a control sampled at `times`, interpolated by
     _interp_samples once per distinct t.  Scalar samples give a spatially
@@ -491,14 +473,23 @@ def _closed_loop_lanes(theta0, L1: OperatorMatrix, B, P_path: RiccatiPath,
     """
     n = L1.n_cells
     b = as_cell_values(B, n)
-    law = _RiccatiLaw(P_path, n, b, cost, eps, theta1)
+    gain, offset = _feedback_coefficients(n, b, cost, eps, theta1)
     _check_horizon(P_path, T)
+    P_at = _last_call_cache(P_path.P_lookback)
+    shares = []
+
+    def feedback(t, x):
+        # a contiguous copy of the lane, so P @ x is the product a loop of
+        # its own would compute
+        u, clamped = _lqr_feedback(P_at(t), np.ascontiguousarray(x), gain, offset)
+        shares.append(clamped)
+        return u
+
     grid_times = time_grid(0.0, T, dt)[2]
-    laws = [law] + [_path_control(grid_times, np.full(grid_times.shape, float(c)))
-                    for c in constants]
+    laws = [feedback] + [_path_control(grid_times, np.full(grid_times.shape, float(c)))
+                         for c in constants]
     times, states, controls = _linearized_rk4(theta0, L1, b, as_cell_values(alpha, n),
                                               T, dt, laws)
-    shares = law.shares
     clamping = (sum(c > 0.0 for c in shares), len(shares), max(shares))
     if clamping[0]:
         logger.info("closed_loop_linearized: the feedback clamped cells in %d of "

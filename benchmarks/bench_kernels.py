@@ -1,22 +1,17 @@
-"""Race the numba-compiled integration kernels against the numpy fallback.
+"""Time the integration kernels and check the solver layers built on them.
 
 Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--steps N] [--batch M] [--repeats R]
                                         [--json PATH]
 
-The compiled lane times the public kernels in this process; the fallback lane
-re-runs the same workloads in a subprocess with ANTHRACTL_BACKEND=numpy, so
-each side is exactly what a user of that backend gets (backend selection is
-frozen at import time).  The subprocess also returns its output arrays, and
-the table reports the worst elementwise disagreement per kernel, so the race
-doubles as a backend consistency check.  Without numba only the fallback lane
-is timed.
+The kernel lane times the three public kernels (host_rk4_single,
+host_rk4_batch and coupled_rk4), best of --repeats, in this process.
 
 The feedback_root lane times the warm-started feedback root (_u_interior)
 against the plain bisection it must reproduce bit for bit
-(_u_interior_bisect) on the same _FEEDBACK_DRAWS seeded draws, on the active
-backend, and counts the draws where the two differ; that count must be 0.
+(_u_interior_bisect) on the same _FEEDBACK_DRAWS seeded draws, and counts
+the draws where the two differ; that count must be 0.
 
 The implicit_step lane times _IMPLICIT_STEPS controlled backward-Euler steps
 on a 64-cell 1-D grid and a 40x40 2-D grid two ways: rebuilding the CSR step
@@ -44,9 +39,7 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -316,44 +309,13 @@ def _riccati_lanes_lane(repeats: int):
 # ---------------------------------------------------------------------------
 
 def _best_of(fn, call_args, repeats: int) -> float:
-    fn(*call_args)  # warmup: JIT compilation / allocator effects off the clock
+    fn(*call_args)  # warmup: allocator and cache effects off the clock
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn(*call_args)
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def _run_lane(args):
-    """Time every workload on the active backend; return times and outputs."""
-    times, outputs = {}, {}
-    for name, fn, call_args, _ in _workloads(args):
-        times[name] = _best_of(fn, call_args, args.repeats)
-        outputs[name] = [np.asarray(a, dtype=float) for a in fn(*call_args)]
-    return times, outputs
-
-
-def _fallback_lane_via_subprocess(args, npz_path: str):
-    env = dict(os.environ, ANTHRACTL_BACKEND="numpy")
-    cmd = [sys.executable, os.path.abspath(__file__),
-           "--steps", str(args.steps), "--batch", str(args.batch),
-           "--batch-steps", str(args.batch_steps),
-           "--repeats", str(args.repeats),
-           "--dump", npz_path]
-    subprocess.run(cmd, check=True, env=env,
-                   stdout=subprocess.DEVNULL, stderr=None)
-    with np.load(npz_path, allow_pickle=False) as data:
-        times = json.loads(str(data["times_json"]))
-        outputs = {}
-        for name in times:
-            arrs = []
-            i = 0
-            while f"{name}_{i}" in data:
-                arrs.append(data[f"{name}_{i}"])
-                i += 1
-            outputs[name] = arrs
-    return times, outputs
 
 
 def main() -> None:
@@ -368,53 +330,21 @@ def main() -> None:
                     help="timing repeats, best-of (default 5)")
     ap.add_argument("--json", metavar="PATH", default=None,
                     help="also write the results as JSON to PATH")
-    ap.add_argument("--dump", metavar="NPZ", default=None,
-                    help=argparse.SUPPRESS)  # internal: write lane results
     args = ap.parse_args()
 
-    times, outputs = _run_lane(args)
-
-    if args.dump is not None:
-        payload = {"times_json": json.dumps(times)}
-        for name, arrs in outputs.items():
-            for i, a in enumerate(arrs):
-                payload[f"{name}_{i}"] = a
-        np.savez(args.dump, **payload)
-        return
-
+    kernels = _workloads(args)
+    times = {name: _best_of(fn, call_args, args.repeats)
+             for name, fn, call_args, _ in kernels}
     root = _feedback_root_lane(args.repeats)
     implicit = _implicit_step_lane(args.repeats)
     staged = _host_staged_lane(args.repeats)
     riccati = _riccati_lanes_lane(args.repeats)
-    workloads = {name: workload for name, _, _, workload in _workloads(args)}
-    numba_times = {}
-    agree = {}
-    if K.backend_name() == "numba":
-        numba_times = times
-        with tempfile.TemporaryDirectory() as tmp:
-            times, fb_outputs = _fallback_lane_via_subprocess(
-                args, os.path.join(tmp, "fallback.npz"))
-        agree = {name: max(float(np.max(np.abs(a - b)))
-                           for a, b in zip(outputs[name], fb_outputs[name]))
-                 for name in workloads}
+    workloads = {name: workload for name, _, _, workload in kernels}
 
-    print(f"backend: {K.backend_name()} (numba importable: {K.HAVE_NUMBA})")
-    if not numba_times:
-        # already on the fallback: nothing to race against
-        print("numba lane unavailable; fallback timings only\n")
-        print(f"{'kernel':<18} {'workload':<34} {'numpy':>10}")
-        for name, workload in workloads.items():
-            print(f"{name:<18} {workload:<34} {times[name] * 1e3:>8.1f}ms")
-    else:
-        header = (f"{'kernel':<18} {'workload':<34} {'numba':>10} "
-                  f"{'numpy':>10} {'speedup':>8} {'agree':>9}")
-        print(header)
-        print("-" * len(header))
-        for name, workload in workloads.items():
-            t_nb, t_np = numba_times[name], times[name]
-            print(f"{name:<18} {workload:<34} {t_nb * 1e3:>8.1f}ms "
-                  f"{t_np * 1e3:>8.1f}ms {t_np / t_nb:>7.1f}x {agree[name]:>9.1e}")
-    print(f"\nfeedback_root ({K.backend_name()}, {root['draws']} draws): "
+    print(f"{'kernel':<18} {'workload':<34} {'time':>10}")
+    for name, workload in workloads.items():
+        print(f"{name:<18} {workload:<34} {times[name] * 1e3:>8.1f}ms")
+    print(f"\nfeedback_root ({root['draws']} draws): "
           f"warm {root['warm_us_per_call']:.2f}us/call, "
           f"bisection {root['bisect_us_per_call']:.2f}us/call, "
           f"{root['speedup']:.2f}x, mismatches {root['mismatches']}")
@@ -439,16 +369,11 @@ def main() -> None:
             "environment": {"python": platform.python_version(),
                             "numpy": np.__version__,
                             "scipy": scipy.__version__,
-                            "backend": K.backend_name(),
-                            "numba_importable": K.HAVE_NUMBA,
                             "cores": os.cpu_count()},
             "settings": {"steps": args.steps, "batch": args.batch,
                          "batch_steps": args.batch_steps,
                          "repeats": args.repeats},
-            "kernels": {name: {"workload": workload,
-                               "numpy_s": times[name],
-                               "numba_s": numba_times.get(name),
-                               "max_abs_disagreement": agree.get(name)}
+            "kernels": {name: {"workload": workload, "seconds": times[name]}
                         for name, workload in workloads.items()},
             "feedback_root": root,
             "implicit_step": implicit,

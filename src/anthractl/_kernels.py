@@ -1,24 +1,19 @@
 """
-Hot integration kernels.
+Hot integration kernels: the host RK4 loop, for one trajectory or for a batch
+of scenarios, and the coupled state/costate RK4 with event location that
+closes the loop through the cubic feedback law.
 
-Everything here is plain scalar/ndarray code with no object types, so the
-same source compiles under numba and runs unchanged as the fallback.  Backend
-selection is driven by the ANTHRACTL_BACKEND environment variable:
-
-    auto   use numba when importable, fallback otherwise (default)
-    numba  require numba, raise if missing
-    numpy  force the fallback even when numba is present
-
-The fallback for the batch sweep is vectorized numpy across scenarios; the
-single-trajectory fallbacks are straight Python loops (there is nothing to
-vectorize over).  ``benchmarks/bench_kernels.py`` races the two paths.
+The single-trajectory kernels are scalar loops on Python floats: they turn
+their knot arrays into lists at entry, and ``_interp_knots`` finds a knot
+interval with ``bisect``, so no numpy scalar enters the loop.  The batch
+kernel runs the same RK4 step vectorized across scenarios; the same
+``_interp_knots`` interpolates there with one lane vector per knot.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
+from bisect import bisect_left
 
 import numpy as np
 
@@ -46,42 +41,18 @@ FORCING_STAGED = 4
 
 _TWO_PI = 2.0 * math.pi
 
-_flag = os.environ.get("ANTHRACTL_BACKEND", "auto").strip().lower()
-if _flag not in ("auto", "numba", "numpy"):
-    warnings.warn(
-        f"ANTHRACTL_BACKEND={_flag!r} not recognized (expected auto/numba/numpy); "
-        "using auto", RuntimeWarning)
-    _flag = "auto"
-
+# Benchmark environment records read both; the kernels have no compiled backend.
 HAVE_NUMBA = False
-if _flag != "numpy":
-    try:
-        from numba import njit  # noqa: F401
-        HAVE_NUMBA = True
-    except ImportError:
-        if _flag == "numba":
-            raise RuntimeError(
-                "ANTHRACTL_BACKEND=numba but numba is not importable") from None
-
-_USE_NUMBA = HAVE_NUMBA and _flag != "numpy"
 
 
 def backend_name() -> str:
-    """The kernel backend actually in use: 'numba' or 'numpy'."""
-    return "numba" if _USE_NUMBA else "numpy"
-
-
-def _jit(fn):
-    if _USE_NUMBA:
-        return njit(cache=True)(fn)
-    return fn
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-#  Scalar helpers (compiled into every kernel)
+#  Scalar helpers
 # ---------------------------------------------------------------------------
 
-@_jit
 def _forcing_value(code: int, q0: float, q1: float, q2: float,
                    t: float, theta: float) -> float:
     if code == FORCING_CONST:
@@ -91,21 +62,23 @@ def _forcing_value(code: int, q0: float, q1: float, q2: float,
     return q0 * theta
 
 
-@_jit
-def _interp_knots(t: float, ts: np.ndarray, vs: np.ndarray) -> float:
-    # Linear interpolation with constant extension, matching np.interp.
-    n = ts.shape[0]
+def _interp_knots(t: float, ts: list, vs):
+    """Linear interpolation with constant extension, as np.interp.
+
+    ts is a sorted list of knot times; vs[j] is the value at ts[j], a float
+    or (in the batch kernel) a vector of lanes.  bisect_left picks the same
+    interval as np.searchsorted(side="left") on sorted, finite knots.
+    """
     if t <= ts[0]:
         return vs[0]
-    if t >= ts[n - 1]:
-        return vs[n - 1]
-    j = int(np.searchsorted(ts, t))
+    if t >= ts[-1]:
+        return vs[-1]
+    j = bisect_left(ts, t)
     t0 = ts[j - 1]
     t1 = ts[j]
     return vs[j - 1] + (vs[j] - vs[j - 1]) * (t - t0) / (t1 - t0)
 
 
-@_jit
 def _host_rhs(t, th, vv, vr, u,
               theta1, theta2, vmax,
               a_code, a0, a1, a2,
@@ -136,7 +109,6 @@ _WARM_LAST = 2.0 ** _WARM_LEVEL - 1.0
 _EPS = float(np.finfo(np.float64).eps)
 
 
-@_jit
 def _bisect_root(c3: float, k: float, lo: float, hi: float) -> float:
     """Bisect g(w) = c3*w^3 - 2k*w + 2k on [lo, hi] down to width 1e-15."""
     for _ in range(200):
@@ -150,7 +122,6 @@ def _bisect_root(c3: float, k: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@_jit
 def _feedback_root(c3: float, k: float) -> float:
     """Root in (1, 3/2) of g(w) = c3*w^3 - 2k*w + 2k for 0 < 27*c3 < 8k.
 
@@ -198,7 +169,6 @@ def _feedback_root(c3: float, k: float) -> float:
     return _bisect_root(c3, k, 1.0, 1.5)
 
 
-@_jit
 def _u_law(alpha_t: float, theta: float, p: float,
            theta1: float, k: float, warm: bool) -> float:
     """Body of _u_interior; warm=False bisects from [1, 3/2] directly."""
@@ -229,7 +199,6 @@ def _u_law(alpha_t: float, theta: float, p: float,
     return u
 
 
-@_jit
 def _u_interior(alpha_t: float, theta: float, p: float,
                 theta1: float, k: float) -> float:
     """Interior branch of the feedback law (and its continuous extension).
@@ -245,14 +214,12 @@ def _u_interior(alpha_t: float, theta: float, p: float,
     return _u_law(alpha_t, theta, p, theta1, k, True)
 
 
-@_jit
 def _u_interior_bisect(alpha_t: float, theta: float, p: float,
                        theta1: float, k: float) -> float:
     """_u_interior with the root bisected from [1, 3/2]: the reference."""
     return _u_law(alpha_t, theta, p, theta1, k, False)
 
 
-@_jit
 def feedback_u(alpha_t: float, theta: float, p: float,
                theta1: float, k: float) -> float:
     """Pointwise optimal control from the cubic feedback law.
@@ -271,38 +238,44 @@ def feedback_u(alpha_t: float, theta: float, p: float,
 #  Single-trajectory host kernel
 # ---------------------------------------------------------------------------
 
-def _host_rk4_single_impl(theta0, v0, vr0, t0, h, n,
-                          theta1, theta2, vmax,
-                          a_code, a0, a1, a2,
-                          b_code, b0, b1, b2,
-                          g_code, g0, g1, g2,
-                          eta0, u_t, u_v, a_stage):
+def host_rk4_single(theta0, v0, vr0, t0, h, n,
+                    theta1, theta2, vmax,
+                    a_code, a0, a1, a2,
+                    b_code, b0, b1, b2,
+                    g_code, g0, g1, g2,
+                    eta0, u_t, u_v, a_stage):
+    """RK4 of the host system over n steps of h from t0, u interpolated from
+    the knots (u_t, u_v); returns (theta, v, v_r, status, steps done).
+
+    The loop runs on Python floats: the knots and the stage-sampled alpha
+    become lists here, and the state starts from float() of x0.
+    """
     staged = a_code == FORCING_STAGED
     if staged:
         a_code = FORCING_CONST
     a_lo = a0
     a_mid = a0
     a_hi = a0
+    ts = u_t.tolist()
+    vs = u_v.tolist()
+    stages = a_stage.tolist()
+    th = float(theta0)
+    vv = float(v0)
+    vr = float(vr0)
     out_th = np.empty(n + 1)
     out_v = np.empty(n + 1)
     out_vr = np.empty(n + 1)
-    out_th[0] = theta0
-    out_v[0] = v0
-    out_vr[0] = vr0
-    th = theta0
-    vv = v0
-    vr = vr0
+    out_th[0] = th
+    out_v[0] = vv
+    out_vr[0] = vr
     for i in range(n):
         t = t0 + i * h
-        u1 = _interp_knots(t, u_t, u_v)
-        um = _interp_knots(t + 0.5 * h, u_t, u_v)
-        u2 = _interp_knots(t + h, u_t, u_v)
+        u1 = _interp_knots(t, ts, vs)
+        um = _interp_knots(t + 0.5 * h, ts, vs)
+        u2 = _interp_knots(t + h, ts, vs)
         if staged:
-            # the stage value enters as a constant alpha; float() keeps the
-            # fallback loop on Python floats
-            a_lo = float(a_stage[i, 0])
-            a_mid = float(a_stage[i, 1])
-            a_hi = float(a_stage[i, 2])
+            # the stage value enters as a constant alpha
+            a_lo, a_mid, a_hi = stages[i]
         d1t, d1v, d1r, s1 = _host_rhs(t, th, vv, vr, u1, theta1, theta2, vmax,
                                       a_code, a_lo, a1, a2, b_code, b0, b1, b2,
                                       g_code, g0, g1, g2, eta0)
@@ -339,42 +312,14 @@ def _host_rk4_single_impl(theta0, v0, vr0, t0, h, n,
     return out_th, out_v, out_vr, 0, n
 
 
-host_rk4_single = _jit(_host_rk4_single_impl)
-
-
 # ---------------------------------------------------------------------------
 #  Batched host kernel
 # ---------------------------------------------------------------------------
 
-def _host_rk4_batch_numba_impl(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
-    m = x0.shape[0]
-    out_th = np.empty((m, n + 1))
-    out_v = np.empty((m, n + 1))
-    out_vr = np.empty((m, n + 1))
-    status = np.zeros(m, dtype=np.int64)
-    for s in range(m):
-        th, vv, vr, st, _ = host_rk4_single(
-            x0[s, 0], x0[s, 1], x0[s, 2], t0, h, n,
-            scal[s, 0], scal[s, 1], scal[s, 2],
-            codes[s, 0], q[s, 0, 0], q[s, 0, 1], q[s, 0, 2],
-            codes[s, 1], q[s, 1, 0], q[s, 1, 1], q[s, 1, 2],
-            codes[s, 2], q[s, 2, 0], q[s, 2, 1], q[s, 2, 2],
-            eta0[s], u_t, u_vals[s], np.empty((0, 3)))
-        out_th[s] = th
-        out_v[s] = vv
-        out_vr[s] = vr
-        status[s] = st
-    return out_th, out_v, out_vr, status
-
-
-if _USE_NUMBA:
-    _host_rk4_batch_numba = njit(cache=True)(_host_rk4_batch_numba_impl)
-else:
-    _host_rk4_batch_numba = None
-
-
-def _host_rk4_batch_numpy(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
-    """Fallback batch sweep, vectorized across scenarios."""
+def host_rk4_batch(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
+    """host_rk4_single's RK4 step vectorized across scenarios, one lane per
+    row of x0; row s of u_vals holds lane s's control at the knots u_t.
+    Returns (theta, v, v_r, status), each row one lane."""
     m = x0.shape[0]
     th = x0[:, 0].copy()
     vv = x0[:, 1].copy()
@@ -393,16 +338,8 @@ def _host_rk4_batch_numpy(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
     q0 = q[:, :, 0]
     q1 = q[:, :, 1]
     q2 = np.where(q[:, :, 2] == 0.0, 1.0, q[:, :, 2])
-    K = u_t.shape[0]
-    kdt = u_t[1] - u_t[0] if K > 1 else 1.0
-
-    def u_at(t):
-        if K == 1:
-            return u_vals[:, 0]
-        pos = (t - u_t[0]) / kdt
-        j = min(max(int(math.floor(pos)), 0), K - 2)
-        frac = min(max(pos - j, 0.0), 1.0)
-        return u_vals[:, j] * (1.0 - frac) + u_vals[:, j + 1] * frac
+    ts = u_t.tolist()
+    vs = u_vals.T
 
     def forcing(slot, t, theta_now):
         code = codes[:, slot]
@@ -426,9 +363,9 @@ def _host_rk4_batch_numpy(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
 
     for i in range(n):
         t = t0 + i * h
-        u1 = u_at(t)
-        um = u_at(t + 0.5 * h)
-        u2 = u_at(t + h)
+        u1 = _interp_knots(t, ts, vs)
+        um = _interp_knots(t + 0.5 * h, ts, vs)
+        u2 = _interp_knots(t + h, ts, vs)
         d1t, d1v, d1r, c1 = rhs(t, th, vv, vr, u1)
         d2t, d2v, d2r, c2 = rhs(t + 0.5 * h, th + 0.5 * h * d1t,
                                 vv + 0.5 * h * d1v, vr + 0.5 * h * d1r, um)
@@ -451,25 +388,16 @@ def _host_rk4_batch_numpy(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
     return out_th, out_v, out_vr, status
 
 
-def host_rk4_batch(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
-    """Batched fixed-step sweep over scenarios (dispatches on backend)."""
-    if _USE_NUMBA:
-        return _host_rk4_batch_numba(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals)
-    return _host_rk4_batch_numpy(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals)
-
-
 # ---------------------------------------------------------------------------
 #  Coupled state/costate kernel with feedback control
 # ---------------------------------------------------------------------------
 
-@_jit
 def _alpha_at(a_code, a0, a1, a2, a_t, a_v, t):
     if a_code == FORCING_SAMPLED:
         return _interp_knots(t, a_t, a_v)
     return _forcing_value(a_code, a0, a1, a2, t, 0.0)
 
 
-@_jit
 def _branch_of(alpha_t, theta, p, theta1, k):
     """1 on the saturated side of the switching surface, 0 on the interior side."""
     if 27.0 * alpha_t * theta1 * theta1 * theta * p >= 8.0 * k:
@@ -477,14 +405,12 @@ def _branch_of(alpha_t, theta, p, theta1, k):
     return 0
 
 
-@_jit
 def _u_branch(branch, alpha_t, theta, p, theta1, k):
     if branch == 1:
         return 1.0
     return _u_interior(alpha_t, theta, p, theta1, k)
 
 
-@_jit
 def _coupled_sub(t, th, pp, tau, branch, theta1, k, a_code, a0, a1, a2, a_t, a_v):
     """One RK4 substep of the (theta, p) system with the feedback branch frozen.
 
@@ -542,7 +468,6 @@ def _coupled_sub(t, th, pp, tau, branch, theta1, k, a_code, a0, a1, a2, a_t, a_v
     return th_end, pp_end, end_flip, any_flip
 
 
-@_jit
 def _bisect_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
                    a_code, a0, a1, a2, a_t, a_v, stop):
     """Bisect (tau_lo, tau_hi] for the first end-state flip, 60 halvings.
@@ -565,7 +490,6 @@ def _bisect_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
     return tau_hi
 
 
-@_jit
 def _locate_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
                    a_code, a0, a1, a2, a_t, a_v):
     """Switch time of the bracket, stopping at its fixed point."""
@@ -573,7 +497,6 @@ def _locate_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
                           a_code, a0, a1, a2, a_t, a_v, True)
 
 
-@_jit
 def _locate_switch_full(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
                         a_code, a0, a1, a2, a_t, a_v):
     """_locate_switch with all 60 halvings: the reference."""
@@ -581,8 +504,8 @@ def _locate_switch_full(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
                           a_code, a0, a1, a2, a_t, a_v, False)
 
 
-def _coupled_rk4_impl(theta0, p0, t0, h, n, theta1, k,
-                      a_code, a0, a1, a2, a_t, a_v):
+def coupled_rk4(theta0, p0, t0, h, n, theta1, k,
+                a_code, a0, a1, a2, a_t, a_v):
     """Integrate (theta, p) forward with u supplied by the feedback law.
 
     The feedback saturates discontinuously on the surface
@@ -592,10 +515,12 @@ def _coupled_rk4_impl(theta0, p0, t0, h, n, theta1, k,
     a surface crossing, locates the crossing time by bisection on frozen-
     branch substeps, and restarts the step from the switch point on the other
     branch.  The reported u values are recomputed from the node values with
-    the plain (unfrozen) law.  theta0 and p0 are taken as floats, so a numpy
-    scalar p0 (a secant iterate) does not turn every scalar operation of the
-    pure-Python loop into a numpy-scalar one.
+    the plain (unfrozen) law.  The loop runs on Python floats: theta0 and p0
+    (a secant iterate may be a numpy scalar) are taken as floats, and the
+    alpha knots become lists.
     """
+    a_t = a_t.tolist()
+    a_v = a_v.tolist()
     out_th = np.empty(n + 1)
     out_p = np.empty(n + 1)
     out_u = np.empty(n + 1)
@@ -653,11 +578,3 @@ def _coupled_rk4_impl(theta0, p0, t0, h, n, theta1, k,
             th, pp, theta1, k)
     return out_th, out_p, out_u
 
-
-coupled_rk4 = _jit(_coupled_rk4_impl)
-
-# Uncompiled references kept for the benchmark and for backend cross-checks.
-host_rk4_single_py = _host_rk4_single_impl
-coupled_rk4_py = _coupled_rk4_impl
-host_rk4_batch_numpy = _host_rk4_batch_numpy
-host_rk4_batch_numba = _host_rk4_batch_numba

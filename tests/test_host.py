@@ -19,7 +19,7 @@ from anthractl import (
     seasonal_alpha,
     validate_forcings,
 )
-from anthractl._kernels import backend_name
+from anthractl import _kernels
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +190,42 @@ def test_batch_matches_single(rng):
         controls.append(ControlSignal(times=knots, values=rng.uniform(0.0, 1.0, 11)))
         x0s.append(HostState(rng.uniform(0.05, 0.8), rng.uniform(0.2, 0.9), 0.0))
     batch = integrate_ode_batch(params, controls, x0s, 0.0, 1.0, 1e-3)
-    # under numba both paths run the same scalar kernel, so agreement is
-    # bitwise; the vectorized numpy fallback reassociates the interpolation
-    # arithmetic and lands within an ulp or two per step
-    exact = backend_name() == "numba"
+    # both kernels interpolate the control alike, but the vectorized one
+    # evaluates the seasonal forcing with np.cos instead of math.cos
     for p, u, x0, tb in zip(params, controls, x0s, batch):
         ts = integrate_ode(p, u, x0, 0.0, 1.0, 1e-3)
         for got, ref in ((tb.theta, ts.theta), (tb.v, ts.v), (tb.v_r, ts.v_r)):
-            if exact:
-                assert np.array_equal(got, ref)
-            else:
-                assert np.max(np.abs(got - ref)) < 1e-12
+            assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_batch_runs_kernel_on_nonuniform_knots(rng, monkeypatch):
+    # a common but unevenly spaced knot grid still takes the batch kernel
+    knots = np.array([0.0, 0.05, 0.2, 0.23, 0.5, 0.9, 1.0])
+    params, controls, x0s = [], [], []
+    for _ in range(4):
+        params.append(ModelParams.with_default_forcings(
+            theta1=rng.uniform(0.1, 0.9),
+            alpha=SeasonalForcing(a=rng.uniform(0.5, 5.0), b=rng.uniform(0.0, 1.0),
+                                  c=rng.uniform(0.1, 1.0))))
+        controls.append(ControlSignal(times=knots, values=rng.uniform(0.0, 1.0, knots.size)))
+        x0s.append(HostState(rng.uniform(0.05, 0.8), rng.uniform(0.2, 0.9), 0.0))
+    controls.append(0.4)  # a constant rides along on the same knots
+    params.append(params[0])
+    x0s.append(x0s[0])
+    kernel = _kernels.host_rk4_batch
+    lanes = []
+
+    def counted(x0, *rest):
+        lanes.append(x0.shape[0])
+        return kernel(x0, *rest)
+
+    monkeypatch.setattr(_kernels, "host_rk4_batch", counted)
+    batch = integrate_ode_batch(params, controls, x0s, 0.0, 1.0, 1e-3)
+    assert lanes == [5]
+    for p, u, x0, tb in zip(params, controls, x0s, batch):
+        ts = integrate_ode(p, u, x0, 0.0, 1.0, 1e-3)
+        for got, ref in ((tb.theta, ts.theta), (tb.v, ts.v), (tb.v_r, ts.v_r)):
+            assert np.max(np.abs(got - ref)) < 1e-12
 
 
 def test_batch_falls_back_on_opaque_control(season_params, season_x0):

@@ -1,9 +1,4 @@
-"""Kernel backend selection and numba/numpy agreement."""
-
-import os
-import subprocess
-import sys
-import textwrap
+"""Integration kernels: the feedback root, event location and Python-float loops."""
 
 import numpy as np
 import pytest
@@ -11,17 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anthractl import _kernels
-from anthractl._kernels import (
-    FORCING_CONST,
-    FORCING_SEASONAL,
-    backend_name,
-    host_rk4_single,
-    host_rk4_single_py,
-)
+from anthractl._kernels import FORCING_SEASONAL, backend_name
 
 
 def test_backend_name_is_valid():
-    assert backend_name() in ("numba", "numpy")
+    assert backend_name() == "numpy"
 
 
 def test_flag_constants_are_distinct():
@@ -29,40 +18,6 @@ def test_flag_constants_are_distinct():
              _kernels.FORCING_PROPORTIONAL, _kernels.FORCING_SAMPLED,
              _kernels.FORCING_STAGED}
     assert len(codes) == 5
-
-
-def _run_single(fn):
-    knots_t = np.array([0.0, 1.0])
-    knots_v = np.array([0.4, 0.4])
-    return fn(
-        0.2, 0.5, 0.0, 0.0, 1e-3, 1000,
-        0.6, 1.0, 1.0,
-        FORCING_SEASONAL, 4.0, 0.75, 0.2,
-        FORCING_CONST, 0.5, 0.0, 0.0,
-        _kernels.FORCING_PROPORTIONAL, 0.1, 0.0, 0.0,
-        1.0,
-        knots_t, knots_v, np.empty((0, 3)))
-
-
-def test_compiled_and_python_single_kernels_agree_bitwise():
-    th_a, v_a, vr_a, st_a, _ = _run_single(host_rk4_single)
-    th_b, v_b, vr_b, st_b, _ = _run_single(host_rk4_single_py)
-    assert st_a == st_b == 0
-    # identical arithmetic, identical order: results must match exactly
-    assert np.array_equal(th_a, th_b)
-    assert np.array_equal(v_a, v_b)
-    assert np.array_equal(vr_a, vr_b)
-
-
-def test_coupled_kernel_python_parity():
-    dummy = np.zeros(1)
-    args = (0.2, 0.762, 0.0, 1e-3, 1000, 0.6, 1.0,
-            FORCING_SEASONAL, 4.0, 0.75, 0.2, dummy, dummy)
-    th_a, p_a, u_a = _kernels.coupled_rk4(*args)
-    th_b, p_b, u_b = _kernels.coupled_rk4_py(*args)
-    assert np.array_equal(th_a, th_b)
-    assert np.array_equal(p_a, p_b)
-    assert np.array_equal(u_a, u_b)
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +59,14 @@ def test_feedback_root_underflowed_ratio():
         _kernels._bisect_root(5e-324, 10.0, 1.0, 1.5)
 
 
-@pytest.mark.skipif(backend_name() != "numpy",
-                    reason="compiled kernels ignore the patched module global")
 def test_coupled_kernel_identical_with_bisection_reference(monkeypatch):
     # fig1 at its converged p0, where the trajectory crosses the switching
     # surface; swapping in the reference root must not move a single bit.
-    # (Pure-Python kernel: the patched global is what _u_branch calls.)
+    # (the patched module global is what _u_branch calls)
     dummy = np.zeros(1)
     args = (0.2, 0.7619851105816545, 0.0, 1e-3, 1000, 0.6, 1.0,
             FORCING_SEASONAL, 4.0, 0.75, 0.2, dummy, dummy)
-    warm = _kernels.coupled_rk4_py(*args)
+    warm = _kernels.coupled_rk4(*args)
     calls = []
 
     def reference(*a):
@@ -121,14 +74,12 @@ def test_coupled_kernel_identical_with_bisection_reference(monkeypatch):
         return _kernels._u_interior_bisect(*a)
 
     monkeypatch.setattr(_kernels, "_u_interior", reference)
-    ref = _kernels.coupled_rk4_py(*args)
+    ref = _kernels.coupled_rk4(*args)
     assert len(calls) > 1000
     for a, b in zip(warm, ref):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.skipif(backend_name() != "numpy",
-                    reason="compiled kernels ignore the patched module global")
 def test_coupled_kernel_sees_python_floats_during_fig1_shooting(monkeypatch):
     # shoot_p0's secant iterates are numpy scalars; the kernel converts its
     # initial values, so its scalar loop never runs on numpy scalars
@@ -150,49 +101,6 @@ def test_coupled_kernel_sees_python_floats_during_fig1_shooting(monkeypatch):
     assert arg_types == {float}
 
 
-@pytest.mark.skipif(backend_name() != "numba",
-                    reason="needs numba active to compare backends")
-def test_numpy_backend_subprocess_matches():
-    """Force ANTHRACTL_BACKEND=numpy in a child process and compare a full
-    integration against the in-process numba result."""
-    script = textwrap.dedent("""
-        import numpy as np
-        from anthractl import ModelParams, HostState, SeasonalForcing, integrate_ode
-        from anthractl._kernels import backend_name
-        assert backend_name() == "numpy", backend_name()
-        p = ModelParams.with_default_forcings(
-            theta1=0.6, alpha=SeasonalForcing(4.0, 0.75, 0.2))
-        traj = integrate_ode(p, 0.35, HostState(0.2, 0.5, 0.0), T=1.0, dt=1e-3)
-        print(repr(float(traj.theta[-1])))
-        print(repr(float(traj.v[-1])))
-        print(repr(float(traj.v_r[-1])))
-    """)
-    env = dict(os.environ, ANTHRACTL_BACKEND="numpy")
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    got = [float(line) for line in out.stdout.strip().splitlines()]
-
-    from anthractl import HostState, ModelParams, SeasonalForcing, integrate_ode
-    p = ModelParams.with_default_forcings(
-        theta1=0.6, alpha=SeasonalForcing(4.0, 0.75, 0.2))
-    traj = integrate_ode(p, 0.35, HostState(0.2, 0.5, 0.0), T=1.0, dt=1e-3)
-    ref = [float(traj.theta[-1]), float(traj.v[-1]), float(traj.v_r[-1])]
-    assert got == ref  # same arithmetic on both backends: exact match
-
-
-def test_bad_backend_flag_warns_subprocess():
-    script = ("import warnings; warnings.simplefilter('error'); "
-              "import anthractl._kernels")
-    env = dict(os.environ, ANTHRACTL_BACKEND="turbo")
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode != 0
-    assert "not recognized" in out.stderr
-
-
-@pytest.mark.skipif(backend_name() != "numpy",
-                    reason="compiled kernels ignore the patched module global")
 @pytest.mark.parametrize("p0", [0.70, 0.7619851105816545, 0.80])
 def test_event_location_stop_matches_full_bisection(monkeypatch, p0):
     # fig1's switch location stops once the bisection bracket is a fixed
@@ -213,7 +121,7 @@ def test_event_location_stop_matches_full_bisection(monkeypatch, p0):
 
         with monkeypatch.context() as m:
             m.setattr(_kernels, "_coupled_sub", counted)
-            out = _kernels.coupled_rk4_py(*args)
+            out = _kernels.coupled_rk4(*args)
         counts.append(len(calls))
         return out
 
@@ -223,3 +131,61 @@ def test_event_location_stop_matches_full_bisection(monkeypatch, p0):
     assert counts[0] < counts[1]
     for a, b in zip(early, full):
         assert np.array_equal(a, b)
+
+
+_SEVERITY_WEATHER = dict(times=np.array([0.0, 0.5, 1.0]),
+                         temperature=np.array([18.0, 24.0, 21.0]),
+                         wetness=np.array([2.0, 5.0, 3.0]),
+                         humidity=np.array([80.0, 85.0, 90.0]))
+
+
+@pytest.mark.parametrize("case", ["sampled", "constant", "severity"])
+def test_host_kernel_sees_python_floats(monkeypatch, case):
+    # the host kernel turns its knots into lists, so its RK4 loop hands
+    # _host_rhs Python floats for u and the state, never numpy scalars
+    from anthractl import (AsiCoefficients, ControlSignal, HostState, ModelParams,
+                           SeasonalForcing, SeverityForcing, WeatherSeries,
+                           integrate_ode)
+
+    alpha = SeasonalForcing(a=4.0, b=0.75, c=0.2)
+    u = 0.35
+    if case == "sampled":
+        knots = np.linspace(0.0, 1.0, 11)
+        u = ControlSignal(times=knots, values=0.3 + 0.2 * np.sin(np.pi * knots))
+    elif case == "severity":
+        alpha = SeverityForcing(WeatherSeries(**_SEVERITY_WEATHER), "asi",
+                                AsiCoefficients(a0=1.0, a01=0.05), scale=2.0)
+    params = ModelParams.with_default_forcings(theta1=0.6, alpha=alpha)
+    rhs = _kernels._host_rhs
+    arg_types = set()
+
+    def spy(t, th, vv, vr, u_val, *rest):
+        arg_types.update(type(x) for x in (th, vv, vr, u_val))
+        return rhs(t, th, vv, vr, u_val, *rest)
+
+    monkeypatch.setattr(_kernels, "_host_rhs", spy)
+    integrate_ode(params, u, HostState(0.2, 0.5, 0.0), T=1.0, dt=0.01)
+    assert arg_types == {float}
+
+
+def test_interp_knots_matches_searchsorted_bitwise():
+    # bisect_left on the knot list picks np.searchsorted's interval, so the
+    # interpolant keeps its bits, also exactly at a knot, and a lane vector
+    # per knot gives each lane the scalar result
+    rng = np.random.default_rng(3)
+    ts = np.cumsum(rng.uniform(0.01, 0.3, 12))
+    vs = rng.uniform(0.0, 1.0, (4, ts.size))
+    points = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1]),
+                             rng.uniform(ts[0] - 0.1, ts[-1] + 0.1, 200)])
+    for t in points.tolist():
+        for lane, v in enumerate(vs):
+            if t <= ts[0]:
+                ref = v[0]
+            elif t >= ts[-1]:
+                ref = v[-1]
+            else:
+                j = int(np.searchsorted(ts, t))
+                ref = v[j - 1] + (v[j] - v[j - 1]) * (t - ts[j - 1]) / (ts[j] - ts[j - 1])
+            got = _kernels._interp_knots(t, ts.tolist(), v.tolist())
+            assert type(got) is float and got == ref
+            assert _kernels._interp_knots(t, ts.tolist(), vs.T)[lane] == ref

@@ -13,6 +13,13 @@ against the plain bisection it must reproduce bit for bit
 (_u_interior_bisect) on the same _FEEDBACK_DRAWS seeded draws, and counts
 the draws where the two differ; that count must be 0.
 
+The coupled lane replays the coupled_rk4 calls of fig1's shooting solve
+(one per secant evaluation, each on the alpha table the solve built once).
+It reports the kernel's time and feedback roots per step, the roots per step
+without the kernel's one-entry root memo, and counts the output values
+(theta, p, u and the event counters) that differ from a run with the root
+bisected from [1, 3/2]; that count must be 0.
+
 The implicit_step lane times _IMPLICIT_STEPS controlled backward-Euler steps
 on a 64-cell 1-D grid and a 40x40 2-D grid two ways: rebuilding the CSR step
 matrix and running CG every step, and the fixed-stencil stepper the PDE
@@ -36,6 +43,7 @@ be 0.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -64,8 +72,10 @@ from anthractl import (
     integrate_ode,
     integrate_riccati,
     linearize,
+    shoot_p0,
 )
 from anthractl import _kernels as K
+from anthractl.cli import parse_config, resolve_config_path
 from anthractl.pde import FieldPath, _FixedStencilStepper, _solve_checked
 from anthractl.pde_control import _closed_loop_lanes
 
@@ -112,8 +122,10 @@ def _batch_args(m: int, n_steps: int):
 
 def _coupled_args(n_steps: int):
     dummy = np.zeros(1)
-    return (0.2, 0.76, 0.0, 1.0 / n_steps, n_steps, 0.6, 1.0,
-            K.FORCING_SEASONAL, 4.0, 0.75, 0.2, dummy, dummy)
+    h = 1.0 / n_steps
+    forcing, table = K.coupled_forcing(K.FORCING_SEASONAL, 4.0, 0.75, 0.2,
+                                       dummy, dummy, 0.0, h, n_steps)
+    return (0.2, 0.76, 0.0, h, n_steps, 0.6, 1.0, forcing, table)
 
 
 def _workloads(args):
@@ -170,6 +182,73 @@ def _feedback_root_lane(repeats: int):
             "warm_us_per_call": warm / n_draws * 1e6,
             "bisect_us_per_call": bisect / n_draws * 1e6,
             "speedup": bisect / warm,
+            "mismatches": int(mismatches)}
+
+
+@contextlib.contextmanager
+def _swapped(name: str, replacement):
+    """Replace the _kernels global `name` while the block runs."""
+    original = getattr(K, name)
+    setattr(K, name, replacement)
+    try:
+        yield original
+    finally:
+        setattr(K, name, original)
+
+
+def _fig1_shooting_calls():
+    """The coupled_rk4 argument tuples of fig1's shooting evaluations."""
+    plan = parse_config(resolve_config_path("fig1")).plan
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    with _swapped("coupled_rk4", record) as kernel:
+        tol, max_iter = plan.shooting
+        shoot_p0(plan.x0.theta, plan.params, plan.cost, T=plan.T, dt=plan.h,
+                 tol=tol, max_iter=max_iter)
+    return calls
+
+
+def _coupled_lane(repeats: int):
+    calls = _fig1_shooting_calls()
+    steps = sum(args[4] for args in calls)
+
+    def run():
+        return [K.coupled_rk4(*args) for args in calls]
+
+    def roots_per_step():
+        count = [0]
+
+        def counted(c3, k):
+            count[0] += 1
+            return root(c3, k)
+
+        with _swapped("_feedback_root", counted) as root:
+            out = run()
+        return out, count[0] / steps
+
+    seconds = _best_of(run, (), repeats)
+    out, roots = roots_per_step()
+    # the same kernel with a fresh root at every stage and node
+    with _swapped("_interior_law", lambda theta1, k: (
+            lambda c3: K._u_law(c3, theta1, k, K._feedback_root))):
+        _, memo_free_roots = roots_per_step()
+    with _swapped("_feedback_root", K._reference_root):
+        reference = run()
+    mismatches = 0
+    for got, ref in zip(out, reference):
+        mismatches += sum(int(np.sum(a.view(np.int64) != b.view(np.int64)))
+                          for a, b in zip(got[:3], ref[:3]))
+        mismatches += sum(a != b for a, b in zip(got[3], ref[3]))
+    return {"evaluations": len(calls),
+            "steps": steps,
+            "us_per_step": seconds / steps * 1e6,
+            "roots_per_step": roots,
+            "memo_free_roots_per_step": memo_free_roots,
+            "switch_events": sum(o[3][0] for o in out),
             "mismatches": int(mismatches)}
 
 
@@ -336,6 +415,7 @@ def main() -> None:
     times = {name: _best_of(fn, call_args, args.repeats)
              for name, fn, call_args, _ in kernels}
     root = _feedback_root_lane(args.repeats)
+    coupled = _coupled_lane(args.repeats)
     implicit = _implicit_step_lane(args.repeats)
     staged = _host_staged_lane(args.repeats)
     riccati = _riccati_lanes_lane(args.repeats)
@@ -348,6 +428,11 @@ def main() -> None:
           f"warm {root['warm_us_per_call']:.2f}us/call, "
           f"bisection {root['bisect_us_per_call']:.2f}us/call, "
           f"{root['speedup']:.2f}x, mismatches {root['mismatches']}")
+    print(f"coupled (fig1 shooting, {coupled['evaluations']} evaluations, "
+          f"{coupled['steps']} steps): {coupled['us_per_step']:.2f}us/step, "
+          f"{coupled['roots_per_step']:.3f} roots/step "
+          f"({coupled['memo_free_roots_per_step']:.3f} without the memo), "
+          f"mismatches {coupled['mismatches']}")
     for name, r in implicit.items():
         print(f"implicit_step ({name}, {r['cells']} cells): "
               f"rebuild+CG {r['rebuild_us_per_step']:.1f}us/step, "
@@ -376,6 +461,7 @@ def main() -> None:
             "kernels": {name: {"workload": workload, "seconds": times[name]}
                         for name, workload in workloads.items()},
             "feedback_root": root,
+            "coupled": coupled,
             "implicit_step": implicit,
             "host_staged": staged,
             "riccati_lanes": riccati,
@@ -384,6 +470,9 @@ def main() -> None:
             fh.write(json.dumps(report, indent=2) + "\n")
     if root["mismatches"]:
         sys.exit(f"feedback_root: {root['mismatches']} draws differ from bisection")
+    if coupled["mismatches"]:
+        sys.exit(f"coupled: {coupled['mismatches']} output values differ from the "
+                 f"bisection-root run")
     staged_mismatches = sum(r["mismatches"] for r in staged.values())
     if staged_mismatches:
         sys.exit(f"host_staged: {staged_mismatches} trajectory values differ "

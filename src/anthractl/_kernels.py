@@ -8,6 +8,12 @@ their knot arrays into lists at entry, and ``_interp_knots`` finds a knot
 interval with ``bisect``, so no numpy scalar enters the loop.  The batch
 kernel runs the same RK4 step vectorized across scenarios; the same
 ``_interp_knots`` interpolates there with one lane vector per knot.
+
+The coupled kernel takes its forcing from ``coupled_forcing``: the knot lists
+and a per-step alpha table, built once per grid, so that shooting pays for
+alpha once per solve rather than at every stage of every evaluation.  Each
+RK4 substep runs one stage body, with the branch test and the feedback law
+inline, and the law remembers its last root for the call.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ __all__ = [
     "backend_name",
     "host_rk4_single",
     "host_rk4_batch",
+    "coupled_forcing",
     "coupled_rk4",
 ]
 
@@ -122,6 +129,17 @@ def _bisect_root(c3: float, k: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _reference_root(c3: float, k: float) -> float:
+    """The feedback root bisected from [1, 3/2]: what _feedback_root reproduces."""
+    return _bisect_root(c3, k, 1.0, 1.5)
+
+
+#: Halvings that take a warm bracket of width 2**-39 to 2**-50, the first
+#: dyadic width at or below _bisect_root's 1e-15 stop.  The bracket ends are
+#: multiples of 2**-39 in [1, 3/2], so every midpoint and width is exact.
+_WARM_HALVINGS = 11
+
+
 def _feedback_root(c3: float, k: float) -> float:
     """Root in (1, 3/2) of g(w) = c3*w^3 - 2k*w + 2k for 0 < 27*c3 < 8k.
 
@@ -138,7 +156,8 @@ def _feedback_root(c3: float, k: float) -> float:
     the upper half there, and by the same argument the lower half at every
     m >= hi.
     So bisection arrives at [lo, hi] (its width, 2**-39, is far above the
-    1e-15 stop) and the unchanged loop finishes it.
+    1e-15 stop) and _WARM_HALVINGS more halvings of the same loop finish it;
+    2.0*k is hoisted, as g already evaluates it first.
     Just above the true threshold (where 27*c3 < 8k holds only after
     rounding) g >= 0 everywhere, the check fails and bisection runs from
     [1, 3/2], as it does near the double root, for tiny c3/k (where Viete's
@@ -161,21 +180,33 @@ def _feedback_root(c3: float, k: float) -> float:
         pos = _WARM_LAST
     lo = 1.0 + math.floor(pos) * _WARM_WIDTH
     hi = lo + _WARM_WIDTH
+    k2 = 2.0 * k
     # The trailing 1e-300 covers absolute (subnormal) rounding errors.
     bound = 24.0 * _EPS * (3.375 * c3 + 5.0 * k) + 1e-300
-    if (c3 * lo * lo * lo - 2.0 * k * lo + 2.0 * k > bound
-            and c3 * hi * hi * hi - 2.0 * k * hi + 2.0 * k < -bound):
-        return _bisect_root(c3, k, lo, hi)
-    return _bisect_root(c3, k, 1.0, 1.5)
+    if not (c3 * lo * lo * lo - k2 * lo + k2 > bound
+            and c3 * hi * hi * hi - k2 * hi + k2 < -bound):
+        return _bisect_root(c3, k, 1.0, 1.5)
+    for _ in range(_WARM_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        if c3 * mid * mid * mid - k2 * mid + k2 > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
-def _u_law(alpha_t: float, theta: float, p: float,
-           theta1: float, k: float, warm: bool) -> float:
-    """Body of _u_interior; warm=False bisects from [1, 3/2] directly."""
-    if theta1 <= 0.0:
-        return 0.0
-    c3 = alpha_t * theta1 * theta1 * theta * p
-    if c3 <= 0.0:
+def _u_law(c3: float, theta1: float, k: float, root) -> float:
+    """Interior branch of the feedback law (and its continuous extension).
+
+    Solves c3*w^3 - 2k*w + 2k = 0, c3 = alpha*theta1^2*theta*p, with
+    root(c3, k) for the root in (1, 3/2] and maps w -> u = (w-1)/(theta1*w),
+    clamped to [0, 1]; u = 0 when theta1 <= 0 or c3 <= 0.  Past the
+    saturation threshold (27*c3 >= 8k, where the cubic loses its usable root)
+    the branch is extended by its limiting value w = min(3/2, 1/(1-theta1)),
+    which is what event location integrates with while a step straddles the
+    switching surface.
+    """
+    if theta1 <= 0.0 or c3 <= 0.0:
         return 0.0
     cap = 1.0 / (1.0 - theta1)
     if cap > 1.5:
@@ -183,10 +214,7 @@ def _u_law(alpha_t: float, theta: float, p: float,
     if 27.0 * c3 >= 8.0 * k:
         w3 = cap
     else:
-        if warm:
-            w3 = _feedback_root(c3, k)
-        else:
-            w3 = _bisect_root(c3, k, 1.0, 1.5)
+        w3 = root(c3, k)
         if w3 > cap:
             w3 = cap
         if w3 < 1.0:
@@ -201,37 +229,15 @@ def _u_law(alpha_t: float, theta: float, p: float,
 
 def _u_interior(alpha_t: float, theta: float, p: float,
                 theta1: float, k: float) -> float:
-    """Interior branch of the feedback law (and its continuous extension).
-
-    Solves c3*w^3 - 2k*w + 2k = 0 with c3 = alpha*theta1^2*theta*p for the
-    root in (1, 3/2] and maps w -> u = (w-1)/(theta1*w), clamped to [0, 1].
-    Past the saturation threshold (27*c3 >= 8k, where the cubic loses its
-    usable root) the branch is extended by its limiting value w = 3/2, which
-    is what event location integrates with while a step straddles the
-    switching surface.  The root is warm-started (see _feedback_root), so the
-    result is bit-identical to _u_interior_bisect.
-    """
-    return _u_law(alpha_t, theta, p, theta1, k, True)
+    """_u_law at (alpha, theta, p) with the warm-started root (_feedback_root),
+    so the result is bit-identical to _u_interior_bisect."""
+    return _u_law(alpha_t * theta1 * theta1 * theta * p, theta1, k, _feedback_root)
 
 
 def _u_interior_bisect(alpha_t: float, theta: float, p: float,
                        theta1: float, k: float) -> float:
     """_u_interior with the root bisected from [1, 3/2]: the reference."""
-    return _u_law(alpha_t, theta, p, theta1, k, False)
-
-
-def feedback_u(alpha_t: float, theta: float, p: float,
-               theta1: float, k: float) -> float:
-    """Pointwise optimal control from the cubic feedback law.
-
-    u = 1 when 27*alpha*theta1^2*theta*p >= 8k (no usable nonnegative root);
-    otherwise the interior cubic root mapped through u = (w-1)/(theta1*w).
-    """
-    if theta1 <= 0.0:
-        return 0.0
-    if 27.0 * alpha_t * theta1 * theta1 * theta * p >= 8.0 * k:
-        return 1.0
-    return _u_interior(alpha_t, theta, p, theta1, k)
+    return _u_law(alpha_t * theta1 * theta1 * theta * p, theta1, k, _reference_root)
 
 
 # ---------------------------------------------------------------------------
@@ -392,84 +398,100 @@ def host_rk4_batch(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
 #  Coupled state/costate kernel with feedback control
 # ---------------------------------------------------------------------------
 
-def _alpha_at(a_code, a0, a1, a2, a_t, a_v, t):
+def _alpha_at(forcing, t):
+    """alpha at t of a coupled-kernel forcing (code, q0, q1, q2, knot times,
+    knot values), the knots as lists."""
+    a_code, a0, a1, a2, a_t, a_v = forcing
     if a_code == FORCING_SAMPLED:
         return _interp_knots(t, a_t, a_v)
     return _forcing_value(a_code, a0, a1, a2, t, 0.0)
 
 
-def _branch_of(alpha_t, theta, p, theta1, k):
-    """1 on the saturated side of the switching surface, 0 on the interior side."""
-    if 27.0 * alpha_t * theta1 * theta1 * theta * p >= 8.0 * k:
-        return 1
-    return 0
+def coupled_forcing(a_code, a0, a1, a2, a_t, a_v, t0, h, n):
+    """coupled_rk4's forcing arguments for the grid t0 + i*h, i = 0..n.
+
+    Returns (forcing, table): the forcing as _alpha_at takes it, knots turned
+    into lists, and the per-step alpha table whose row i holds alpha at t,
+    t + 0.5*h and t + h for t = t0 + i*h, the times a step without a switch
+    evaluates alpha at.  The table depends on the grid alone, so shooting
+    builds it once per solve.
+    """
+    forcing = (a_code, a0, a1, a2, a_t.tolist(), a_v.tolist())
+    table = []
+    for i in range(n):
+        t = t0 + i * h
+        table.append((_alpha_at(forcing, t), _alpha_at(forcing, t + 0.5 * h),
+                      _alpha_at(forcing, t + h)))
+    return forcing, table
 
 
-def _u_branch(branch, alpha_t, theta, p, theta1, k):
-    if branch == 1:
-        return 1.0
-    return _u_interior(alpha_t, theta, p, theta1, k)
+def _interior_law(theta1, k):
+    """_u_law with the warm root as a function of c3, remembering its last
+    result.
+
+    A node's u and the next step's first stage solve the cubic at the same
+    c3 whenever alpha at t + h and at the next grid time round alike; the
+    second then reuses the first's root.  coupled_rk4 builds one per call, so
+    no two threads share the memo (batch --jobs runs scenarios on threads).
+    """
+    last_c3 = math.nan
+    last_u = 0.0
+
+    def law(c3):
+        nonlocal last_c3, last_u
+        if c3 != last_c3:
+            last_u = _u_law(c3, theta1, k, _feedback_root)
+            last_c3 = c3
+        return last_u
+
+    return law
 
 
-def _coupled_sub(t, th, pp, tau, branch, theta1, k, a_code, a0, a1, a2, a_t, a_v):
-    """One RK4 substep of the (theta, p) system with the feedback branch frozen.
+def _coupled_sub(th, pp, tau, al1, alm, ale, theta1, k, law):
+    """One RK4 substep of the (theta, p) system over tau, alpha being al1,
+    alm and ale at its start, middle and end, with the feedback branch frozen
+    at the side of the switching surface the start state lies on.
 
     Returns (theta', p', end_flip, any_flip): whether the end state lies on
-    the other side of the switching surface, and whether any stage did.
+    the other side of the surface, and whether any stage did.
     """
-    any_flip = 0
-
-    al = _alpha_at(a_code, a0, a1, a2, a_t, a_v, t)
-    if _branch_of(al, th, pp, theta1, k) != branch:
-        any_flip = 1
-    u = _u_branch(branch, al, th, pp, theta1, k)
-    floor = 1.0 - theta1 * u
-    d1t = al * (1.0 - th / floor)
-    d1p = al * pp / floor - 2.0 * th
-
-    tm = t + 0.5 * tau
-    th2 = th + 0.5 * tau * d1t
-    pp2 = pp + 0.5 * tau * d1p
-    al = _alpha_at(a_code, a0, a1, a2, a_t, a_v, tm)
-    if _branch_of(al, th2, pp2, theta1, k) != branch:
-        any_flip = 1
-    u = _u_branch(branch, al, th2, pp2, theta1, k)
-    floor = 1.0 - theta1 * u
-    d2t = al * (1.0 - th2 / floor)
-    d2p = al * pp2 / floor - 2.0 * th2
-
-    th3 = th + 0.5 * tau * d2t
-    pp3 = pp + 0.5 * tau * d2p
-    if _branch_of(al, th3, pp3, theta1, k) != branch:
-        any_flip = 1
-    u = _u_branch(branch, al, th3, pp3, theta1, k)
-    floor = 1.0 - theta1 * u
-    d3t = al * (1.0 - th3 / floor)
-    d3p = al * pp3 / floor - 2.0 * th3
-
-    te = t + tau
-    th4 = th + tau * d3t
-    pp4 = pp + tau * d3p
-    al = _alpha_at(a_code, a0, a1, a2, a_t, a_v, te)
-    if _branch_of(al, th4, pp4, theta1, k) != branch:
-        any_flip = 1
-    u = _u_branch(branch, al, th4, pp4, theta1, k)
-    floor = 1.0 - theta1 * u
-    d4t = al * (1.0 - th4 / floor)
-    d4p = al * pp4 / floor - 2.0 * th4
-
-    th_end = th + (tau / 6.0) * (d1t + 2.0 * d2t + 2.0 * d3t + d4t)
-    pp_end = pp + (tau / 6.0) * (d1p + 2.0 * d2p + 2.0 * d3p + d4p)
-    al = _alpha_at(a_code, a0, a1, a2, a_t, a_v, te)
-    end_flip = 0
-    if _branch_of(al, th_end, pp_end, theta1, k) != branch:
-        end_flip = 1
-        any_flip = 1
-    return th_end, pp_end, end_flip, any_flip
+    k8 = 8.0 * k
+    half = 0.5 * tau
+    saturated = 27.0 * al1 * theta1 * theta1 * th * pp >= k8
+    any_flip = False
+    # -0.0 is the additive identity, so the sums end as d1 + 2*d2 + 2*d3 + d4
+    # bit for bit; `step` leads from each stage's state to the next one's.
+    sum_t = sum_p = -0.0
+    x = th
+    y = pp
+    for al, weight, step in ((al1, 1.0, half), (alm, 2.0, half),
+                             (alm, 2.0, tau), (ale, 1.0, 0.0)):
+        if (27.0 * al * theta1 * theta1 * x * y >= k8) != saturated:
+            any_flip = True
+        if saturated:
+            floor = 1.0 - theta1
+        else:
+            floor = 1.0 - theta1 * law(al * theta1 * theta1 * x * y)
+        dx = al * (1.0 - x / floor)
+        dy = al * y / floor - 2.0 * x
+        sum_t = sum_t + weight * dx
+        sum_p = sum_p + weight * dy
+        x = th + step * dx
+        y = pp + step * dy
+    th_end = th + (tau / 6.0) * sum_t
+    pp_end = pp + (tau / 6.0) * sum_p
+    end_flip = (27.0 * ale * theta1 * theta1 * th_end * pp_end >= k8) != saturated
+    return th_end, pp_end, end_flip, any_flip or end_flip
 
 
-def _bisect_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
-                   a_code, a0, a1, a2, a_t, a_v, stop):
+def _substep_at(forcing, tc, al_c, th, pp, tau, theta1, k, law):
+    """_coupled_sub from time tc (where alpha is al_c) over tau."""
+    return _coupled_sub(th, pp, tau, al_c, _alpha_at(forcing, tc + 0.5 * tau),
+                        _alpha_at(forcing, tc + tau), theta1, k, law)
+
+
+def _bisect_switch(forcing, tc, al_c, th, pp, tau_lo, tau_hi, theta1, k, law,
+                   stop):
     """Bisect (tau_lo, tau_hi] for the first end-state flip, 60 halvings.
 
     With stop, it returns once the midpoint rounds to a bracket end: the
@@ -480,32 +502,73 @@ def _bisect_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
         mid = 0.5 * (tau_lo + tau_hi)
         if stop and (mid == tau_lo or mid == tau_hi):
             break
-        _, _, ef_m, _ = _coupled_sub(
-            tc, th, pp, mid, branch, theta1, k,
-            a_code, a0, a1, a2, a_t, a_v)
-        if ef_m == 1:
+        if _substep_at(forcing, tc, al_c, th, pp, mid, theta1, k, law)[2]:
             tau_hi = mid
         else:
             tau_lo = mid
     return tau_hi
 
 
-def _locate_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
-                   a_code, a0, a1, a2, a_t, a_v):
+def _locate_switch(forcing, tc, al_c, th, pp, tau_lo, tau_hi, theta1, k, law):
     """Switch time of the bracket, stopping at its fixed point."""
-    return _bisect_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
-                          a_code, a0, a1, a2, a_t, a_v, True)
+    return _bisect_switch(forcing, tc, al_c, th, pp, tau_lo, tau_hi, theta1, k,
+                          law, True)
 
 
-def _locate_switch_full(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
-                        a_code, a0, a1, a2, a_t, a_v):
+def _locate_switch_full(forcing, tc, al_c, th, pp, tau_lo, tau_hi, theta1, k,
+                        law):
     """_locate_switch with all 60 halvings: the reference."""
-    return _bisect_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
-                          a_code, a0, a1, a2, a_t, a_v, False)
+    return _bisect_switch(forcing, tc, al_c, th, pp, tau_lo, tau_hi, theta1, k,
+                          law, False)
 
 
-def coupled_rk4(theta0, p0, t0, h, n, theta1, k,
-                a_code, a0, a1, a2, a_t, a_v):
+#: Switch events located in one step before the rest of it is taken on the
+#: frozen branch.
+_MAX_EVENTS = 16
+
+
+def _switching_step(forcing, tc, al_c, th, pp, remaining, th_e, pp_e,
+                    theta1, k, law):
+    """Finish a step whose frozen-branch substep over `remaining` from
+    (tc, th, pp), ending at (th_e, pp_e), saw the other side of the surface.
+
+    Brackets the first end-state flip on an eighth-resolution scan of
+    frozen-branch substeps, locates it by bisection and restarts from the
+    switch point on the other branch, for at most _MAX_EVENTS switches.
+    Returns (theta, p, switch events, event-cap hits, grazing exits).
+    """
+    events = 0
+    while True:
+        if events >= _MAX_EVENTS:
+            return th_e, pp_e, events, 1, 0
+        tau_lo = 0.0
+        tau_hi = -1.0
+        for j in range(1, 9):
+            tau_j = remaining * j / 8.0
+            if _substep_at(forcing, tc, al_c, th, pp, tau_j, theta1, k, law)[2]:
+                tau_hi = tau_j
+                break
+            tau_lo = tau_j
+        if tau_hi < 0.0:
+            # The crossing never shows at a substep end (grazing touch);
+            # the frozen-branch step is the consistent choice.
+            return th_e, pp_e, events, 0, 1
+        tau_hi = _locate_switch(forcing, tc, al_c, th, pp, tau_lo, tau_hi,
+                                theta1, k, law)
+        th, pp, _, _ = _substep_at(forcing, tc, al_c, th, pp, tau_hi, theta1, k, law)
+        tc += tau_hi
+        remaining -= tau_hi
+        events += 1
+        if not remaining > 0.0:
+            return th, pp, events, 0, 0
+        al_c = _alpha_at(forcing, tc)
+        th_e, pp_e, _, flip = _substep_at(forcing, tc, al_c, th, pp, remaining,
+                                          theta1, k, law)
+        if not flip:
+            return th_e, pp_e, events, 0, 0
+
+
+def coupled_rk4(theta0, p0, t0, h, n, theta1, k, forcing, a_table):
     """Integrate (theta, p) forward with u supplied by the feedback law.
 
     The feedback saturates discontinuously on the surface
@@ -515,66 +578,42 @@ def coupled_rk4(theta0, p0, t0, h, n, theta1, k,
     a surface crossing, locates the crossing time by bisection on frozen-
     branch substeps, and restarts the step from the switch point on the other
     branch.  The reported u values are recomputed from the node values with
-    the plain (unfrozen) law.  The loop runs on Python floats: theta0 and p0
-    (a secant iterate may be a numpy scalar) are taken as floats, and the
-    alpha knots become lists.
+    the plain (unfrozen) law.
+
+    forcing and a_table come from coupled_forcing for the same grid: a step
+    without a switch reads its alpha from the table, and only switch location
+    evaluates alpha at other times.  The loop runs on Python floats (theta0
+    and p0 are taken as floats), and the interior law remembers its last
+    root for the call (_interior_law).  Returns (theta, p, u, counts), counts
+    being (switch events, steps that hit the _MAX_EVENTS cap, grazing exits).
     """
-    a_t = a_t.tolist()
-    a_v = a_v.tolist()
+    law = _interior_law(theta1, k)
+    k8 = 8.0 * k
     out_th = np.empty(n + 1)
     out_p = np.empty(n + 1)
     out_u = np.empty(n + 1)
+    events = cap_hits = grazing = 0
     th = float(theta0)
     pp = float(p0)
-    out_th[0] = th
-    out_p[0] = pp
-    out_u[0] = feedback_u(_alpha_at(a_code, a0, a1, a2, a_t, a_v, t0),
-                          th, pp, theta1, k)
-    for i in range(n):
-        t_step = t0 + i * h
-        tc = t_step
-        remaining = h
-        events = 0
-        while remaining > 0.0:
-            al = _alpha_at(a_code, a0, a1, a2, a_t, a_v, tc)
-            branch = _branch_of(al, th, pp, theta1, k)
-            th_e, pp_e, end_f, any_f = _coupled_sub(
-                tc, th, pp, remaining, branch, theta1, k,
-                a_code, a0, a1, a2, a_t, a_v)
-            if any_f == 0 or events >= 16:
-                th, pp = th_e, pp_e
-                break
-            # A stage saw the other side: bracket the first end-state flip
-            # on an eighth-resolution scan of frozen-branch substeps.
-            tau_lo = 0.0
-            tau_hi = -1.0
-            for j in range(1, 9):
-                tau_j = remaining * j / 8.0
-                _, _, ef_j, _ = _coupled_sub(
-                    tc, th, pp, tau_j, branch, theta1, k,
-                    a_code, a0, a1, a2, a_t, a_v)
-                if ef_j == 1:
-                    tau_hi = tau_j
-                    break
-                tau_lo = tau_j
-            if tau_hi < 0.0:
-                # The crossing never shows at a substep end (grazing touch);
-                # the frozen-branch step is the consistent choice.
-                th, pp = th_e, pp_e
-                break
-            tau_hi = _locate_switch(tc, th, pp, tau_lo, tau_hi, branch, theta1, k,
-                                    a_code, a0, a1, a2, a_t, a_v)
-            th_sw, pp_sw, _, _ = _coupled_sub(
-                tc, th, pp, tau_hi, branch, theta1, k,
-                a_code, a0, a1, a2, a_t, a_v)
-            th, pp = th_sw, pp_sw
-            tc += tau_hi
-            remaining -= tau_hi
-            events += 1
-        out_th[i + 1] = th
-        out_p[i + 1] = pp
-        out_u[i + 1] = feedback_u(
-            _alpha_at(a_code, a0, a1, a2, a_t, a_v, t_step + h),
-            th, pp, theta1, k)
-    return out_th, out_p, out_u
-
+    al_node = _alpha_at(forcing, t0)
+    for i in range(n + 1):
+        out_th[i] = th
+        out_p[i] = pp
+        if theta1 > 0.0 and 27.0 * al_node * theta1 * theta1 * th * pp >= k8:
+            out_u[i] = 1.0
+        else:
+            out_u[i] = law(al_node * theta1 * theta1 * th * pp)
+        if i == n:
+            break
+        al_lo, al_mid, al_node = a_table[i]
+        th_e, pp_e, _, flip = _coupled_sub(th, pp, h, al_lo, al_mid, al_node,
+                                           theta1, k, law)
+        if flip:
+            th_e, pp_e, ev, cap, graze = _switching_step(
+                forcing, t0 + i * h, al_lo, th, pp, h, th_e, pp_e, theta1, k, law)
+            events += ev
+            cap_hits += cap
+            grazing += graze
+        th = th_e
+        pp = pp_e
+    return out_th, out_p, out_u, (events, cap_hits, grazing)

@@ -651,6 +651,9 @@ def _run_ode_like(plan: OdePlan, out_dir: str) -> tuple:
             "p0": sol.p0,
             "shooting_residual": sol.residual,
             "shooting_iterations": sol.iterations,
+            "switch_events": sol.switch_events,
+            "event_cap_hits": sol.event_cap_hits,
+            "grazing_exits": sol.grazing_exits,
         })
     else:
         u_values = np.full(times.shape, plan.u)

@@ -121,7 +121,11 @@ class OptimalSolution:
     """Result of the shooting method.
 
     ``control``, ``theta_path`` and ``adjoint_path`` share one time grid.
-    ``residual`` is |p(T) - f'(theta(T))| at the returned p0.
+    ``residual`` is |p(T) - f'(theta(T))| at the returned p0.  The last
+    three fields count, on the returned trajectory, the switch events the
+    coupled integration located, the steps that hit its cap of 16 events, and
+    the steps whose crossing grazed the switching surface (kept on the frozen
+    branch).
     """
 
     control: ControlSignal
@@ -131,6 +135,9 @@ class OptimalSolution:
     p0: float
     residual: float
     iterations: int
+    switch_events: int = 0
+    event_cap_hits: int = 0
+    grazing_exits: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +221,45 @@ def _time_only_alpha(params: ModelParams) -> Callable[[float], float]:
     return lambda t: alpha(t, 0.0)
 
 
+def _coupled_setup(params: ModelParams, cost: CostSpec, T: float, dt: float,
+                   t0: float):
+    """The part of a coupled integration that does not depend on the initial
+    values: the grid and the kernel's forcing with its per-step alpha table.
+
+    Returns (times, grid args), so that
+    ``_kernels.coupled_rk4(theta0, p0, *grid_args)`` integrates from any
+    (theta0, p0).
+    """
+    n, h, times = time_grid(t0, T, dt)
+    alpha = params.alpha
+    dummy = np.zeros(1)
+
+    if isinstance(alpha, ConstantForcing):
+        forcing = (_kernels.FORCING_CONST, alpha.value, 0.0, 0.0, dummy, dummy)
+    elif isinstance(alpha, SeasonalForcing):
+        forcing = (_kernels.FORCING_SEASONAL, alpha.a, alpha.b, alpha.c, dummy, dummy)
+    else:
+        # Opaque time-only forcing: hand the kernel alpha sampled on the
+        # half-step grid.  Every RK4 stage of the uniform grid falls on a
+        # knot, so stage values are exact; only event-located substeps see
+        # the linear interpolant (an O(dt^2) effect on switch placement).
+        alpha_fn = _time_only_alpha(params)
+        knots_t = t0 + 0.5 * h * np.arange(2 * n + 1)
+        knots_v = np.array([alpha_fn(float(t)) for t in knots_t])
+        if np.any(knots_v < 0.0):
+            raise ValueError("alpha must be nonnegative on the horizon")
+        forcing = (_kernels.FORCING_SAMPLED, 0.0, 0.0, 0.0, knots_t, knots_v)
+    forcing, table = _kernels.coupled_forcing(*forcing, t0, h, n)
+    return times, (t0, h, n, params.theta1, cost.k, forcing, table)
+
+
+def _coupled_paths(times: np.ndarray, th: np.ndarray, p: np.ndarray,
+                   u: np.ndarray) -> Tuple[SampledPath, SampledPath, ControlSignal]:
+    return (SampledPath(times=times, values=th),
+            SampledPath(times=times, values=p),
+            ControlSignal(times=times, values=np.clip(u, 0.0, 1.0)))
+
+
 def integrate_coupled(
     p0: float,
     theta0: float,
@@ -230,36 +276,9 @@ def integrate_coupled(
     are recomputed from the node values of (theta, p), so they satisfy the
     feedback law exactly as optimal_u_feedback states it.
     """
-    n, h, times = time_grid(t0, T, dt)
-    alpha = params.alpha
-    dummy = np.zeros(1)
-
-    if isinstance(alpha, ConstantForcing):
-        th, p, u = _kernels.coupled_rk4(
-            theta0, p0, t0, h, n, params.theta1, cost.k,
-            _kernels.FORCING_CONST, alpha.value, 0.0, 0.0, dummy, dummy)
-    elif isinstance(alpha, SeasonalForcing):
-        th, p, u = _kernels.coupled_rk4(
-            theta0, p0, t0, h, n, params.theta1, cost.k,
-            _kernels.FORCING_SEASONAL, alpha.a, alpha.b, alpha.c, dummy, dummy)
-    else:
-        # Opaque time-only forcing: hand the kernel alpha sampled on the
-        # half-step grid.  Every RK4 stage of the uniform grid falls on a
-        # knot, so stage values are exact; only event-located substeps see
-        # the linear interpolant (an O(dt^2) effect on switch placement).
-        alpha_fn = _time_only_alpha(params)
-        knots_t = t0 + 0.5 * h * np.arange(2 * n + 1)
-        knots_v = np.array([alpha_fn(float(t)) for t in knots_t])
-        if np.any(knots_v < 0.0):
-            raise ValueError("alpha must be nonnegative on the horizon")
-        th, p, u = _kernels.coupled_rk4(
-            theta0, p0, t0, h, n, params.theta1, cost.k,
-            _kernels.FORCING_SAMPLED, 0.0, 0.0, 0.0, knots_t, knots_v)
-
-    u = np.clip(u, 0.0, 1.0)
-    return (SampledPath(times=times, values=th),
-            SampledPath(times=times, values=p),
-            ControlSignal(times=times, values=u))
+    times, grid = _coupled_setup(params, cost, T, dt, t0)
+    th, p, u, _ = _kernels.coupled_rk4(theta0, p0, *grid)
+    return _coupled_paths(times, th, p, u)
 
 
 def integrate_adjoint(
@@ -333,14 +352,25 @@ def shoot_p0(
     residual is bracketed, any secant step that escapes the bracket (or fails
     to shrink it) is replaced by bisection.  Raises ShootingError with the
     best residual if the budget runs out.  The returned cost is evaluated on
-    the step grid the integration takes (see time_grid).
+    the step grid the integration takes (see time_grid).  The grid and its
+    alpha table are built once; each evaluation is one kernel call.
     """
-    h = time_grid(t0, T, dt)[1]
+    times, grid = _coupled_setup(params, cost, T, dt, t0)
+    h = grid[1]
 
     def residual(p0_guess: float):
-        th, p, u = integrate_coupled(p0_guess, theta0, params, cost, T, dt, t0=t0)
-        r = p.values[-1] - cost.terminal_f_prime(th.values[-1])
-        return r, (th, p, u)
+        out = _kernels.coupled_rk4(theta0, p0_guess, *grid)
+        th, p = out[0], out[1]
+        return p[-1] - cost.terminal_f_prime(th[-1]), out
+
+    def solution(p0_found: float, r: float, out, evaluations: int) -> OptimalSolution:
+        th, p, u, (events, cap_hits, grazing) = out
+        th, p, u = _coupled_paths(times, th, p, u)
+        return OptimalSolution(
+            control=u, theta_path=th, adjoint_path=p,
+            cost=eval_cost_JT(u, th, cost, h),
+            p0=p0_found, residual=abs(r), iterations=evaluations,
+            switch_events=events, event_cap_hits=cap_hits, grazing_exits=grazing)
 
     a, b = 0.0, 1.0
     ra, out_a = residual(a)
@@ -348,11 +378,7 @@ def shoot_p0(
     best = (abs(ra), a, ra, out_a)
     bracket = None
     if abs(ra) < tol:
-        th, p, u = out_a
-        return OptimalSolution(
-            control=u, theta_path=th, adjoint_path=p,
-            cost=eval_cost_JT(u, th, cost, h),
-            p0=a, residual=abs(ra), iterations=evaluations)
+        return solution(a, ra, out_a, evaluations)
     rb, out_b = residual(b)
     evaluations += 1
     if abs(rb) < best[0]:
@@ -364,14 +390,12 @@ def shoot_p0(
     cur, r_cur = b, rb
     while evaluations < max_iter:
         if abs(r_cur) < tol:
-            th, p, u = best[3] if best[1] == cur else residual(cur)[1]
-            return OptimalSolution(
-                control=u, theta_path=th, adjoint_path=p,
-                cost=eval_cost_JT(u, th, cost, h),
-                p0=cur, residual=abs(r_cur), iterations=evaluations)
+            out = best[3] if best[1] == cur else residual(cur)[1]
+            return solution(cur, r_cur, out, evaluations)
         nxt = None
         if r_cur != r_prev:
-            nxt = cur - r_cur * (cur - prev) / (r_cur - r_prev)
+            # the residuals are numpy scalars; the iterate stays a float
+            nxt = float(cur - r_cur * (cur - prev) / (r_cur - r_prev))
         if bracket is not None:
             lo, rlo, hi, rhi = bracket
             if nxt is None or not (min(lo, hi) < nxt < max(lo, hi)):
@@ -391,11 +415,7 @@ def shoot_p0(
         prev, r_prev = cur, r_cur
         cur, r_cur = nxt, r_nxt
         if abs(r_cur) < tol:
-            th, p, u = out_nxt
-            return OptimalSolution(
-                control=u, theta_path=th, adjoint_path=p,
-                cost=eval_cost_JT(u, th, cost, h),
-                p0=cur, residual=abs(r_cur), iterations=evaluations)
+            return solution(cur, r_cur, out_nxt, evaluations)
 
     raise ShootingError(
         f"shooting did not reach |residual| < {tol} in {max_iter} evaluations; "

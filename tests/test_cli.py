@@ -295,6 +295,9 @@ def test_run_optimize_ode(tmp_path):
                           ["ode_series.csv", "cost_comparison.csv", "report.json"])
     assert rep["costs"]["controlled_is_best"] is True
     assert abs(rep["diagnostics"]["shooting_residual"]) < 1e-8
+    # the coupled integration's event counters of the returned trajectory
+    for key in ("switch_events", "event_cap_hits", "grazing_exits"):
+        assert type(rep["diagnostics"][key]) is int and rep["diagnostics"][key] >= 0
     header = (run_dir / "ode_series.csv").read_text().splitlines()[0]
     assert header == "t,theta,v,v_r,u,p"
 

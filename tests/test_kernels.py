@@ -59,30 +59,44 @@ def test_feedback_root_underflowed_ratio():
         _kernels._bisect_root(5e-324, 10.0, 1.0, 1.5)
 
 
+def _fig1_args(p0, n=1000):
+    # fig1's coupled integration: seasonal alpha, theta1 0.6, k 1, dt 1e-3
+    dummy = np.zeros(1)
+    h = 1.0 / n
+    forcing, table = _kernels.coupled_forcing(FORCING_SEASONAL, 4.0, 0.75, 0.2,
+                                              dummy, dummy, 0.0, h, n)
+    return (0.2, p0, 0.0, h, n, 0.6, 1.0, forcing, table)
+
+
+_FIG1_P0 = 0.7619851105816545
+
+
+def _assert_same_bits(a, b):
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
 def test_coupled_kernel_identical_with_bisection_reference(monkeypatch):
     # fig1 at its converged p0, where the trajectory crosses the switching
     # surface; swapping in the reference root must not move a single bit.
-    # (the patched module global is what _u_branch calls)
-    dummy = np.zeros(1)
-    args = (0.2, 0.7619851105816545, 0.0, 1e-3, 1000, 0.6, 1.0,
-            FORCING_SEASONAL, 4.0, 0.75, 0.2, dummy, dummy)
+    # (the law looks the root up as a module global at every solve)
+    args = _fig1_args(_FIG1_P0)
     warm = _kernels.coupled_rk4(*args)
     calls = []
 
-    def reference(*a):
+    def reference(c3, k):
         calls.append(1)
-        return _kernels._u_interior_bisect(*a)
+        return _kernels._reference_root(c3, k)
 
-    monkeypatch.setattr(_kernels, "_u_interior", reference)
+    monkeypatch.setattr(_kernels, "_feedback_root", reference)
     ref = _kernels.coupled_rk4(*args)
     assert len(calls) > 1000
-    for a, b in zip(warm, ref):
-        assert np.array_equal(a, b)
+    _assert_same_bits(warm, ref)
 
 
 def test_coupled_kernel_sees_python_floats_during_fig1_shooting(monkeypatch):
-    # shoot_p0's secant iterates are numpy scalars; the kernel converts its
-    # initial values, so its scalar loop never runs on numpy scalars
+    # shoot_p0's secant iterates come from numpy residuals; the kernel takes
+    # its initial values as floats, so only Python floats reach the root
     from anthractl.cli import parse_config, resolve_config_path
     from anthractl.ode_control import shoot_p0
 
@@ -101,14 +115,12 @@ def test_coupled_kernel_sees_python_floats_during_fig1_shooting(monkeypatch):
     assert arg_types == {float}
 
 
-@pytest.mark.parametrize("p0", [0.70, 0.7619851105816545, 0.80])
+@pytest.mark.parametrize("p0", [0.70, _FIG1_P0, 0.80])
 def test_event_location_stop_matches_full_bisection(monkeypatch, p0):
     # fig1's switch location stops once the bisection bracket is a fixed
     # point; the full 60 halvings must give the same bits, with more
     # substep evaluations.
-    dummy = np.zeros(1)
-    args = (0.2, p0, 0.0, 1e-3, 1000, 0.6, 1.0,
-            FORCING_SEASONAL, 4.0, 0.75, 0.2, dummy, dummy)
+    args = _fig1_args(p0)
     substep = _kernels._coupled_sub
     counts = []
 
@@ -128,9 +140,78 @@ def test_event_location_stop_matches_full_bisection(monkeypatch, p0):
     early = run()
     monkeypatch.setattr(_kernels, "_locate_switch", _kernels._locate_switch_full)
     full = run()
+    assert early[3][0] > 0  # switch events were located
     assert counts[0] < counts[1]
-    for a, b in zip(early, full):
-        assert np.array_equal(a, b)
+    _assert_same_bits(early, full)
+
+
+def test_warm_bracket_halvings_reach_the_bisection_stop():
+    # _feedback_root finishes its 2**-39 bracket with a fixed count of
+    # halvings; it must land on the first width _bisect_root stops at
+    width = _kernels._WARM_WIDTH
+    assert width == 2.0 ** -39
+    halvings = _kernels._WARM_HALVINGS
+    assert width * 0.5 ** halvings <= 1e-15 < width * 0.5 ** (halvings - 1)
+
+
+@pytest.mark.parametrize("code", ["const", "seasonal", "sampled"])
+def test_alpha_table_matches_alpha_at_stage_times(code):
+    # row i holds alpha at the three times a switch-free step evaluates it:
+    # t = t0 + i*h, t + 0.5*tau and t + tau with tau = h
+    t0, n = 0.3, 37
+    h = (1.3 - t0) / n
+    dummy = np.zeros(1)
+    forcing = {
+        "const": (_kernels.FORCING_CONST, 2.5, 0.0, 0.0, dummy, dummy),
+        "seasonal": (FORCING_SEASONAL, 4.0, 0.75, 0.2, dummy, dummy),
+        "sampled": (_kernels.FORCING_SAMPLED, 0.0, 0.0, 0.0,
+                    t0 + 0.5 * h * np.arange(2 * n + 1),
+                    np.random.default_rng(2).uniform(0.0, 3.0, 2 * n + 1)),
+    }[code]
+    listed, table = _kernels.coupled_forcing(*forcing, t0, h, n)
+    assert len(table) == n
+    for i, row in enumerate(table):
+        t = t0 + i * h
+        tau = h
+        want = [_kernels._alpha_at(listed, s) for s in (t, t + 0.5 * tau, t + tau)]
+        assert [type(a) for a in row] == [float] * 3
+        assert list(row) == want
+
+
+def test_root_memo_keeps_bits_and_saves_roots(monkeypatch):
+    # fig1 at its converged p0: the per-call memo of the last root moves no
+    # bit, and a node's u hands its root to the next step's first stage
+    args = _fig1_args(_FIG1_P0)
+    root = _kernels._feedback_root
+    roots = []
+
+    def counted(c3, k):
+        roots.append(1)
+        return root(c3, k)
+
+    monkeypatch.setattr(_kernels, "_feedback_root", counted)
+    memo = _kernels.coupled_rk4(*args)
+    with_memo = len(roots)
+    roots.clear()
+
+    def no_memo(theta1, k):
+        return lambda c3: _kernels._u_law(c3, theta1, k, _kernels._feedback_root)
+
+    monkeypatch.setattr(_kernels, "_interior_law", no_memo)
+    fresh = _kernels.coupled_rk4(*args)
+    _assert_same_bits(memo, fresh)
+    assert with_memo < len(roots)
+
+
+def test_event_cap_hits_are_counted(monkeypatch):
+    # with a cap of 0 events every step that sees the surface ends on the
+    # frozen branch and counts as a cap hit instead of a located switch
+    args = _fig1_args(_FIG1_P0)
+    events, cap_hits, grazing = _kernels.coupled_rk4(*args)[3]
+    assert events > 0 and cap_hits == 0 and grazing == 0
+    monkeypatch.setattr(_kernels, "_MAX_EVENTS", 0)
+    capped = _kernels.coupled_rk4(*args)[3]
+    assert capped[0] == 0 and capped[1] > 0
 
 
 _SEVERITY_WEATHER = dict(times=np.array([0.0, 0.5, 1.0]),

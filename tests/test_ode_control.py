@@ -1,5 +1,7 @@
 """Feedback law, coupled integration, shooting, and cost evaluation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,68 @@ def test_shoot_reports_best_on_budget_exhaustion(season_params, unit_cost):
         shoot_p0(0.2, season_params, unit_cost, T=1.0, dt=1e-3, max_iter=3)
     assert err.value.best_residual > 0.0
     assert 0.0 <= err.value.best_p0 <= 1.0
+    # the best iterate here is the secant step: a plain float in the message
+    assert type(err.value.best_p0) is float
+    assert "np.float64" not in str(err.value)
+    assert f"p0 = {err.value.best_p0!r}" in str(err.value)
+
+
+def test_shoot_builds_grid_once_and_runs_kernel_per_evaluation(season_params, unit_cost,
+                                                              monkeypatch):
+    # the grid and its alpha table are set up once per solve; every secant
+    # evaluation is one kernel call
+    from anthractl import _kernels, ode_control
+
+    calls = {"setup": 0, "kernel": 0}
+    setup, kernel = ode_control._coupled_setup, _kernels.coupled_rk4
+
+    def counted_setup(*a, **kw):
+        calls["setup"] += 1
+        return setup(*a, **kw)
+
+    def counted_kernel(*a, **kw):
+        calls["kernel"] += 1
+        return kernel(*a, **kw)
+
+    monkeypatch.setattr(ode_control, "_coupled_setup", counted_setup)
+    monkeypatch.setattr(_kernels, "coupled_rk4", counted_kernel)
+    sol = shoot_p0(0.2, season_params, unit_cost, T=1.0, dt=1e-3)
+    assert sol.iterations > 2
+    assert calls == {"setup": 1, "kernel": sol.iterations}
+
+
+def _sha256(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+# p0 and the sha256 of the theta, p and u arrays of the bundled shooting
+# scenarios, recorded before the coupled kernel read alpha from a per-step
+# table and remembered its last root; both changes keep every bit.
+_PINNED_SHOOTING = {
+    "fig1": ("0x1.8622e993f96bbp-1", 8,
+             "d11dfc988c004adaf9fa82d5039e2b4cc5a64ee56ab36f1f5a508639c7cf5fce",
+             "184eae6e1fc7b119363fb7ef67856ffc5bdc3cf7bfc1c6f914bab3b95879c7a0",
+             "69af103914996748aa1cc0de9b87c00ca09e7bcdacf1b990b3c21a35e0144a88"),
+    "fig3": ("0x1.7632ea8ab7847p-1", 7,
+             "003fa7a8dda75f2a78c1fd0a0410d5867ec83a977a65a481c53cfd702900465f",
+             "81c966989986a28db7b50e3c9eadfdab2031bfa6921d034089ce8a7ced97622b",
+             "5b2d548f757292880c35dc8e292ca163fbf5fbf28893cdcd5b489bcabf51da56"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SHOOTING))
+def test_shooting_bits_pinned_on_bundled_scenarios(name):
+    from anthractl.cli import parse_config, resolve_config_path
+
+    plan = parse_config(resolve_config_path(name)).plan
+    tol, max_iter = plan.shooting
+    sol = shoot_p0(plan.x0.theta, plan.params, plan.cost, T=plan.T, dt=plan.h,
+                   tol=tol, max_iter=max_iter)
+    p0_hex, iterations, theta_sha, p_sha, u_sha = _PINNED_SHOOTING[name]
+    assert (sol.p0.hex(), sol.iterations) == (p0_hex, iterations)
+    assert _sha256(sol.theta_path.values) == theta_sha
+    assert _sha256(sol.adjoint_path.values) == p_sha
+    assert _sha256(sol.control.values) == u_sha
 
 
 def test_shoot_constant_alpha_zero_control():

@@ -26,6 +26,13 @@ matrix and running CG every step, and the fixed-stencil stepper the PDE
 control layer uses.  It reports the largest deviation between the two paths,
 which must stay within 1e-10.
 
+The host lane times host_rk4_single, in us per step over _HOST_STEPS steps,
+on the arguments integrate_ode hands it for seasonal, constant and
+proportional alpha, each under a constant and a sampled control.  It also
+integrates each case through the generic per-step loop (the rates and the
+control hidden behind lambdas) and counts the trajectory values where the
+two differ; that count must be 0.
+
 The host_staged lane integrates a _STAGED_STEPS-step forecast for each
 severity model two ways: through integrate_ode, where the severity forcing
 reaches host_rk4_single as stage-sampled alpha, and through the generic
@@ -45,6 +52,7 @@ be 0.
 import argparse
 import contextlib
 import json
+import math
 import os
 import platform
 import sys
@@ -56,6 +64,8 @@ import scipy.sparse as sp
 
 from anthractl import (
     AsiCoefficients,
+    ConstantForcing,
+    ControlSignal,
     DoddCoefficients,
     DuthieCoefficients,
     GridSpec,
@@ -63,6 +73,8 @@ from anthractl import (
     LinearizationPoint,
     ModelParams,
     PdeCostSpec,
+    ProportionalForcing,
+    SeasonalForcing,
     SeverityForcing,
     WeatherSeries,
     assemble_operator,
@@ -301,6 +313,58 @@ def _implicit_step_lane(repeats: int):
     return lane
 
 
+#: Steps of each host lane trajectory (the bundled ODE scenarios' grid).
+_HOST_STEPS = 1_000
+
+
+def _host_cases():
+    """(name, alpha integrate_ode packs, the same alpha behind a lambda)."""
+    seasonal = SeasonalForcing(a=4.0, b=0.75, c=0.2)
+    return (
+        # the kernel's seasonal product, which SeasonalForcing.__call__ (with
+        # its **2) can miss in the last bit
+        ("seasonal", seasonal, lambda t, th: 4.0 * (t - 0.75) * (t - 0.75) * (
+            1.0 - math.cos(2.0 * math.pi * t / 0.2))),
+        ("constant", ConstantForcing(2.5), lambda t, th: 2.5),
+        ("proportional", ProportionalForcing(3.0), lambda t, th: 3.0 * th),
+    )
+
+
+def _host_lane(repeats: int):
+    x0 = HostState(0.2, 0.5, 0.0)
+    dt = 1.0 / _HOST_STEPS
+    knots = np.linspace(0.0, 1.0, 11)
+    sampled = ControlSignal(times=knots, values=0.3 + 0.4 * np.sin(np.pi * knots))
+    ts, vs = knots.tolist(), sampled.values.tolist()
+    controls = (("constant", 0.35, lambda t: 0.35),
+                ("sampled", sampled, lambda t: K._interp_knots(t, ts, vs)))
+    lane = {}
+    for alpha_name, alpha, hidden_alpha in _host_cases():
+        packed = ModelParams.with_default_forcings(theta1=0.6, alpha=alpha)
+        hidden = ModelParams(theta1=0.6, theta2=1.0, v_max=1.0, alpha=hidden_alpha,
+                             beta=lambda t, th: 0.5, gamma=lambda t, th: 0.1 * th,
+                             eta=lambda t: 1.0)
+        for control_name, u, hidden_u in controls:
+            calls = []
+
+            def record(*args):
+                calls.append(args)
+                return kernel(*args)
+
+            with _swapped("host_rk4_single", record) as kernel:
+                fast = integrate_ode(packed, u, x0, T=1.0, dt=dt)
+            seconds = _best_of(K.host_rk4_single, calls[0], repeats)
+            slow = integrate_ode(hidden, hidden_u, x0, T=1.0, dt=dt)
+            mismatches = sum(int(np.sum(getattr(fast, name).view(np.int64)
+                                        != getattr(slow, name).view(np.int64)))
+                             for name in ("theta", "v", "v_r"))
+            lane[f"{alpha_name}/{control_name}"] = {
+                "steps": _HOST_STEPS,
+                "us_per_step": seconds / _HOST_STEPS * 1e6,
+                "mismatches": mismatches}
+    return lane
+
+
 #: Steps of each host_staged forecast (the bundled forecast-demo grid).
 _STAGED_STEPS = 1_000
 
@@ -417,6 +481,7 @@ def main() -> None:
     root = _feedback_root_lane(args.repeats)
     coupled = _coupled_lane(args.repeats)
     implicit = _implicit_step_lane(args.repeats)
+    host = _host_lane(args.repeats)
     staged = _host_staged_lane(args.repeats)
     riccati = _riccati_lanes_lane(args.repeats)
     workloads = {name: workload for name, _, _, workload in kernels}
@@ -438,6 +503,9 @@ def main() -> None:
               f"rebuild+CG {r['rebuild_us_per_step']:.1f}us/step, "
               f"fixed stencil {r['fixed_us_per_step']:.1f}us/step, "
               f"{r['speedup']:.2f}x, max deviation {r['max_abs_deviation']:.1e}")
+    for name, r in host.items():
+        print(f"host ({name} alpha/control, {r['steps']} steps): "
+              f"{r['us_per_step']:.2f}us/step, mismatches {r['mismatches']}")
     for name, r in staged.items():
         print(f"host_staged ({name}, {r['steps']} steps): "
               f"staged {r['staged_us_per_step']:.1f}us/step, "
@@ -463,6 +531,7 @@ def main() -> None:
             "feedback_root": root,
             "coupled": coupled,
             "implicit_step": implicit,
+            "host": host,
             "host_staged": staged,
             "riccati_lanes": riccati,
         }
@@ -473,6 +542,10 @@ def main() -> None:
     if coupled["mismatches"]:
         sys.exit(f"coupled: {coupled['mismatches']} output values differ from the "
                  f"bisection-root run")
+    host_mismatches = sum(r["mismatches"] for r in host.values())
+    if host_mismatches:
+        sys.exit(f"host: {host_mismatches} trajectory values differ from the "
+                 f"generic loop")
     staged_mismatches = sum(r["mismatches"] for r in staged.values())
     if staged_mismatches:
         sys.exit(f"host_staged: {staged_mismatches} trajectory values differ "

@@ -9,11 +9,12 @@ interval with ``bisect``, so no numpy scalar enters the loop.  The batch
 kernel runs the same RK4 step vectorized across scenarios; the same
 ``_interp_knots`` interpolates there with one lane vector per knot.
 
-The coupled kernel takes its forcing from ``coupled_forcing``: the knot lists
-and a per-step alpha table, built once per grid, so that shooting pays for
-alpha once per solve rather than at every stage of every evaluation.  Each
-RK4 substep runs one stage body, with the branch test and the feedback law
-inline, and the law remembers its last root for the call.
+Both single-trajectory kernels run the four RK4 stages of a step through
+one stage body and read a time-dependent rate from a per-step table of its
+values at t, t + h/2 and t + h (``_stage_table``, or a severity forcing's
+stage-sampled rows).  ``coupled_forcing`` builds the coupled kernel's table
+once per grid, so shooting pays for alpha once per solve; its stage body
+holds the branch test and the feedback law, which remembers its last root.
 """
 
 from __future__ import annotations
@@ -60,15 +61,6 @@ def backend_name() -> str:
 #  Scalar helpers
 # ---------------------------------------------------------------------------
 
-def _forcing_value(code: int, q0: float, q1: float, q2: float,
-                   t: float, theta: float) -> float:
-    if code == FORCING_CONST:
-        return q0
-    if code == FORCING_SEASONAL:
-        return q0 * (t - q1) * (t - q1) * (1.0 - math.cos(_TWO_PI * t / q2))
-    return q0 * theta
-
-
 def _interp_knots(t: float, ts: list, vs):
     """Linear interpolation with constant extension, as np.interp.
 
@@ -86,33 +78,14 @@ def _interp_knots(t: float, ts: list, vs):
     return vs[j - 1] + (vs[j] - vs[j - 1]) * (t - t0) / (t1 - t0)
 
 
-def _host_rhs(t, th, vv, vr, u,
-              theta1, theta2, vmax,
-              a_code, a0, a1, a2,
-              b_code, b0, b1, b2,
-              g_code, g0, g1, g2,
-              eta0):
-    floor = 1.0 - theta1 * u
-    if floor <= 0.0:
-        return (0.0, 0.0, 0.0, 1)
-    if th == 1.0:
-        return (0.0, 0.0, 0.0, 2)
-    if vv == 0.0:
-        return (0.0, 0.0, 0.0, 3)
-    al = _forcing_value(a_code, a0, a1, a2, t, th)
-    be = _forcing_value(b_code, b0, b1, b2, t, th)
-    ga = _forcing_value(g_code, g0, g1, g2, t, th)
-    dth = al * (1.0 - th / floor)
-    dv = be * (1.0 - vv * theta2 / ((1.0 - th) * eta0 * vmax))
-    dvr = ga * (1.0 - vr / vv)
-    return (dth, dv, dvr, 0)
-
-
-#: Dyadic level at which the warm-started feedback root joins the bisection
-#: from [1, 3/2]: the bracket width there is 0.5 * 2**-_WARM_LEVEL.
-_WARM_LEVEL = 38
-_WARM_WIDTH = 0.5 * 2.0 ** -_WARM_LEVEL
-_WARM_LAST = 2.0 ** _WARM_LEVEL - 1.0
+#: (width, last bracket index, halvings) of the dyadic brackets at levels 38
+#: and 30 of the bisection from [1, 3/2], where the warm-started feedback
+#: root tries to join it: the width at level L is 0.5 * 2**-L, and 49 - L
+#: halvings take it to 2**-50, the first dyadic width at or below
+#: _bisect_root's 1e-15 stop.  The bracket ends are multiples of the width
+#: in [1, 3/2], so every midpoint and width is exact.
+_BRACKETS = tuple((0.5 * 2.0 ** -level, 2.0 ** level - 1.0, 49 - level)
+                  for level in (38, 30))
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -134,19 +107,13 @@ def _reference_root(c3: float, k: float) -> float:
     return _bisect_root(c3, k, 1.0, 1.5)
 
 
-#: Halvings that take a warm bracket of width 2**-39 to 2**-50, the first
-#: dyadic width at or below _bisect_root's 1e-15 stop.  The bracket ends are
-#: multiples of 2**-39 in [1, 3/2], so every midpoint and width is exact.
-_WARM_HALVINGS = 11
-
-
 def _feedback_root(c3: float, k: float) -> float:
     """Root in (1, 3/2) of g(w) = c3*w^3 - 2k*w + 2k for 0 < 27*c3 < 8k.
 
     Returns exactly the value that bisection from [1, 3/2] returns.  Viete's
-    trigonometric root only picks the level-_WARM_LEVEL dyadic bracket that
-    bisection would reach; the bracket is used only if g, as computed, clears
-    the bound B at both ends.
+    trigonometric root only picks the dyadic bracket at level 38 that
+    bisection would reach, and failing that the one at level 30 (_BRACKETS);
+    a bracket is used only if g, as computed, clears the bound B at both ends.
 
     Why the bits agree: evaluating g on [1, 3/2] commits a rounding error of
     at most eps*(8.5*c3 + 5.5*k) < b = 8*eps*(3.375*c3 + 5k).  With B = 3b,
@@ -155,11 +122,14 @@ def _feedback_root(c3: float, k: float) -> float:
     m <= lo has exact g(m) > 2b and computed g(m) > 0, so bisection keeps
     the upper half there, and by the same argument the lower half at every
     m >= hi.
-    So bisection arrives at [lo, hi] (its width, 2**-39, is far above the
-    1e-15 stop) and _WARM_HALVINGS more halvings of the same loop finish it;
-    2.0*k is hoisted, as g already evaluates it first.
+    So bisection arrives at [lo, hi] (its width, 2**-39 or 2**-31, is far
+    above the 1e-15 stop) and the bracket's count of halvings of the same
+    loop finishes it; 2.0*k is hoisted, as g already evaluates it first.
+    The argument and B are the same at both levels; a bracket fails the
+    check when the root lies within about B/|g'| of an end, which the
+    coarse one does about 256 times more rarely.
     Just above the true threshold (where 27*c3 < 8k holds only after
-    rounding) g >= 0 everywhere, the check fails and bisection runs from
+    rounding) g >= 0 everywhere, both checks fail and bisection runs from
     [1, 3/2], as it does near the double root, for tiny c3/k (where Viete's
     form cancels to fewer digits than the bracket needs) and on any
     non-finite input.
@@ -173,26 +143,27 @@ def _feedback_root(c3: float, k: float) -> float:
         x = -1.0
     w = 2.0 * math.sqrt(2.0 / (3.0 * r)) * math.cos(
         math.acos(x) / 3.0 - _TWO_PI / 3.0)
-    pos = (w - 1.0) / _WARM_WIDTH
-    if not pos >= 0.0:
-        pos = 0.0
-    if pos > _WARM_LAST:
-        pos = _WARM_LAST
-    lo = 1.0 + math.floor(pos) * _WARM_WIDTH
-    hi = lo + _WARM_WIDTH
     k2 = 2.0 * k
     # The trailing 1e-300 covers absolute (subnormal) rounding errors.
     bound = 24.0 * _EPS * (3.375 * c3 + 5.0 * k) + 1e-300
-    if not (c3 * lo * lo * lo - k2 * lo + k2 > bound
-            and c3 * hi * hi * hi - k2 * hi + k2 < -bound):
-        return _bisect_root(c3, k, 1.0, 1.5)
-    for _ in range(_WARM_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        if c3 * mid * mid * mid - k2 * mid + k2 > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    for width, last, halvings in _BRACKETS:
+        pos = (w - 1.0) / width
+        if not pos >= 0.0:
+            pos = 0.0
+        if pos > last:
+            pos = last
+        lo = 1.0 + math.floor(pos) * width
+        hi = lo + width
+        if (c3 * lo * lo * lo - k2 * lo + k2 > bound
+                and c3 * hi * hi * hi - k2 * hi + k2 < -bound):
+            for _ in range(halvings):
+                mid = 0.5 * (lo + hi)
+                if c3 * mid * mid * mid - k2 * mid + k2 > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+    return _bisect_root(c3, k, 1.0, 1.5)
 
 
 def _u_law(c3: float, theta1: float, k: float, root) -> float:
@@ -253,69 +224,83 @@ def host_rk4_single(theta0, v0, vr0, t0, h, n,
     """RK4 of the host system over n steps of h from t0, u interpolated from
     the knots (u_t, u_v); returns (theta, v, v_r, status, steps done).
 
-    The loop runs on Python floats: the knots and the stage-sampled alpha
-    become lists here, and the state starts from float() of x0.
+    Each step runs its four stages through one stage body.  A seasonal rate
+    comes from its _stage_table (FORCING_STAGED alpha from a_stage's rows), a
+    constant one is hoisted, and only a rate proportional to theta is
+    evaluated in the loop.  Equal, finite knot values on knots of finite span
+    make u that constant without interpolation: the interpolant there is
+    c + 0*x, and u enters only through 1 - theta1*u, where +0 and -0 give
+    the same floor.  The first stage whose guard fails (1 - theta1*u <= 0,
+    theta == 1, v == 0, tested in that order) ends the call with its status
+    1, 2 or 3 and its step index.  The loop runs on Python floats: knots and
+    tables are lists, and the state starts from float() of x0.
     """
-    staged = a_code == FORCING_STAGED
-    if staged:
-        a_code = FORCING_CONST
-    a_lo = a0
-    a_mid = a0
-    a_hi = a0
     ts = u_t.tolist()
     vs = u_v.tolist()
-    stages = a_stage.tolist()
-    th = float(theta0)
-    vv = float(v0)
-    vr = float(vr0)
-    out_th = np.empty(n + 1)
-    out_v = np.empty(n + 1)
-    out_vr = np.empty(n + 1)
-    out_th[0] = th
-    out_v[0] = vv
-    out_vr[0] = vr
+    u_fixed = (vs.count(vs[0]) == len(vs) and math.isfinite(vs[0])
+               and math.isfinite(ts[-1] - ts[0]))
+    fl1 = flm = fl2 = 1.0 - theta1 * vs[0]
+    # per-step rows of each rate; None where the rate is hoisted or proportional
+    a_rows, b_rows, g_rows = (
+        a_stage.tolist() if code == FORCING_STAGED
+        else _stage_table(_time_rate(code, q0, q1, q2, (), ()), t0, h, n)
+        if code == FORCING_SEASONAL else None
+        for code, q0, q1, q2 in ((a_code, a0, a1, a2), (b_code, b0, b1, b2),
+                                 (g_code, g0, g1, g2)))
+    a_prop, b_prop, g_prop = (code == FORCING_PROPORTIONAL
+                              for code in (a_code, b_code, g_code))
+    al1 = alm = al2 = a0
+    be1 = bem = be2 = b0
+    ga1 = gam = ga2 = g0
+    half = 0.5 * h
+    sixth = h / 6.0
+    th, vv, vr = float(theta0), float(v0), float(vr0)
+    out_th, out_v, out_vr = [th], [vv], [vr]
     for i in range(n):
         t = t0 + i * h
-        u1 = _interp_knots(t, ts, vs)
-        um = _interp_knots(t + 0.5 * h, ts, vs)
-        u2 = _interp_knots(t + h, ts, vs)
-        if staged:
-            # the stage value enters as a constant alpha
-            a_lo, a_mid, a_hi = stages[i]
-        d1t, d1v, d1r, s1 = _host_rhs(t, th, vv, vr, u1, theta1, theta2, vmax,
-                                      a_code, a_lo, a1, a2, b_code, b0, b1, b2,
-                                      g_code, g0, g1, g2, eta0)
-        d2t, d2v, d2r, s2 = _host_rhs(t + 0.5 * h, th + 0.5 * h * d1t,
-                                      vv + 0.5 * h * d1v, vr + 0.5 * h * d1r, um,
-                                      theta1, theta2, vmax,
-                                      a_code, a_mid, a1, a2, b_code, b0, b1, b2,
-                                      g_code, g0, g1, g2, eta0)
-        d3t, d3v, d3r, s3 = _host_rhs(t + 0.5 * h, th + 0.5 * h * d2t,
-                                      vv + 0.5 * h * d2v, vr + 0.5 * h * d2r, um,
-                                      theta1, theta2, vmax,
-                                      a_code, a_mid, a1, a2, b_code, b0, b1, b2,
-                                      g_code, g0, g1, g2, eta0)
-        d4t, d4v, d4r, s4 = _host_rhs(t + h, th + h * d3t, vv + h * d3v,
-                                      vr + h * d3r, u2,
-                                      theta1, theta2, vmax,
-                                      a_code, a_hi, a1, a2, b_code, b0, b1, b2,
-                                      g_code, g0, g1, g2, eta0)
-        status = s1
-        if status == 0:
-            status = s2
-        if status == 0:
-            status = s3
-        if status == 0:
-            status = s4
-        if status != 0:
-            return out_th, out_v, out_vr, status, i
-        th = th + (h / 6.0) * (d1t + 2.0 * d2t + 2.0 * d3t + d4t)
-        vv = vv + (h / 6.0) * (d1v + 2.0 * d2v + 2.0 * d3v + d4v)
-        vr = vr + (h / 6.0) * (d1r + 2.0 * d2r + 2.0 * d3r + d4r)
-        out_th[i + 1] = th
-        out_v[i + 1] = vv
-        out_vr[i + 1] = vr
-    return out_th, out_v, out_vr, 0, n
+        if not u_fixed:
+            fl1 = 1.0 - theta1 * _interp_knots(t, ts, vs)
+            flm = 1.0 - theta1 * _interp_knots(t + half, ts, vs)
+            fl2 = 1.0 - theta1 * _interp_knots(t + h, ts, vs)
+        if a_rows is not None:
+            al1, alm, al2 = a_rows[i]
+        if b_rows is not None:
+            be1, bem, be2 = b_rows[i]
+        if g_rows is not None:
+            ga1, gam, ga2 = g_rows[i]
+        # -0.0 is the additive identity, so the sums end as d1 + 2*d2 + 2*d3
+        # + d4 bit for bit; `step` leads from each stage's state to the next.
+        sum_t = sum_v = sum_r = -0.0
+        x, y, z = th, vv, vr
+        for floor, al, be, ga, weight, step in ((fl1, al1, be1, ga1, 1.0, half),
+                                                (flm, alm, bem, gam, 2.0, half),
+                                                (flm, alm, bem, gam, 2.0, h),
+                                                (fl2, al2, be2, ga2, 1.0, 0.0)):
+            if floor <= 0.0 or x == 1.0 or y == 0.0:
+                return (np.array(out_th), np.array(out_v), np.array(out_vr),
+                        1 if floor <= 0.0 else 2 if x == 1.0 else 3, i)
+            if a_prop:
+                al = a0 * x
+            if b_prop:
+                be = b0 * x
+            if g_prop:
+                ga = g0 * x
+            dx = al * (1.0 - x / floor)
+            dy = be * (1.0 - y * theta2 / ((1.0 - x) * eta0 * vmax))
+            dz = ga * (1.0 - z / y)
+            sum_t = sum_t + weight * dx
+            sum_v = sum_v + weight * dy
+            sum_r = sum_r + weight * dz
+            x = th + step * dx
+            y = vv + step * dy
+            z = vr + step * dz
+        th = th + sixth * sum_t
+        vv = vv + sixth * sum_v
+        vr = vr + sixth * sum_r
+        out_th.append(th)
+        out_v.append(vv)
+        out_vr.append(vr)
+    return np.array(out_th), np.array(out_v), np.array(out_vr), 0, n
 
 
 # ---------------------------------------------------------------------------
@@ -398,31 +383,39 @@ def host_rk4_batch(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
 #  Coupled state/costate kernel with feedback control
 # ---------------------------------------------------------------------------
 
-def _alpha_at(forcing, t):
-    """alpha at t of a coupled-kernel forcing (code, q0, q1, q2, knot times,
-    knot values), the knots as lists."""
-    a_code, a0, a1, a2, a_t, a_v = forcing
-    if a_code == FORCING_SAMPLED:
-        return _interp_knots(t, a_t, a_v)
-    return _forcing_value(a_code, a0, a1, a2, t, 0.0)
+def _time_rate(code, q0, q1, q2, knot_t, knot_v):
+    """A time-only rate as a function of t: the constant q0, the seasonal
+    q0*(t - q1)^2*(1 - cos(2*pi*t/q2)) or (FORCING_SAMPLED) the linear
+    interpolant of the knot lists."""
+    if code == FORCING_SAMPLED:
+        return lambda t: _interp_knots(t, knot_t, knot_v)
+    if code == FORCING_SEASONAL:
+        return lambda t: q0 * (t - q1) * (t - q1) * (1.0 - math.cos(_TWO_PI * t / q2))
+    return lambda t: q0
+
+
+def _stage_table(rate, t0, h, n):
+    """Row i holds rate(t), rate(t + 0.5*h) and rate(t + h) for t = t0 + i*h:
+    the times an RK4 step evaluates a time-only rate at.  The host kernel
+    reads its seasonal rates from it, the coupled kernel its alpha."""
+    half = 0.5 * h
+    table = []
+    for i in range(n):
+        t = t0 + i * h
+        table.append((rate(t), rate(t + half), rate(t + h)))
+    return table
 
 
 def coupled_forcing(a_code, a0, a1, a2, a_t, a_v, t0, h, n):
     """coupled_rk4's forcing arguments for the grid t0 + i*h, i = 0..n.
 
-    Returns (forcing, table): the forcing as _alpha_at takes it, knots turned
-    into lists, and the per-step alpha table whose row i holds alpha at t,
-    t + 0.5*h and t + h for t = t0 + i*h, the times a step without a switch
-    evaluates alpha at.  The table depends on the grid alone, so shooting
-    builds it once per solve.
+    Returns (forcing, table): alpha as a function of t (_time_rate, on the
+    knots as lists) and its _stage_table, the alpha a step without a switch
+    evaluates.  The table depends on the grid alone, so shooting builds it
+    once per solve.
     """
-    forcing = (a_code, a0, a1, a2, a_t.tolist(), a_v.tolist())
-    table = []
-    for i in range(n):
-        t = t0 + i * h
-        table.append((_alpha_at(forcing, t), _alpha_at(forcing, t + 0.5 * h),
-                      _alpha_at(forcing, t + h)))
-    return forcing, table
+    forcing = _time_rate(a_code, a0, a1, a2, a_t.tolist(), a_v.tolist())
+    return forcing, _stage_table(forcing, t0, h, n)
 
 
 def _interior_law(theta1, k):
@@ -486,8 +479,8 @@ def _coupled_sub(th, pp, tau, al1, alm, ale, theta1, k, law):
 
 def _substep_at(forcing, tc, al_c, th, pp, tau, theta1, k, law):
     """_coupled_sub from time tc (where alpha is al_c) over tau."""
-    return _coupled_sub(th, pp, tau, al_c, _alpha_at(forcing, tc + 0.5 * tau),
-                        _alpha_at(forcing, tc + tau), theta1, k, law)
+    return _coupled_sub(th, pp, tau, al_c, forcing(tc + 0.5 * tau),
+                        forcing(tc + tau), theta1, k, law)
 
 
 def _bisect_switch(forcing, tc, al_c, th, pp, tau_lo, tau_hi, theta1, k, law,
@@ -561,7 +554,7 @@ def _switching_step(forcing, tc, al_c, th, pp, remaining, th_e, pp_e,
         events += 1
         if not remaining > 0.0:
             return th, pp, events, 0, 0
-        al_c = _alpha_at(forcing, tc)
+        al_c = forcing(tc)
         th_e, pp_e, _, flip = _substep_at(forcing, tc, al_c, th, pp, remaining,
                                           theta1, k, law)
         if not flip:
@@ -595,7 +588,7 @@ def coupled_rk4(theta0, p0, t0, h, n, theta1, k, forcing, a_table):
     events = cap_hits = grazing = 0
     th = float(theta0)
     pp = float(p0)
-    al_node = _alpha_at(forcing, t0)
+    al_node = forcing(t0)
     for i in range(n + 1):
         out_th[i] = th
         out_p[i] = pp

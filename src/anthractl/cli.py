@@ -547,11 +547,17 @@ def _cell(v) -> str:
     return _fmt(v)
 
 
-def _write_csv(path: str, header, rows):
+def _write_csv(path: str, header, columns):
+    """One row per index of the columns, as many as the shortest has: a float
+    array is converted to Python floats once and formatted with .12g, any
+    other column (strings, integers) cell by cell with _cell."""
+    floats = [isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns]
+    row = ",".join("{:.12g}" if f else "{}" for f in floats) + "\n"
+    values = [col.tolist() if f else [_cell(v) for v in col]
+              for col, f in zip(columns, floats)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.write("".join(map(row.format, *values)))
 
 
 def _write_field_path_csv(path: str, fp: FieldPath, columns: str = "value",
@@ -572,13 +578,6 @@ def _write_field_path_csv(path: str, fp: FieldPath, columns: str = "value",
         for t, row in zip(fp.times.tolist(), fp.values):
             ts = _fmt(t) + ","
             fh.write("".join(f"{ts}{c}{v:.12g}\n" for c, v in zip(cells, row.tolist())))
-
-
-def _write_cost_csv(path: str, costs: dict):
-    _write_csv(path, ("label", "cost"),
-               [("controlled", costs["controlled"]),
-                ("u_zero", costs["u_zero"]),
-                ("u_one", costs["u_one"])])
 
 
 def _cost_triple(controlled: float, u_zero: float, u_one: float) -> dict:
@@ -635,7 +634,7 @@ def _run_ode_like(plan: OdePlan, out_dir: str) -> tuple:
     if plan.forcing is not None:
         alphas = plan.forcing.at(times)
         _write_csv(os.path.join(out_dir, "forecast_series.csv"), ("t", "alpha"),
-                   zip(times, alphas))
+                   (times, alphas))
         outputs.append("forecast_series.csv")
         diag.update({
             "severity_model": plan.forcing.model,
@@ -654,6 +653,7 @@ def _run_ode_like(plan: OdePlan, out_dir: str) -> tuple:
             "switch_events": sol.switch_events,
             "event_cap_hits": sol.event_cap_hits,
             "grazing_exits": sol.grazing_exits,
+            "shooting_residuals": sol.shooting_residuals,
         })
     else:
         u_values = np.full(times.shape, plan.u)
@@ -674,7 +674,7 @@ def _run_ode_like(plan: OdePlan, out_dir: str) -> tuple:
         diag["theta_T_controlled"] = float(traj.theta[-1])
     else:
         diag["theta_T"] = float(traj.theta[-1])
-    _write_csv(os.path.join(out_dir, "ode_series.csv"), columns, zip(*series))
+    _write_csv(os.path.join(out_dir, "ode_series.csv"), columns, series)
     outputs.append("ode_series.csv")
     return (J, J0, J1), diag, outputs
 
@@ -721,11 +721,10 @@ def _run_riccati_pde(plan: PdePlan, out_dir: str) -> tuple:
     _write_field_path_csv(os.path.join(out_dir, "theta_path.csv"), theta_path)
     _write_field_path_csv(os.path.join(out_dir, "u_path.csv"), u_path)
     eig_range = P_path.eigenvalue_range()
-    diag_rows = [(s, float(np.trace(P)), e_min, e_max)
-                 for s, P, (e_min, e_max) in zip(P_path.times, P_path.matrices,
-                                                 eig_range.tolist())]
     _write_csv(os.path.join(out_dir, "riccati_diagnostics.csv"),
-               ("s", "trace", "eig_min", "eig_max"), diag_rows)
+               ("s", "trace", "eig_min", "eig_max"),
+               (P_path.times, [float(np.trace(P)) for P in P_path.matrices],
+                eig_range[:, 0], eig_range[:, 1]))
 
     diag = {
         "P_final_trace": float(np.trace(P_path.matrices[-1])),
@@ -757,7 +756,7 @@ def _run_sweep_pde(plan: PdePlan, out_dir: str) -> tuple:
     _write_field_path_csv(os.path.join(out_dir, "theta_path.csv"), res.theta_path)
     _write_field_path_csv(os.path.join(out_dir, "adjoint_path.csv"), res.adjoint_path)
     _write_csv(os.path.join(out_dir, "cost_history.csv"), ("iteration", "cost"),
-               list(enumerate(res.cost_history)))
+               (range(len(res.cost_history)), res.cost_history))
 
     diag = {
         "converged": bool(res.converged),
@@ -787,7 +786,9 @@ def execute(cfg: ScenarioConfig, out_root: str) -> RunReport:
     if not all(np.isfinite((J, J0, J1))):
         raise NonFiniteResultError(
             f"non-finite cost: controlled={_fmt(J)} u_zero={_fmt(J0)} u_one={_fmt(J1)}")
-    _write_cost_csv(os.path.join(out_dir, "cost_comparison.csv"), costs)
+    labels = ("controlled", "u_zero", "u_one")
+    _write_csv(os.path.join(out_dir, "cost_comparison.csv"), ("label", "cost"),
+               (labels, [costs[k] for k in labels]))
     report = RunReport(name=cfg.name, mode=cfg.mode, seed=cfg.seed, costs=costs,
                        diagnostics=diag,
                        outputs=(*outputs, "cost_comparison.csv", "report.json"),

@@ -121,11 +121,12 @@ class OptimalSolution:
     """Result of the shooting method.
 
     ``control``, ``theta_path`` and ``adjoint_path`` share one time grid.
-    ``residual`` is |p(T) - f'(theta(T))| at the returned p0.  The last
-    three fields count, on the returned trajectory, the switch events the
-    coupled integration located, the steps that hit its cap of 16 events, and
-    the steps whose crossing grazed the switching surface (kept on the frozen
-    branch).
+    ``residual`` is |p(T) - f'(theta(T))| at the returned p0, and
+    ``shooting_residuals`` holds the signed residual of every evaluation, in
+    order.  The three event fields count, on the returned trajectory, the
+    switch events the coupled integration located, the steps that hit its cap
+    of 16 events, and the steps whose crossing grazed the switching surface
+    (kept on the frozen branch).
     """
 
     control: ControlSignal
@@ -138,6 +139,7 @@ class OptimalSolution:
     switch_events: int = 0
     event_cap_hits: int = 0
     grazing_exits: int = 0
+    shooting_residuals: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +359,14 @@ def shoot_p0(
     """
     times, grid = _coupled_setup(params, cost, T, dt, t0)
     h = grid[1]
+    residuals = []
 
     def residual(p0_guess: float):
         out = _kernels.coupled_rk4(theta0, p0_guess, *grid)
         th, p = out[0], out[1]
-        return p[-1] - cost.terminal_f_prime(th[-1]), out
+        r = p[-1] - cost.terminal_f_prime(th[-1])
+        residuals.append(float(r))
+        return r, out
 
     def solution(p0_found: float, r: float, out, evaluations: int) -> OptimalSolution:
         th, p, u, (events, cap_hits, grazing) = out
@@ -370,7 +375,8 @@ def shoot_p0(
             control=u, theta_path=th, adjoint_path=p,
             cost=eval_cost_JT(u, th, cost, h),
             p0=p0_found, residual=abs(r), iterations=evaluations,
-            switch_events=events, event_cap_hits=cap_hits, grazing_exits=grazing)
+            switch_events=events, event_cap_hits=cap_hits, grazing_exits=grazing,
+            shooting_residuals=residuals)
 
     a, b = 0.0, 1.0
     ra, out_a = residual(a)
@@ -390,7 +396,7 @@ def shoot_p0(
     cur, r_cur = b, rb
     while evaluations < max_iter:
         if abs(r_cur) < tol:
-            out = best[3] if best[1] == cur else residual(cur)[1]
+            out = best[3] if best[1] == cur else _kernels.coupled_rk4(theta0, cur, *grid)
             return solution(cur, r_cur, out, evaluations)
         nxt = None
         if r_cur != r_prev:

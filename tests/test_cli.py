@@ -20,7 +20,9 @@ from anthractl.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _cell,
     _fmt,
+    _write_csv,
     _write_field_path_csv,
     bundled_scenarios,
     main,
@@ -298,6 +300,11 @@ def test_run_optimize_ode(tmp_path):
     # the coupled integration's event counters of the returned trajectory
     for key in ("switch_events", "event_cap_hits", "grazing_exits"):
         assert type(rep["diagnostics"][key]) is int and rep["diagnostics"][key] >= 0
+    # one signed residual per shooting evaluation, the last one the reported
+    residuals = rep["diagnostics"]["shooting_residuals"]
+    assert len(residuals) == rep["diagnostics"]["shooting_iterations"]
+    assert all(type(r) is float for r in residuals)
+    assert abs(residuals[-1]) == rep["diagnostics"]["shooting_residual"]
     header = (run_dir / "ode_series.csv").read_text().splitlines()[0]
     assert header == "t,theta,v,v_r,u,p"
 
@@ -382,6 +389,33 @@ def test_field_path_csv_bytes_match_per_value_formatting(tmp_path):
         f"{_fmt(t)},{j},{','.join(_fmt(c) for c in grid.centers[j])},{_fmt(six[i, j])}\n"
         for i, t in enumerate(times) for j in range(grid.n_cells))
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _row_writer_bytes(header, rows) -> bytes:
+    # the row-by-row writer the column writer replaced: _cell on every value
+    lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_column_csv_writer_matches_row_writer_bytes(tmp_path):
+    path = tmp_path / "out.csv"
+    # ode_series: six float columns, with the values formatting can trip on
+    rng = np.random.default_rng(9)
+    series = [np.linspace(0.0, 1.0, 41)] + [rng.uniform(-1.0, 1.0, 41) for _ in range(5)]
+    for col, v in zip(series[1:], (-0.0, np.nan, np.inf, 1e-300, 123456789012345.0)):
+        col[7] = v
+    header = ("t", "theta", "v", "v_r", "u", "p")
+    _write_csv(str(path), header, series)
+    assert path.read_bytes() == _row_writer_bytes(header, zip(*series))
+    # cost_comparison: a string column beside Python floats
+    labels, costs = ("controlled", "u_zero", "u_one"), [0.1 + 0.2, 1.0 / 3.0, -0.0]
+    _write_csv(str(path), ("label", "cost"), (labels, costs))
+    assert path.read_bytes() == _row_writer_bytes(("label", "cost"), zip(labels, costs))
+    # cost_history: an integer column beside a float array
+    history = rng.uniform(0.0, 2.0, 12)
+    _write_csv(str(path), ("iteration", "cost"), (range(history.size), history))
+    assert path.read_bytes() == _row_writer_bytes(("iteration", "cost"),
+                                                  list(enumerate(history)))
 
 
 def test_run_sweep_pde(tmp_path):

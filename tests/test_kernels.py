@@ -1,11 +1,18 @@
 """Integration kernels: the feedback root, event location and Python-float loops."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anthractl import _kernels
+from anthractl import (AsiCoefficients, ConstantForcing, ControlSignal,
+                       DivisionGuardError, HostState, ModelParams, ProportionalForcing,
+                       SeasonalForcing, SeverityForcing, WeatherSeries, _kernels,
+                       integrate_ode)
+from anthractl.host import _GUARD_MESSAGES, time_grid
 from anthractl._kernels import FORCING_SEASONAL, backend_name
 
 
@@ -146,12 +153,39 @@ def test_event_location_stop_matches_full_bisection(monkeypatch, p0):
 
 
 def test_warm_bracket_halvings_reach_the_bisection_stop():
-    # _feedback_root finishes its 2**-39 bracket with a fixed count of
-    # halvings; it must land on the first width _bisect_root stops at
-    width = _kernels._WARM_WIDTH
+    # _feedback_root finishes its 2**-39 bracket (or its coarse 2**-31 one)
+    # with a fixed count of halvings; it must land on the first width
+    # _bisect_root stops at
+    width, _, halvings = _kernels._BRACKETS[0]
     assert width == 2.0 ** -39
-    halvings = _kernels._WARM_HALVINGS
     assert width * 0.5 ** halvings <= 1e-15 < width * 0.5 ** (halvings - 1)
+    width, _, halvings = _kernels._BRACKETS[1]
+    assert width == 2.0 ** -31
+    assert width * 0.5 ** halvings <= 1e-15 < width * 0.5 ** (halvings - 1)
+
+
+def test_coarse_bracket_replaces_most_full_bisections(monkeypatch):
+    # where the 2**-39 bracket fails its check, the 2**-31 one mostly holds:
+    # far fewer roots fall back to bisection from [1, 3/2], with equal bits
+    rng = np.random.default_rng(17)
+    k = rng.uniform(0.1, 10.0, 20_000)
+    draws = list(zip((rng.uniform(0.0, 8.0 / 27.0, k.size) * k).tolist(), k.tolist()))
+    bisect = _kernels._bisect_root
+    fallbacks = []
+
+    def counted(c3, k, lo, hi):
+        fallbacks.append(1)
+        return bisect(c3, k, lo, hi)
+
+    monkeypatch.setattr(_kernels, "_bisect_root", counted)
+    counts = []
+    for brackets in (_kernels._BRACKETS[:1], _kernels._BRACKETS):
+        monkeypatch.setattr(_kernels, "_BRACKETS", brackets)
+        fallbacks.clear()
+        roots = [_kernels._feedback_root(c3, k) for c3, k in draws]
+        counts.append(len(fallbacks))
+        assert roots == [bisect(c3, k, 1.0, 1.5) for c3, k in draws]
+    assert counts[0] > 200 and counts[1] * 10 < counts[0]
 
 
 @pytest.mark.parametrize("code", ["const", "seasonal", "sampled"])
@@ -173,7 +207,7 @@ def test_alpha_table_matches_alpha_at_stage_times(code):
     for i, row in enumerate(table):
         t = t0 + i * h
         tau = h
-        want = [_kernels._alpha_at(listed, s) for s in (t, t + 0.5 * tau, t + tau)]
+        want = [listed(s) for s in (t, t + 0.5 * tau, t + tau)]
         assert [type(a) for a in row] == [float] * 3
         assert list(row) == want
 
@@ -222,12 +256,10 @@ _SEVERITY_WEATHER = dict(times=np.array([0.0, 0.5, 1.0]),
 
 @pytest.mark.parametrize("case", ["sampled", "constant", "severity"])
 def test_host_kernel_sees_python_floats(monkeypatch, case):
-    # the host kernel turns its knots into lists, so its RK4 loop hands
-    # _host_rhs Python floats for u and the state, never numpy scalars
-    from anthractl import (AsiCoefficients, ControlSignal, HostState, ModelParams,
-                           SeasonalForcing, SeverityForcing, WeatherSeries,
-                           integrate_ode)
-
+    # the host kernel turns its knots and alpha rows into lists, so its RK4
+    # loop works on Python floats for u, alpha and the state, never numpy
+    # scalars: every float-valued local of its frame, at every line it runs,
+    # is a float, and so is every value the tables and interpolation hand it
     alpha = SeasonalForcing(a=4.0, b=0.75, c=0.2)
     u = 0.35
     if case == "sampled":
@@ -237,16 +269,45 @@ def test_host_kernel_sees_python_floats(monkeypatch, case):
         alpha = SeverityForcing(WeatherSeries(**_SEVERITY_WEATHER), "asi",
                                 AsiCoefficients(a0=1.0, a01=0.05), scale=2.0)
     params = ModelParams.with_default_forcings(theta1=0.6, alpha=alpha)
-    rhs = _kernels._host_rhs
-    arg_types = set()
+    handed = {"_stage_table": set(), "_interp_knots": set()}
+    table, interp = _kernels._stage_table, _kernels._interp_knots
 
-    def spy(t, th, vv, vr, u_val, *rest):
-        arg_types.update(type(x) for x in (th, vv, vr, u_val))
-        return rhs(t, th, vv, vr, u_val, *rest)
+    def table_spy(rate, t0, h, n):
+        rows = table(rate, t0, h, n)
+        handed["_stage_table"].update(type(a) for row in rows for a in row)
+        return rows
 
-    monkeypatch.setattr(_kernels, "_host_rhs", spy)
-    integrate_ode(params, u, HostState(0.2, 0.5, 0.0), T=1.0, dt=0.01)
-    assert arg_types == {float}
+    def interp_spy(t, ts, vs):
+        value = interp(t, ts, vs)
+        handed["_interp_knots"].update(type(x) for x in (t, *ts, *vs, value))
+        return value
+
+    monkeypatch.setattr(_kernels, "_stage_table", table_spy)
+    monkeypatch.setattr(_kernels, "_interp_knots", interp_spy)
+    kernel = _kernels.host_rk4_single.__code__
+    local_types = {}
+
+    def on_line(frame, event, arg):
+        for name, value in frame.f_locals.items():
+            if isinstance(value, (float, np.generic)):
+                local_types.setdefault(name, set()).add(type(value))
+        return on_line
+
+    def tracer(frame, event, arg):
+        return on_line if frame.f_code is kernel else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        integrate_ode(params, u, HostState(0.2, 0.5, 0.0), T=1.0, dt=0.01)
+    finally:
+        sys.settrace(previous)
+    assert {"th", "vv", "vr", "x", "y", "z", "al", "al1", "floor", "ga"} <= set(local_types)
+    assert set().union(*local_types.values()) == {float}
+    # seasonal alpha comes from the stage table and severity alpha from the
+    # staged rows; only the sampled control is interpolated
+    assert handed["_stage_table"] == (set() if case == "severity" else {float})
+    assert handed["_interp_knots"] == ({float} if case == "sampled" else set())
 
 
 def test_interp_knots_matches_searchsorted_bitwise():
@@ -270,3 +331,113 @@ def test_interp_knots_matches_searchsorted_bitwise():
             got = _kernels._interp_knots(t, ts.tolist(), v.tolist())
             assert type(got) is float and got == ref
             assert _kernels._interp_knots(t, ts.tolist(), vs.T)[lane] == ref
+
+
+# ---------------------------------------------------------------------------
+#  Host kernel: bit-identical to the generic per-step loop
+# ---------------------------------------------------------------------------
+
+def _host_rate(kind, amp):
+    """(forcing integrate_ode packs for the kernel, the same rate behind a
+    lambda, which sends integrate_ode to its generic eval_rhs loop)."""
+    if kind == "const":
+        return ConstantForcing(amp), lambda t, th: amp
+    if kind == "proportional":
+        return ProportionalForcing(amp), lambda t, th: amp * th
+    if kind == "severity":
+        f = SeverityForcing(WeatherSeries(**_SEVERITY_WEATHER), "asi",
+                            AsiCoefficients(a0=amp, a01=0.05), scale=2.0)
+        return f, lambda t, th: f(t, th)
+    f = SeasonalForcing(a=amp, b=0.75, c=0.3)
+    # the kernel's product; SeasonalForcing.__call__ squares with ** instead,
+    # which rounds differently in the last bit for some amplitudes
+    return f, lambda t, th: amp * (t - 0.75) * (t - 0.75) * (
+        1.0 - math.cos(2.0 * math.pi * t / 0.3))
+
+
+def _guard_exit(run):
+    try:
+        return run(), None
+    except DivisionGuardError as exc:
+        return None, str(exc)
+
+
+_RATE_KINDS = ("const", "seasonal", "proportional")
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.sampled_from(_RATE_KINDS + ("severity",)),
+       beta=st.sampled_from(_RATE_KINDS), gamma=st.sampled_from(_RATE_KINDS),
+       amps=st.tuples(*[st.floats(0.05, 6.0)] * 3),
+       control=st.sampled_from(("float", "flat", "sampled")),
+       level=st.floats(0.0, 1.0), theta1=st.floats(0.0, 0.95),
+       theta0=st.floats(0.0, 0.9), v0=st.floats(0.05, 1.0),
+       horizon=st.sampled_from((1.0, 50.0)), steps=st.integers(10, 300),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(alpha="seasonal", beta="const", gamma="proportional", amps=(4.0, 0.5, 0.1),
+         control="float", level=0.35, theta1=0.6, theta0=1.0, v0=0.5,
+         horizon=1.0, steps=100, seed=0)
+@example(alpha="const", beta="seasonal", gamma="seasonal", amps=(2.0, 0.5, 0.1),
+         control="flat", level=0.0, theta1=0.6, theta0=0.2, v0=0.0,
+         horizon=1.0, steps=100, seed=0)
+@example(alpha="seasonal", beta="const", gamma="proportional", amps=(4.0, 0.5, 0.1),
+         control="float", level=0.0, theta1=0.6, theta0=0.2, v0=0.5,
+         horizon=50.0, steps=5000, seed=0)
+@example(alpha="const", beta="const", gamma="proportional", amps=(2.0, 0.5, 0.1),
+         control="float", level=0.35, theta1=0.6, theta0=1.0, v0=0.0,
+         horizon=1.0, steps=100, seed=0)
+@example(alpha="proportional", beta="proportional", gamma="const", amps=(1.0, 0.5, 0.1),
+         control="float", level=1.2, theta1=0.9, theta0=0.2, v0=0.5,
+         horizon=1.0, steps=100, seed=0)
+def test_host_kernel_equals_generic_loop_bitwise(alpha, beta, gamma, amps, control,
+                                                 level, theta1, theta0, v0, horizon,
+                                                 steps, seed):
+    # integrate_ode through host_rk4_single and through the generic eval_rhs
+    # loop (every rate and the control hidden behind lambdas) give the same
+    # trajectory bits, or stop at the same guard in the same step
+    rates = [_host_rate(kind, amp) for kind, amp in zip((alpha, beta, gamma), amps)]
+    packed = ModelParams(theta1=theta1, theta2=0.9, v_max=1.5,
+                         alpha=rates[0][0], beta=rates[1][0], gamma=rates[2][0],
+                         eta=ConstantForcing(0.8))
+    hidden = ModelParams(theta1=theta1, theta2=0.9, v_max=1.5,
+                         alpha=rates[0][1], beta=rates[1][1], gamma=rates[2][1],
+                         eta=lambda t: 0.8)
+    rng = np.random.default_rng(seed)
+    knots = np.cumsum(rng.uniform(0.05, 1.0, 12))
+    knots = (knots - knots[0]) / (knots[-1] - knots[0]) * 1.2 * horizon - 0.1 * horizon
+    if control == "float":
+        u = level
+    elif control == "flat":
+        u = ControlSignal(times=knots, values=np.full(knots.size, min(level, 1.0)))
+    else:
+        u = ControlSignal(times=knots, values=rng.uniform(0.0, 1.0, knots.size))
+        ts, vs = u.times.tolist(), u.values.tolist()
+    calls = []
+
+    def u_hidden(t):
+        # a sampled control through the kernel's interpolant, which
+        # test_interp_knots_matches_searchsorted_bitwise pins
+        calls.append(t)
+        if control == "sampled":
+            return _kernels._interp_knots(t, ts, vs)
+        return u if control == "float" else min(level, 1.0)
+
+    x0 = HostState(theta0, v0, 0.0)
+    dt = horizon / steps
+    fast, fast_error = _guard_exit(lambda: integrate_ode(packed, u, x0, T=horizon, dt=dt))
+    with np.errstate(all="ignore"):  # numpy scalars warn where floats overflow
+        slow, slow_error = _guard_exit(lambda: integrate_ode(hidden, u_hidden, x0,
+                                                             T=horizon, dt=dt))
+    if slow_error is None:
+        assert fast_error is None
+        for name in ("theta", "v", "v_r"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+        return
+    # the generic loop asks for u three times per step before its first stage
+    step = len(calls) // 3 - 1
+    guard = {"1 - theta1*u": 1, "theta == 1": 2, "v == 0": 3}
+    code = next(c for prefix, c in guard.items() if slow_error.startswith(prefix))
+    h = time_grid(0.0, horizon, dt)[1]
+    assert fast_error == (f"integration aborted at step {step} (t≈{step * h:.6g}): "
+                          + _GUARD_MESSAGES[code])

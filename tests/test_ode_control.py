@@ -189,6 +189,12 @@ def test_shoot_builds_grid_once_and_runs_kernel_per_evaluation(season_params, un
     sol = shoot_p0(0.2, season_params, unit_cost, T=1.0, dt=1e-3)
     assert sol.iterations > 2
     assert calls == {"setup": 1, "kernel": sol.iterations}
+    # one signed residual, a plain float, per evaluation
+    assert len(sol.shooting_residuals) == sol.iterations
+    assert {type(r) for r in sol.shooting_residuals} == {float}
+    assert abs(sol.shooting_residuals[-1]) == sol.residual
+    assert any(r < 0.0 for r in sol.shooting_residuals) \
+        and any(r > 0.0 for r in sol.shooting_residuals)
 
 
 def _sha256(values) -> str:

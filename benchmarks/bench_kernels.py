@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--steps N] [--batch M] [--repeats R]
-                                        [--json PATH]
+                                        [--shooting-seed S] [--json PATH]
 
 The kernel lane times the three public kernels (host_rk4_single,
 host_rk4_batch and coupled_rk4), best of --repeats, in this process.
@@ -14,7 +14,8 @@ against the plain bisection it must reproduce bit for bit
 the draws where the two differ; that count must be 0.
 
 The coupled lane replays the coupled_rk4 calls of fig1's shooting solve
-(one per secant evaluation, each on the alpha table the solve built once).
+(one per secant evaluation of either stage, each on the alpha table its grid
+built once).
 It reports the kernel's time and feedback roots per step, the roots per step
 without the kernel's one-entry root memo, and counts the output values
 (theta, p, u and the event counters) that differ from a run with the root
@@ -46,6 +47,14 @@ as the three lanes of one loop (_closed_loop_lanes) that the CLI runs.  It
 counts the state and control values where the two differ; that count must
 be 0.
 
+The shooting lane solves fig1, fig3 and the ode_shooting draws of the
+benchmark seed --shooting-seed (perfbench/scenarios.py) two ways: with
+shoot_p0's two-stage secant, and with the single-stage secant seeded with
+p0 in {0, 1} on the fine grid alone.  Per solve it reports the fine and
+coarse evaluations, the wall time of each way (best of --repeats) and the
+relative change of the controlled cost J.  The two ways must fail on the
+same solves, and J may move by at most _SHOOTING_MAX_REL_DJ.
+
 --json PATH also writes every result, with the environment, as JSON.
 """
 
@@ -56,6 +65,7 @@ import math
 import os
 import platform
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -87,6 +97,7 @@ from anthractl import (
     shoot_p0,
 )
 from anthractl import _kernels as K
+from anthractl import ode_control
 from anthractl.cli import parse_config, resolve_config_path
 from anthractl.pde import FieldPath, _FixedStencilStepper, _solve_checked
 from anthractl.pde_control import _closed_loop_lanes
@@ -262,6 +273,76 @@ def _coupled_lane(repeats: int):
             "memo_free_roots_per_step": memo_free_roots,
             "switch_events": sum(o[3][0] for o in out),
             "mismatches": int(mismatches)}
+
+
+#: The largest relative change of the controlled cost the shooting lane allows.
+_SHOOTING_MAX_REL_DJ = 1e-9
+
+
+def _shooting_plans(seed: int):
+    """(name, plan) of fig1, fig3 and the ode_shooting draws of one seed."""
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench.scenarios import variants
+
+    plans = [(name, parse_config(resolve_config_path(name)).plan)
+             for name in ("fig1", "fig3")]
+    with tempfile.TemporaryDirectory() as tmp:
+        for cfg in variants("ode_shooting", seed):
+            path = os.path.join(tmp, cfg["name"] + ".json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(dict(cfg, seed=seed), fh)
+            plans.append((f"{seed}/{cfg['name']}", parse_config(path).plan))
+    return plans
+
+
+def _single_stage(plan):
+    """The fine-grid secant seeded with p0 in {0, 1}: (cost or None, evaluations)."""
+    tol, max_iter = plan.shooting
+    times, grid = ode_control._coupled_setup(plan.params, plan.cost, plan.T, plan.h, 0.0)
+    found, _, _, out, evaluations, _ = ode_control._secant(
+        ode_control._residual(plan.x0.theta, plan.cost, grid, []), 0.0,
+        ode_control._unit_seed, tol, max_iter)
+    if not found:
+        return None, evaluations
+    th, _, u = ode_control._coupled_paths(times, out[0], out[1], out[2])
+    return ode_control.eval_cost_JT(u, th, plan.cost, grid[1]), evaluations
+
+
+def _two_stage(plan):
+    """shoot_p0: (cost or None, {grid steps: kernel calls})."""
+    tol, max_iter = plan.shooting
+    calls = {}
+
+    def counted(*args):
+        calls[args[4]] = calls.get(args[4], 0) + 1
+        return kernel(*args)
+
+    with _swapped("coupled_rk4", counted) as kernel:
+        try:
+            cost = shoot_p0(plan.x0.theta, plan.params, plan.cost, T=plan.T,
+                            dt=plan.h, tol=tol, max_iter=max_iter).cost
+        except ode_control.ShootingError:
+            cost = None
+    return cost, calls
+
+
+def _shooting_lane(repeats: int, seed: int):
+    lane = {}
+    for name, plan in _shooting_plans(seed):
+        cost, calls = _two_stage(plan)
+        single_cost, single_evaluations = _single_stage(plan)
+        n = round(plan.T / plan.h)
+        lane[name] = {
+            "fine_evaluations": calls.get(n, 0),
+            "coarse_evaluations": sum(c for steps, c in calls.items() if steps != n),
+            "single_stage_evaluations": single_evaluations,
+            "two_stage_s": _best_of(_two_stage, (plan,), repeats),
+            "single_stage_s": _best_of(_single_stage, (plan,), repeats),
+            "converged": cost is not None,
+            "single_stage_converged": single_cost is not None,
+            "rel_dJ": (cost - single_cost) / abs(single_cost)
+                      if cost is not None and single_cost is not None else None}
+    return lane
 
 
 #: Grids, steps per timed run and deviation bound of the implicit_step lane.
@@ -471,6 +552,8 @@ def main() -> None:
                     help="time steps in the batched sweep (default 1000)")
     ap.add_argument("--repeats", type=int, default=5,
                     help="timing repeats, best-of (default 5)")
+    ap.add_argument("--shooting-seed", type=int, default=211,
+                    help="ode_shooting draws of the shooting lane (default 211)")
     ap.add_argument("--json", metavar="PATH", default=None,
                     help="also write the results as JSON to PATH")
     args = ap.parse_args()
@@ -484,6 +567,7 @@ def main() -> None:
     host = _host_lane(args.repeats)
     staged = _host_staged_lane(args.repeats)
     riccati = _riccati_lanes_lane(args.repeats)
+    shooting = _shooting_lane(args.repeats, args.shooting_seed)
     workloads = {name: workload for name, _, _, workload in kernels}
 
     print(f"{'kernel':<18} {'workload':<34} {'time':>10}")
@@ -516,6 +600,12 @@ def main() -> None:
               f"separate {r['separate_us_per_step']:.1f}us/step, "
               f"lanes {r['lanes_us_per_step']:.1f}us/step, "
               f"{r['speedup']:.2f}x, mismatches {r['mismatches']}")
+    for name, r in shooting.items():
+        dj = "failed" if r["rel_dJ"] is None else f"dJ/J {r['rel_dJ']:+.1e}"
+        print(f"shooting ({name}): {r['fine_evaluations']} fine + "
+              f"{r['coarse_evaluations']} coarse evaluations "
+              f"{r['two_stage_s'] * 1e3:.0f}ms, single stage "
+              f"{r['single_stage_evaluations']} {r['single_stage_s'] * 1e3:.0f}ms, {dj}")
 
     if args.json is not None:
         report = {
@@ -525,7 +615,8 @@ def main() -> None:
                             "cores": os.cpu_count()},
             "settings": {"steps": args.steps, "batch": args.batch,
                          "batch_steps": args.batch_steps,
-                         "repeats": args.repeats},
+                         "repeats": args.repeats,
+                         "shooting_seed": args.shooting_seed},
             "kernels": {name: {"workload": workload, "seconds": times[name]}
                         for name, workload in workloads.items()},
             "feedback_root": root,
@@ -534,6 +625,7 @@ def main() -> None:
             "host": host,
             "host_staged": staged,
             "riccati_lanes": riccati,
+            "shooting": shooting,
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report, indent=2) + "\n")
@@ -554,6 +646,16 @@ def main() -> None:
     if riccati_mismatches:
         sys.exit(f"riccati_lanes: {riccati_mismatches} values of the lane loop "
                  f"differ from the separate rollouts")
+    split = [name for name, r in shooting.items()
+             if r["converged"] != r["single_stage_converged"]]
+    if split:
+        sys.exit(f"shooting: the two-stage and single-stage secants disagree on "
+                 f"convergence for {', '.join(split)}")
+    worst_dj = max((abs(r["rel_dJ"]) for r in shooting.values() if r["rel_dJ"] is not None),
+                   default=0.0)
+    if not worst_dj <= _SHOOTING_MAX_REL_DJ:
+        sys.exit(f"shooting: the controlled cost moved by {worst_dj:.3e} (relative) "
+                 f"> {_SHOOTING_MAX_REL_DJ:g}")
     worst = max(r["max_abs_deviation"] for r in implicit.values())
     if not worst <= _IMPLICIT_MAX_DEVIATION:
         sys.exit(f"implicit_step: the fixed-stencil path deviates by {worst:.3e} "

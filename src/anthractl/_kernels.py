@@ -13,8 +13,9 @@ Both single-trajectory kernels run the four RK4 stages of a step through
 one stage body and read a time-dependent rate from a per-step table of its
 values at t, t + h/2 and t + h (``_stage_table``, or a severity forcing's
 stage-sampled rows).  ``coupled_forcing`` builds the coupled kernel's table
-once per grid, so shooting pays for alpha once per solve; its stage body
-holds the branch test and the feedback law, which remembers its last root.
+once per grid, so shooting pays for alpha once per grid it solves on; its
+stage body holds the branch test and the feedback law, which remembers its
+last root.
 """
 
 from __future__ import annotations
@@ -412,7 +413,7 @@ def coupled_forcing(a_code, a0, a1, a2, a_t, a_v, t0, h, n):
     Returns (forcing, table): alpha as a function of t (_time_rate, on the
     knots as lists) and its _stage_table, the alpha a step without a switch
     evaluates.  The table depends on the grid alone, so shooting builds it
-    once per solve.
+    once per grid of a solve.
     """
     forcing = _time_rate(a_code, a0, a1, a2, a_t.tolist(), a_v.tolist())
     return forcing, _stage_table(forcing, t0, h, n)

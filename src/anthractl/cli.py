@@ -654,6 +654,7 @@ def _run_ode_like(plan: OdePlan, out_dir: str) -> tuple:
             "event_cap_hits": sol.event_cap_hits,
             "grazing_exits": sol.grazing_exits,
             "shooting_residuals": sol.shooting_residuals,
+            "coarse_shooting_evaluations": sol.coarse_evaluations,
         })
     else:
         u_values = np.full(times.shape, plan.u)

@@ -440,11 +440,15 @@ def integrate_ode(
 
     Recognized forcing/control combinations are dispatched to the host
     kernel; a SeverityForcing alpha enters it sampled once at every RK4
-    stage time.  Anything opaque falls back to a straightforward Python loop
-    with identical arithmetic.  If the state hits v = 0 or theta = 1, or the
-    control pushes 1 - theta1*u nonpositive, integration aborts with
-    DivisionGuardError — valid inputs cannot reach those points, so this is a
-    diagnostic, not a recoverable condition.
+    stage time.  Anything opaque falls back to a Python loop through
+    eval_rhs with the same RK4 stages, but not bit for bit the kernel's
+    arithmetic: it interpolates a ControlSignal with np.interp where the
+    kernel uses _kernels._interp_knots, and evaluates a SeasonalForcing as
+    a*(t-b)**2*(...) where the kernel multiplies a*(t-b)*(t-b)*(...), so the
+    two can differ in the last bit.  If the state hits v = 0 or theta = 1,
+    or the control pushes 1 - theta1*u nonpositive, integration aborts with
+    DivisionGuardError — valid inputs cannot reach those points, so this is
+    a diagnostic, not a recoverable condition.
     """
     if dt is None:
         dt = 1e-3 * (T - t0)

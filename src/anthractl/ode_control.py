@@ -62,6 +62,10 @@ class ShootingError(RuntimeError):
         self.best_p0 = best_p0
         self.best_residual = best_residual
 
+    def __reduce__(self):
+        # unpickling calls the class with these arguments, not with self.args
+        return type(self), (self.args[0], self.best_p0, self.best_residual)
+
 
 class GridMismatchError(ValueError):
     """Two sampled paths that must share a grid do not."""
@@ -122,11 +126,13 @@ class OptimalSolution:
 
     ``control``, ``theta_path`` and ``adjoint_path`` share one time grid.
     ``residual`` is |p(T) - f'(theta(T))| at the returned p0, and
-    ``shooting_residuals`` holds the signed residual of every evaluation, in
-    order.  The three event fields count, on the returned trajectory, the
-    switch events the coupled integration located, the steps that hit its cap
-    of 16 events, and the steps whose crossing grazed the switching surface
-    (kept on the frozen branch).
+    ``shooting_residuals`` holds the signed residual of every fine-grid
+    evaluation, in order, and ``coarse_evaluations`` counts the evaluations
+    of the coarse stage that seeded them (0 when it did not run).  The three
+    event fields count, on the returned trajectory, the switch events the
+    coupled integration located, the steps that hit its cap of 16 events,
+    and the steps whose crossing grazed the switching surface (kept on the
+    frozen branch).
     """
 
     control: ControlSignal
@@ -140,6 +146,7 @@ class OptimalSolution:
     event_cap_hits: int = 0
     grazing_exits: int = 0
     shooting_residuals: list = field(default_factory=list)
+    coarse_evaluations: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -337,54 +344,64 @@ def integrate_adjoint(
 #  Shooting
 # ---------------------------------------------------------------------------
 
-def shoot_p0(
-    theta0: float,
-    params: ModelParams,
-    cost: CostSpec,
-    T: float,
-    dt: float,
-    tol: float = 1e-8,
-    t0: float = 0.0,
-    max_iter: int = 100,
-) -> OptimalSolution:
-    """Find p(0) such that the coupled integration lands on the
-    transversality condition p(T) = f'(theta(T)).
+#: Two-stage shooting.  A secant on a grid _COARSE_RATIO times coarser, to
+#: |residual| < _COARSE_TOL within _COARSE_MAX_EVALUATIONS evaluations (and
+#: never more than the caller's max_iter), seeds the fine secant; a fine grid
+#: of fewer than _COARSE_MIN_STEPS steps skips it.
+_COARSE_RATIO = 10
+_COARSE_TOL = 1e-7
+_COARSE_MAX_EVALUATIONS = 20
+_COARSE_MIN_STEPS = 200
+#: The second fine seed's relative offset when the coarse slope is unusable.
+_SEED_OFFSET = 1e-4
 
-    Secant iteration seeded with p0 in {0, 1}; once a sign change of the
-    residual is bracketed, any secant step that escapes the bracket (or fails
-    to shrink it) is replaced by bisection.  Raises ShootingError with the
-    best residual if the budget runs out.  The returned cost is evaluated on
-    the step grid the integration takes (see time_grid).  The grid and its
-    alpha table are built once; each evaluation is one kernel call.
-    """
-    times, grid = _coupled_setup(params, cost, T, dt, t0)
-    h = grid[1]
-    residuals = []
 
-    def residual(p0_guess: float):
-        out = _kernels.coupled_rk4(theta0, p0_guess, *grid)
+def _residual(theta0: float, cost: CostSpec, grid_args: tuple, history: list):
+    """residual(p0) -> (p(T) - f'(theta(T)), kernel output) on one grid of
+    _coupled_setup; every call appends its signed residual to history."""
+    def residual(p0: float):
+        out = _kernels.coupled_rk4(theta0, p0, *grid_args)
         th, p = out[0], out[1]
         r = p[-1] - cost.terminal_f_prime(th[-1])
-        residuals.append(float(r))
+        history.append(float(r))
         return r, out
+    return residual
 
-    def solution(p0_found: float, r: float, out, evaluations: int) -> OptimalSolution:
-        th, p, u, (events, cap_hits, grazing) = out
-        th, p, u = _coupled_paths(times, th, p, u)
-        return OptimalSolution(
-            control=u, theta_path=th, adjoint_path=p,
-            cost=eval_cost_JT(u, th, cost, h),
-            p0=p0_found, residual=abs(r), iterations=evaluations,
-            switch_events=events, event_cap_hits=cap_hits, grazing_exits=grazing,
-            shooting_residuals=residuals)
 
-    a, b = 0.0, 1.0
+def _unit_seed(a: float, ra: float) -> float:
+    return 1.0
+
+
+def _newton_seed(slope: float):
+    """The second fine seed: a Newton step on the coarse secant's last slope,
+    or a small offset when that slope (or the step) is unusable."""
+    def second(a: float, ra: float) -> float:
+        if slope != 0.0 and math.isfinite(slope):
+            b = float(a - ra / slope)
+            if math.isfinite(b) and b != a:
+                return b
+        return a + _SEED_OFFSET * max(abs(a), 1e-3)
+    return second
+
+
+def _secant(residual, a: float, second, tol: float, max_iter: int):
+    """Secant iteration on residual(p) -> (r, kernel output), seeded with a
+    and second(a, r(a)).
+
+    Once a sign change of the residual is bracketed, any secant step that
+    escapes the bracket (or fails to shrink it) is replaced by bisection.
+    Returns (converged, p, r, out, evaluations, slope): the first iterate
+    with |r| < tol, or the best one when max_iter evaluations are spent,
+    with its signed residual and kernel output, the evaluation count and the
+    slope of the chord through the last two iterates (NaN without one).
+    """
     ra, out_a = residual(a)
     evaluations = 1
+    if abs(ra) < tol:
+        return True, a, ra, out_a, evaluations, math.nan
     best = (abs(ra), a, ra, out_a)
     bracket = None
-    if abs(ra) < tol:
-        return solution(a, ra, out_a, evaluations)
+    b = second(a, ra)
     rb, out_b = residual(b)
     evaluations += 1
     if abs(rb) < best[0]:
@@ -393,11 +410,8 @@ def shoot_p0(
         bracket = (a, ra, b, rb)
 
     prev, r_prev = a, ra
-    cur, r_cur = b, rb
-    while evaluations < max_iter:
-        if abs(r_cur) < tol:
-            out = best[3] if best[1] == cur else _kernels.coupled_rk4(theta0, cur, *grid)
-            return solution(cur, r_cur, out, evaluations)
+    cur, r_cur, out_cur = b, rb, out_b
+    while not abs(r_cur) < tol and evaluations < max_iter:
         nxt = None
         if r_cur != r_prev:
             # the residuals are numpy scalars; the iterate stays a float
@@ -419,14 +433,67 @@ def shoot_p0(
         elif r_cur * r_nxt < 0.0:
             bracket = (cur, r_cur, nxt, r_nxt)
         prev, r_prev = cur, r_cur
-        cur, r_cur = nxt, r_nxt
-        if abs(r_cur) < tol:
-            return solution(cur, r_cur, out_nxt, evaluations)
+        cur, r_cur, out_cur = nxt, r_nxt, out_nxt
 
-    raise ShootingError(
-        f"shooting did not reach |residual| < {tol} in {max_iter} evaluations; "
-        f"best residual {best[0]:.3e} at p0 = {best[1]!r}",
-        best_p0=best[1], best_residual=best[0])
+    slope = float(r_cur - r_prev) / (cur - prev) if cur != prev else math.nan
+    if abs(r_cur) < tol:
+        return True, cur, r_cur, out_cur, evaluations, slope
+    return False, best[1], best[2], best[3], evaluations, slope
+
+
+def shoot_p0(
+    theta0: float,
+    params: ModelParams,
+    cost: CostSpec,
+    T: float,
+    dt: float,
+    tol: float = 1e-8,
+    t0: float = 0.0,
+    max_iter: int = 100,
+) -> OptimalSolution:
+    """Find p(0) such that the coupled integration lands on the
+    transversality condition p(T) = f'(theta(T)).
+
+    Two-stage secant (see _secant).  On a grid of at least _COARSE_MIN_STEPS
+    steps, a first secant on a grid _COARSE_RATIO times coarser, seeded with
+    p0 in {0, 1}, looks for a coarse root p_c to _COARSE_TOL within
+    min(_COARSE_MAX_EVALUATIONS, max_iter) evaluations.  The fine secant
+    then starts from p_c and a Newton step on the coarse secant's last
+    slope.  Without a coarse root (or on a shorter grid) the fine secant is
+    seeded with {0, 1}, as a single-stage solve.  Convergence means
+    |residual| < tol on the fine grid within max_iter fine evaluations;
+    otherwise ShootingError reports the fine grid's best iterate.  The
+    returned cost is evaluated on the step grid the integration takes (see
+    time_grid).  Each grid and its alpha table are built once; each
+    evaluation is one kernel call.
+    """
+    times, grid = _coupled_setup(params, cost, T, dt, t0)
+    h, n = grid[1], grid[2]
+    a, second, coarse = 0.0, _unit_seed, []
+    if n >= _COARSE_MIN_STEPS:
+        _, coarse_grid = _coupled_setup(params, cost, T, dt * _COARSE_RATIO, t0)
+        found, p_c, _, _, _, slope = _secant(
+            _residual(theta0, cost, coarse_grid, coarse), 0.0, _unit_seed,
+            _COARSE_TOL, min(_COARSE_MAX_EVALUATIONS, max_iter))
+        if found:
+            a, second = p_c, _newton_seed(slope)
+
+    residuals = []
+    found, p0, r, out, evaluations, _ = _secant(_residual(theta0, cost, grid, residuals),
+                                                a, second, tol, max_iter)
+    if not found:
+        raise ShootingError(
+            f"shooting did not reach |residual| < {tol} in {max_iter} evaluations; "
+            f"best residual {abs(r):.3e} at p0 = {p0!r}",
+            best_p0=p0, best_residual=abs(r))
+    th, p, u, (events, cap_hits, grazing) = out
+    th, p, u = _coupled_paths(times, th, p, u)
+    return OptimalSolution(
+        control=u, theta_path=th, adjoint_path=p,
+        cost=eval_cost_JT(u, th, cost, h),
+        p0=p0, residual=abs(r), iterations=evaluations,
+        switch_events=events, event_cap_hits=cap_hits, grazing_exits=grazing,
+        shooting_residuals=residuals, coarse_evaluations=len(coarse))
 
 
 # ---------------------------------------------------------------------------

@@ -162,13 +162,14 @@ def _solve_checked(M: sp.spmatrix, rhs: np.ndarray, x0=None) -> np.ndarray:
                        maxiter=10 * max(64, M.shape[0]))
     if np.linalg.norm(M @ x - rhs) <= _LINEAR_RTOL * rhs_norm:
         return x
+    # a singular M gives a NaN residual, which "not res <= tol" counts as failed
     x = spla.spsolve(M.tocsc(), rhs)
     res = float(np.linalg.norm(M @ x - rhs))
-    if res > _LINEAR_RTOL * rhs_norm:
+    if not res <= _LINEAR_RTOL * rhs_norm:
         # one step of iterative refinement before giving up
         x = x + spla.spsolve(M.tocsc(), rhs - M @ x)
         res = float(np.linalg.norm(M @ x - rhs))
-        if res > _LINEAR_RTOL * rhs_norm:
+        if not res <= _LINEAR_RTOL * rhs_norm:
             raise SolverBreakdownError(
                 f"implicit solve stalled at relative residual {res / rhs_norm:.3e}")
     return x

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pickle
 import tempfile
 import warnings
 
@@ -20,7 +21,11 @@ from anthractl.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
+    NonFiniteResultError,
+    _NUMERICAL_ERRORS,
+    ConfigError,
     _cell,
+    _exit_code,
     _fmt,
     _write_csv,
     _write_field_path_csv,
@@ -198,6 +203,32 @@ def test_exit_code_top_level_not_object(tmp_path):
 def test_exit_code_missing_file(capsys):
     assert main(["validate", "/no/such/config.json"]) == EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+
+
+def _mapped_exceptions():
+    """An instance of every exception class that _exit_code maps, and of the
+    package's own subclasses of the builtin classes it maps."""
+    from anthractl.ode_control import ShootingError
+    from anthractl.pde_control import StiffStepError
+
+    out = [ConfigError("cfg.time.dt: must be > 0"), NonFiniteResultError("nan cost"),
+           StiffStepError("h*rho too large"), OSError(2, "No such file", "x.json")]
+    for cls in _NUMERICAL_ERRORS:
+        if cls is ShootingError:
+            out.append(ShootingError("no root", best_p0=0.5, best_residual=1e-3))
+        else:
+            out.append(cls(f"{cls.__name__} message"))
+    return out
+
+
+@pytest.mark.parametrize("exc", _mapped_exceptions(), ids=lambda e: type(e).__name__)
+def test_mapped_exceptions_survive_pickling(exc):
+    # a worker process hands its failure back to the parent by pickling it
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert back.args == exc.args and str(back) == str(exc)
+    assert vars(back) == vars(exc)
+    assert _exit_code(back) == _exit_code(exc) is not None
 
 
 def _with(data, **over):

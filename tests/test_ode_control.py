@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from anthractl import ode_control
 from anthractl import (
     BangRegimeError,
     ConstantForcing,
@@ -167,43 +168,116 @@ def test_shoot_reports_best_on_budget_exhaustion(season_params, unit_cost):
     assert f"p0 = {err.value.best_p0!r}" in str(err.value)
 
 
-def test_shoot_builds_grid_once_and_runs_kernel_per_evaluation(season_params, unit_cost,
-                                                              monkeypatch):
-    # the grid and its alpha table are set up once per solve; every secant
-    # evaluation is one kernel call
-    from anthractl import _kernels, ode_control
+def _counted_shooting(monkeypatch):
+    """Spy on shoot_p0's grid setups and kernel calls: returns {step count:
+    setups} and a list of (step count, p0, signed residual) per kernel call
+    (the residual for f' = 1)."""
+    from anthractl import _kernels
 
-    calls = {"setup": 0, "kernel": 0}
+    setups, calls = {}, []
     setup, kernel = ode_control._coupled_setup, _kernels.coupled_rk4
 
     def counted_setup(*a, **kw):
-        calls["setup"] += 1
-        return setup(*a, **kw)
+        times, grid = setup(*a, **kw)
+        setups[grid[2]] = setups.get(grid[2], 0) + 1
+        return times, grid
 
-    def counted_kernel(*a, **kw):
-        calls["kernel"] += 1
-        return kernel(*a, **kw)
+    def counted_kernel(theta0, p0, *grid):
+        out = kernel(theta0, p0, *grid)
+        calls.append((grid[2], p0, float(out[1][-1] - 1.0)))
+        return out
 
     monkeypatch.setattr(ode_control, "_coupled_setup", counted_setup)
     monkeypatch.setattr(_kernels, "coupled_rk4", counted_kernel)
+    return setups, calls
+
+
+def test_shoot_builds_grid_once_and_runs_kernel_per_evaluation(season_params, unit_cost,
+                                                              monkeypatch):
+    # each grid (the fine one and the 10x coarser one) and its alpha table is
+    # set up once per solve; every secant evaluation of either stage is one
+    # kernel call on its grid
+    setups, calls = _counted_shooting(monkeypatch)
     sol = shoot_p0(0.2, season_params, unit_cost, T=1.0, dt=1e-3)
-    assert sol.iterations > 2
-    assert calls == {"setup": 1, "kernel": sol.iterations}
-    # one signed residual, a plain float, per evaluation
-    assert len(sol.shooting_residuals) == sol.iterations
+    assert sol.iterations > 2 and sol.coarse_evaluations > 2
+    assert setups == {1000: 1, 100: 1}
+    assert [n for n, _, _ in calls] == [100] * sol.coarse_evaluations + [1000] * sol.iterations
+    # one signed residual, a plain float, per fine evaluation
+    assert sol.shooting_residuals == [r for n, _, r in calls if n == 1000]
     assert {type(r) for r in sol.shooting_residuals} == {float}
     assert abs(sol.shooting_residuals[-1]) == sol.residual
     assert any(r < 0.0 for r in sol.shooting_residuals) \
         and any(r > 0.0 for r in sol.shooting_residuals)
+    # the fine stage starts at the coarse root
+    assert abs(calls[sol.coarse_evaluations - 1][2]) < ode_control._COARSE_TOL
+    assert calls[sol.coarse_evaluations][1] == calls[sol.coarse_evaluations - 1][1]
+
+
+def test_shoot_skips_the_coarse_stage_on_a_short_grid(season_params, unit_cost, monkeypatch):
+    # 100 steps (< _COARSE_MIN_STEPS): one grid, seeded with {0, 1}
+    setups, calls = _counted_shooting(monkeypatch)
+    sol = shoot_p0(0.2, season_params, unit_cost, T=1.0, dt=1e-2)
+    assert sol.coarse_evaluations == 0 and setups == {100: 1}
+    assert [p0 for _, p0, _ in calls[:2]] == [0.0, 1.0]
+    assert len(calls) == sol.iterations and sol.residual < 1e-8
+
+
+def test_shooting_error_carries_the_fine_grid_best_iterate(season_params, unit_cost,
+                                                           monkeypatch):
+    # the coarse stage converges; tol = 0 can never be met on the fine grid
+    setups, calls = _counted_shooting(monkeypatch)
+    with pytest.raises(ShootingError) as err:
+        shoot_p0(0.2, season_params, unit_cost, T=1.0, dt=1e-3, tol=0.0, max_iter=12)
+    coarse = [c for c in calls if c[0] == 100]
+    fine = [c for c in calls if c[0] == 1000]
+    assert abs(coarse[-1][2]) < ode_control._COARSE_TOL and len(fine) == 12
+    _, best_p0, best_r = min(fine, key=lambda c: abs(c[2]))
+    assert (err.value.best_p0, err.value.best_residual) == (best_p0, abs(best_r))
+    assert type(err.value.best_p0) is float
+    assert "in 12 evaluations" in str(err.value)
+
+
+# 914/ode-07 of the ode_shooting benchmark: no p0 meets 1e-8 on either grid
+_NO_ROOT_DRAW = {"theta1": 0.5457, "a": 3.073057, "b": 0.688099, "c": 0.312783,
+                 "theta0": 0.252109, "k": 0.876416}
+
+
+def test_coarse_budget_caps_a_draw_that_does_not_converge(monkeypatch):
+    d = _NO_ROOT_DRAW
+    params = ModelParams.with_default_forcings(
+        theta1=d["theta1"], alpha=SeasonalForcing(a=d["a"], b=d["b"], c=d["c"]))
+    cost = CostSpec(k=d["k"])
+    max_iter = 24
+    setups, calls = _counted_shooting(monkeypatch)
+    with pytest.raises(ShootingError) as err:
+        shoot_p0(d["theta0"], params, cost, T=1.0, dt=1e-3, max_iter=max_iter)
+    cap = ode_control._COARSE_MAX_EVALUATIONS
+    assert [n for n, _, _ in calls] == [100] * cap + [1000] * max_iter
+    # the coarse stage missed its budget, so the fine secant ran from {0, 1}
+    # and failed exactly as a single-stage solve does
+    monkeypatch.undo()
+    times, grid = ode_control._coupled_setup(params, cost, 1.0, 1e-3, 0.0)
+    found, p0, r, _, evaluations, _ = ode_control._secant(
+        ode_control._residual(d["theta0"], cost, grid, []), 0.0, ode_control._unit_seed,
+        1e-8, max_iter)
+    assert not found and evaluations == max_iter
+    assert (err.value.best_p0, err.value.best_residual) == (p0, abs(r))
 
 
 def _sha256(values) -> str:
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
 
 
+def _bundled_plan(name):
+    from anthractl.cli import parse_config, resolve_config_path
+
+    return parse_config(resolve_config_path(name)).plan
+
+
 # p0 and the sha256 of the theta, p and u arrays of the bundled shooting
-# scenarios, recorded before the coupled kernel read alpha from a per-step
-# table and remembered its last root; both changes keep every bit.
+# scenarios as the single-stage secant seeded with p0 in {0, 1} finds them,
+# recorded before the coupled kernel read alpha from a per-step table and
+# remembered its last root; both changes keep every bit.
 _PINNED_SHOOTING = {
     "fig1": ("0x1.8622e993f96bbp-1", 8,
              "d11dfc988c004adaf9fa82d5039e2b4cc5a64ee56ab36f1f5a508639c7cf5fce",
@@ -215,20 +289,52 @@ _PINNED_SHOOTING = {
              "5b2d548f757292880c35dc8e292ca163fbf5fbf28893cdcd5b489bcabf51da56"),
 }
 
+# The same for shoot_p0's two-stage solve: p0, fine and coarse evaluations
+# and the three sha256.
+_PINNED_TWO_STAGE = {
+    "fig1": ("0x1.8622e993b5e1ap-1", 3, 8,
+             "441400c08e1f4e73e822b1b2eb59380a674fd881adbb894a2fb3f284879fd266",
+             "ee34ff821d6ea0d01ccda610d4022c13b3daf09f83f2c223219193271df7b8f5",
+             "820f113a0e267476209efbc73fb1a787bdd84cee720bf30038ae8876e45fb578"),
+    "fig3": ("0x1.7632ea8aaa167p-1", 3, 7,
+             "4f62827fd6856d0e6f05255bf12d053dc0d2f0db62fa5489169c69e8f0958dba",
+             "d930198140e8628cde90630e615b81d3263e328e9ee4ae2a1e6586caadb8657e",
+             "123d8737fafba7ec7386e113f6702a421cc41461a73056704a8758364bcca02e"),
+}
+
+# The single-stage solve's costs (see _PINNED_SHOOTING).
+_SINGLE_STAGE_COST = {"fig1": 0.7221961518291484, "fig3": 0.9324979804633473}
+
 
 @pytest.mark.parametrize("name", sorted(_PINNED_SHOOTING))
 def test_shooting_bits_pinned_on_bundled_scenarios(name):
-    from anthractl.cli import parse_config, resolve_config_path
+    plan = _bundled_plan(name)
+    tol, max_iter = plan.shooting
+    _, grid = ode_control._coupled_setup(plan.params, plan.cost, plan.T, plan.h, 0.0)
+    found, p0, _, out, evaluations, _ = ode_control._secant(
+        ode_control._residual(plan.x0.theta, plan.cost, grid, []), 0.0,
+        ode_control._unit_seed, tol, max_iter)
+    p0_hex, iterations, theta_sha, p_sha, u_sha = _PINNED_SHOOTING[name]
+    assert found and (p0.hex(), evaluations) == (p0_hex, iterations)
+    assert _sha256(out[0]) == theta_sha
+    assert _sha256(out[1]) == p_sha
+    assert _sha256(np.clip(out[2], 0.0, 1.0)) == u_sha
 
-    plan = parse_config(resolve_config_path(name)).plan
+
+@pytest.mark.parametrize("name", sorted(_PINNED_TWO_STAGE))
+def test_two_stage_shooting_bits_pinned_on_bundled_scenarios(name):
+    plan = _bundled_plan(name)
     tol, max_iter = plan.shooting
     sol = shoot_p0(plan.x0.theta, plan.params, plan.cost, T=plan.T, dt=plan.h,
                    tol=tol, max_iter=max_iter)
-    p0_hex, iterations, theta_sha, p_sha, u_sha = _PINNED_SHOOTING[name]
-    assert (sol.p0.hex(), sol.iterations) == (p0_hex, iterations)
+    p0_hex, iterations, coarse, theta_sha, p_sha, u_sha = _PINNED_TWO_STAGE[name]
+    assert (sol.p0.hex(), sol.iterations, sol.coarse_evaluations) == (p0_hex, iterations,
+                                                                      coarse)
     assert _sha256(sol.theta_path.values) == theta_sha
     assert _sha256(sol.adjoint_path.values) == p_sha
     assert _sha256(sol.control.values) == u_sha
+    # within 1e-9 (relative) of the single-stage solve's cost
+    assert sol.cost == pytest.approx(_SINGLE_STAGE_COST[name], rel=1e-9, abs=0.0)
 
 
 def test_shoot_constant_alpha_zero_control():

@@ -113,6 +113,15 @@ def test_fixed_stencil_stepper_matches_rebuilt_solve(resolution, rng):
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_solve_checked_raises_on_singular_matrix():
+    # spsolve returns NaN for a singular matrix; a NaN residual must fail the
+    # check instead of passing for converged
+    M = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.warns(spla.MatrixRankWarning), pytest.raises(pde.SolverBreakdownError):
+        pde._solve_checked(M, np.array([1.0, 2.0]))
+
+
 @pytest.mark.parametrize("broken", ["raises", "wrong"])
 def test_fixed_stencil_stepper_falls_back_when_banded_solve_fails(broken, monkeypatch, rng):
     grid, A = _setup_1d(n=64, A=0.03)

@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--steps N] [--batch M] [--repeats R]
-                                        [--shooting-seed S] [--json PATH]
+                                        [--json PATH]
 
 The kernel lane times the three public kernels (host_rk4_single,
 host_rk4_batch and coupled_rk4), best of --repeats, in this process.
@@ -13,9 +13,9 @@ against the plain bisection it must reproduce bit for bit
 (_u_interior_bisect) on the same _FEEDBACK_DRAWS seeded draws, and counts
 the draws where the two differ; that count must be 0.
 
-The coupled lane replays the coupled_rk4 calls of fig1's shooting solve
-(one per secant evaluation of either stage, each on the alpha table its grid
-built once).
+The coupled lane replays the coupled_rk4 calls of fig1's single-stage
+shooting solve (the fine-grid secant seeded with p0 in {0, 1}; one call per
+evaluation, each on the alpha table the grid built once).
 It reports the kernel's time and feedback roots per step, the roots per step
 without the kernel's one-entry root memo, and counts the output values
 (theta, p, u and the event counters) that differ from a run with the root
@@ -48,7 +48,7 @@ counts the state and control values where the two differ; that count must
 be 0.
 
 The shooting lane solves fig1, fig3 and the ode_shooting draws of the
-benchmark seed --shooting-seed (perfbench/scenarios.py) two ways: with
+benchmark seeds _SHOOTING_SEEDS (perfbench/scenarios.py) two ways: with
 shoot_p0's two-stage secant, and with the single-stage secant seeded with
 p0 in {0, 1} on the fine grid alone.  Per solve it reports the fine and
 coarse evaluations, the wall time of each way (best of --repeats) and the
@@ -220,7 +220,8 @@ def _swapped(name: str, replacement):
 
 
 def _fig1_shooting_calls():
-    """The coupled_rk4 argument tuples of fig1's shooting evaluations."""
+    """The coupled_rk4 argument tuples of fig1's single-stage shooting
+    evaluations."""
     plan = parse_config(resolve_config_path("fig1")).plan
     calls = []
 
@@ -229,9 +230,7 @@ def _fig1_shooting_calls():
         return kernel(*args)
 
     with _swapped("coupled_rk4", record) as kernel:
-        tol, max_iter = plan.shooting
-        shoot_p0(plan.x0.theta, plan.params, plan.cost, T=plan.T, dt=plan.h,
-                 tol=tol, max_iter=max_iter)
+        _single_stage(plan)
     return calls
 
 
@@ -277,21 +276,25 @@ def _coupled_lane(repeats: int):
 
 #: The largest relative change of the controlled cost the shooting lane allows.
 _SHOOTING_MAX_REL_DJ = 1e-9
+#: The benchmark seeds whose ode_shooting draws the shooting lane solves: all
+#: of 211's converge, and 914's ode-07 fails both ways.
+_SHOOTING_SEEDS = (211, 914)
 
 
-def _shooting_plans(seed: int):
-    """(name, plan) of fig1, fig3 and the ode_shooting draws of one seed."""
+def _shooting_plans():
+    """(name, plan) of fig1, fig3 and the ode_shooting draws of _SHOOTING_SEEDS."""
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from perfbench.scenarios import variants
 
     plans = [(name, parse_config(resolve_config_path(name)).plan)
              for name in ("fig1", "fig3")]
     with tempfile.TemporaryDirectory() as tmp:
-        for cfg in variants("ode_shooting", seed):
-            path = os.path.join(tmp, cfg["name"] + ".json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(dict(cfg, seed=seed), fh)
-            plans.append((f"{seed}/{cfg['name']}", parse_config(path).plan))
+        for seed in _SHOOTING_SEEDS:
+            for cfg in variants("ode_shooting", seed):
+                path = os.path.join(tmp, f"{seed}-{cfg['name']}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(dict(cfg, seed=seed), fh)
+                plans.append((f"{seed}/{cfg['name']}", parse_config(path).plan))
     return plans
 
 
@@ -301,7 +304,7 @@ def _single_stage(plan):
     times, grid = ode_control._coupled_setup(plan.params, plan.cost, plan.T, plan.h, 0.0)
     found, _, _, out, evaluations, _ = ode_control._secant(
         ode_control._residual(plan.x0.theta, plan.cost, grid, []), 0.0,
-        ode_control._unit_seed, tol, max_iter)
+        math.nan, tol, max_iter)
     if not found:
         return None, evaluations
     th, _, u = ode_control._coupled_paths(times, out[0], out[1], out[2])
@@ -326,9 +329,9 @@ def _two_stage(plan):
     return cost, calls
 
 
-def _shooting_lane(repeats: int, seed: int):
+def _shooting_lane(repeats: int):
     lane = {}
-    for name, plan in _shooting_plans(seed):
+    for name, plan in _shooting_plans():
         cost, calls = _two_stage(plan)
         single_cost, single_evaluations = _single_stage(plan)
         n = round(plan.T / plan.h)
@@ -552,8 +555,6 @@ def main() -> None:
                     help="time steps in the batched sweep (default 1000)")
     ap.add_argument("--repeats", type=int, default=5,
                     help="timing repeats, best-of (default 5)")
-    ap.add_argument("--shooting-seed", type=int, default=211,
-                    help="ode_shooting draws of the shooting lane (default 211)")
     ap.add_argument("--json", metavar="PATH", default=None,
                     help="also write the results as JSON to PATH")
     args = ap.parse_args()
@@ -567,7 +568,7 @@ def main() -> None:
     host = _host_lane(args.repeats)
     staged = _host_staged_lane(args.repeats)
     riccati = _riccati_lanes_lane(args.repeats)
-    shooting = _shooting_lane(args.repeats, args.shooting_seed)
+    shooting = _shooting_lane(args.repeats)
     workloads = {name: workload for name, _, _, workload in kernels}
 
     print(f"{'kernel':<18} {'workload':<34} {'time':>10}")
@@ -615,8 +616,7 @@ def main() -> None:
                             "cores": os.cpu_count()},
             "settings": {"steps": args.steps, "batch": args.batch,
                          "batch_steps": args.batch_steps,
-                         "repeats": args.repeats,
-                         "shooting_seed": args.shooting_seed},
+                         "repeats": args.repeats},
             "kernels": {name: {"workload": workload, "seconds": times[name]}
                         for name, workload in workloads.items()},
             "feedback_root": root,

@@ -346,12 +346,10 @@ def integrate_adjoint(
 
 #: Two-stage shooting.  A secant on a grid _COARSE_RATIO times coarser, to
 #: |residual| < _COARSE_TOL within _COARSE_MAX_EVALUATIONS evaluations (and
-#: never more than the caller's max_iter), seeds the fine secant; a fine grid
-#: of fewer than _COARSE_MIN_STEPS steps skips it.
+#: never more than the caller's max_iter), seeds the fine secant.
 _COARSE_RATIO = 10
 _COARSE_TOL = 1e-7
 _COARSE_MAX_EVALUATIONS = 20
-_COARSE_MIN_STEPS = 200
 #: The second fine seed's relative offset when the coarse slope is unusable.
 _SEED_OFFSET = 1e-4
 
@@ -368,25 +366,11 @@ def _residual(theta0: float, cost: CostSpec, grid_args: tuple, history: list):
     return residual
 
 
-def _unit_seed(a: float, ra: float) -> float:
-    return 1.0
-
-
-def _newton_seed(slope: float):
-    """The second fine seed: a Newton step on the coarse secant's last slope,
-    or a small offset when that slope (or the step) is unusable."""
-    def second(a: float, ra: float) -> float:
-        if slope != 0.0 and math.isfinite(slope):
-            b = float(a - ra / slope)
-            if math.isfinite(b) and b != a:
-                return b
-        return a + _SEED_OFFSET * max(abs(a), 1e-3)
-    return second
-
-
-def _secant(residual, a: float, second, tol: float, max_iter: int):
+def _secant(residual, a: float, slope: float, tol: float, max_iter: int):
     """Secant iteration on residual(p) -> (r, kernel output), seeded with a
-    and second(a, r(a)).
+    and a second iterate: 1.0 when slope is NaN, otherwise the Newton step
+    a - r(a)/slope, or a + _SEED_OFFSET*max(|a|, 1e-3) when slope is 0 or
+    infinite.
 
     Once a sign change of the residual is bracketed, any secant step that
     escapes the bracket (or fails to shrink it) is replaced by bisection.
@@ -401,7 +385,12 @@ def _secant(residual, a: float, second, tol: float, max_iter: int):
         return True, a, ra, out_a, evaluations, math.nan
     best = (abs(ra), a, ra, out_a)
     bracket = None
-    b = second(a, ra)
+    if math.isnan(slope):
+        b = 1.0
+    else:
+        b = float(a - ra / slope) if slope != 0.0 else math.inf
+        if not math.isfinite(b) or b == a:
+            b = a + _SEED_OFFSET * max(abs(a), 1e-3)
     rb, out_b = residual(b)
     evaluations += 1
     if abs(rb) < best[0]:
@@ -454,33 +443,35 @@ def shoot_p0(
     """Find p(0) such that the coupled integration lands on the
     transversality condition p(T) = f'(theta(T)).
 
-    Two-stage secant (see _secant).  On a grid of at least _COARSE_MIN_STEPS
-    steps, a first secant on a grid _COARSE_RATIO times coarser, seeded with
-    p0 in {0, 1}, looks for a coarse root p_c to _COARSE_TOL within
-    min(_COARSE_MAX_EVALUATIONS, max_iter) evaluations.  The fine secant
-    then starts from p_c and a Newton step on the coarse secant's last
-    slope.  Without a coarse root (or on a shorter grid) the fine secant is
-    seeded with {0, 1}, as a single-stage solve.  Convergence means
-    |residual| < tol on the fine grid within max_iter fine evaluations;
-    otherwise ShootingError reports the fine grid's best iterate.  The
-    returned cost is evaluated on the step grid the integration takes (see
-    time_grid).  Each grid and its alpha table are built once; each
-    evaluation is one kernel call.
+    Two-stage secant (see _secant).  A first secant on a grid _COARSE_RATIO
+    times coarser, seeded with p0 in {0, 1}, looks for a coarse root p_c to
+    _COARSE_TOL within min(_COARSE_MAX_EVALUATIONS, max_iter) evaluations.
+    The fine secant then starts from p_c and a Newton step on the coarse
+    secant's last slope.  Without a coarse root (or on a grid of fewer than
+    _COARSE_RATIO steps, which has no coarse step) the fine secant is seeded
+    with {0, 1}, as a single-stage solve.  A max_iter too small for the
+    coarse stage to converge only adds its evaluations, each a fraction of a
+    fine one, to the single-stage solve.  Convergence
+    means |residual| < tol on the fine grid within max_iter fine
+    evaluations; otherwise ShootingError reports the fine grid's best
+    iterate.  The returned cost is evaluated on the step grid the
+    integration takes (see time_grid).  Each grid and its alpha table are
+    built once; each evaluation is one kernel call.
     """
     times, grid = _coupled_setup(params, cost, T, dt, t0)
     h, n = grid[1], grid[2]
-    a, second, coarse = 0.0, _unit_seed, []
-    if n >= _COARSE_MIN_STEPS:
-        _, coarse_grid = _coupled_setup(params, cost, T, dt * _COARSE_RATIO, t0)
-        found, p_c, _, _, _, slope = _secant(
-            _residual(theta0, cost, coarse_grid, coarse), 0.0, _unit_seed,
+    a, slope, coarse = 0.0, math.nan, []
+    if n >= _COARSE_RATIO:
+        _, coarse_grid = _coupled_setup(params, cost, T, (T - t0) / (n // _COARSE_RATIO), t0)
+        found, p_c, _, _, _, s_c = _secant(
+            _residual(theta0, cost, coarse_grid, coarse), 0.0, math.nan,
             _COARSE_TOL, min(_COARSE_MAX_EVALUATIONS, max_iter))
         if found:
-            a, second = p_c, _newton_seed(slope)
+            a, slope = p_c, s_c
 
     residuals = []
     found, p0, r, out, evaluations, _ = _secant(_residual(theta0, cost, grid, residuals),
-                                                a, second, tol, max_iter)
+                                                a, slope, tol, max_iter)
     if not found:
         raise ShootingError(
             f"shooting did not reach |residual| < {tol} in {max_iter} evaluations; "

@@ -1,6 +1,7 @@
 """Feedback law, coupled integration, shooting, and cost evaluation."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -157,9 +158,14 @@ def test_shoot_high_initial_inhibition(season_params, unit_cost):
     assert sol.cost == pytest.approx(0.9324979805, abs=1e-6)
 
 
-def test_shoot_reports_best_on_budget_exhaustion(season_params, unit_cost):
+def test_shoot_reports_best_on_budget_exhaustion(season_params, unit_cost, monkeypatch):
+    _, calls = _counted_shooting(monkeypatch)
     with pytest.raises(ShootingError) as err:
         shoot_p0(0.2, season_params, unit_cost, T=1.0, dt=1e-3, max_iter=3)
+    # max_iter also caps the coarse stage, which finds no root in 3
+    # evaluations, so the fine secant runs from {0, 1}
+    assert [n for n, _, _ in calls] == [100] * 3 + [1000] * 3
+    assert [p0 for n, p0, _ in calls if n == 1000][:2] == [0.0, 1.0]
     assert err.value.best_residual > 0.0
     assert 0.0 <= err.value.best_p0 <= 1.0
     # the best iterate here is the secant step: a plain float in the message
@@ -213,11 +219,34 @@ def test_shoot_builds_grid_once_and_runs_kernel_per_evaluation(season_params, un
     assert calls[sol.coarse_evaluations][1] == calls[sol.coarse_evaluations - 1][1]
 
 
-def test_shoot_skips_the_coarse_stage_on_a_short_grid(season_params, unit_cost, monkeypatch):
-    # 100 steps (< _COARSE_MIN_STEPS): one grid, seeded with {0, 1}
+def _single_stage_cost(theta0, params, cost, T, dt):
+    """The cost of the fine-grid secant seeded with p0 in {0, 1}."""
+    times, grid = ode_control._coupled_setup(params, cost, T, dt, 0.0)
+    found, _, _, out, _, _ = ode_control._secant(
+        ode_control._residual(theta0, cost, grid, []), 0.0, math.nan, 1e-8, 100)
+    assert found
+    th, _, u = ode_control._coupled_paths(times, out[0], out[1], out[2])
+    return ode_control.eval_cost_JT(u, th, cost, grid[1])
+
+
+def test_shoot_runs_the_coarse_stage_on_a_short_grid(season_params, unit_cost, monkeypatch):
+    # 100 steps: the coarse stage runs on 10
     setups, calls = _counted_shooting(monkeypatch)
     sol = shoot_p0(0.2, season_params, unit_cost, T=1.0, dt=1e-2)
-    assert sol.coarse_evaluations == 0 and setups == {100: 1}
+    assert setups == {100: 1, 10: 1} and sol.coarse_evaluations > 2
+    assert [n for n, _, _ in calls] == [10] * sol.coarse_evaluations + [100] * sol.iterations
+    assert sol.residual < 1e-8
+    monkeypatch.undo()
+    assert sol.cost == pytest.approx(
+        _single_stage_cost(0.2, season_params, unit_cost, 1.0, 1e-2), rel=1e-8, abs=0.0)
+
+
+def test_shoot_skips_the_coarse_stage_below_one_coarse_step(season_params, unit_cost,
+                                                            monkeypatch):
+    # 9 steps make no coarse grid: one grid, seeded with {0, 1}
+    setups, calls = _counted_shooting(monkeypatch)
+    sol = shoot_p0(0.2, season_params, unit_cost, T=1.0, dt=1.0 / 9)
+    assert sol.coarse_evaluations == 0 and setups == {9: 1}
     assert [p0 for _, p0, _ in calls[:2]] == [0.0, 1.0]
     assert len(calls) == sol.iterations and sol.residual < 1e-8
 
@@ -258,7 +287,7 @@ def test_coarse_budget_caps_a_draw_that_does_not_converge(monkeypatch):
     monkeypatch.undo()
     times, grid = ode_control._coupled_setup(params, cost, 1.0, 1e-3, 0.0)
     found, p0, r, _, evaluations, _ = ode_control._secant(
-        ode_control._residual(d["theta0"], cost, grid, []), 0.0, ode_control._unit_seed,
+        ode_control._residual(d["theta0"], cost, grid, []), 0.0, math.nan,
         1e-8, max_iter)
     assert not found and evaluations == max_iter
     assert (err.value.best_p0, err.value.best_residual) == (p0, abs(r))
@@ -313,7 +342,7 @@ def test_shooting_bits_pinned_on_bundled_scenarios(name):
     _, grid = ode_control._coupled_setup(plan.params, plan.cost, plan.T, plan.h, 0.0)
     found, p0, _, out, evaluations, _ = ode_control._secant(
         ode_control._residual(plan.x0.theta, plan.cost, grid, []), 0.0,
-        ode_control._unit_seed, tol, max_iter)
+        math.nan, tol, max_iter)
     p0_hex, iterations, theta_sha, p_sha, u_sha = _PINNED_SHOOTING[name]
     assert found and (p0.hex(), evaluations) == (p0_hex, iterations)
     assert _sha256(out[0]) == theta_sha

@@ -8,9 +8,9 @@ Run from the repository root:
 The kernel lane times the three public kernels (host_rk4_single,
 host_rk4_batch and coupled_rk4), best of --repeats, in this process.
 
-The feedback_root lane times the warm-started feedback root (_u_interior)
-against the plain bisection it must reproduce bit for bit
-(_u_interior_bisect) on the same _FEEDBACK_DRAWS seeded draws, and counts
+The feedback_root lane times the feedback law with the warm-started root
+(_u_warm) against the same law with the plain bisection it must reproduce
+bit for bit (_u_bisect) on the same _FEEDBACK_DRAWS seeded draws, and counts
 the draws where the two differ; that count must be 0.
 
 The coupled lane replays the coupled_rk4 calls of fig1's single-stage
@@ -30,9 +30,9 @@ which must stay within 1e-10.
 The host lane times host_rk4_single, in us per step over _HOST_STEPS steps,
 on the arguments integrate_ode hands it for seasonal, constant and
 proportional alpha, each under a constant and a sampled control.  It also
-integrates each case through the generic per-step loop (the rates and the
-control hidden behind lambdas) and counts the trajectory values where the
-two differ; that count must be 0.
+integrates each case through the generic per-step loop (the rates hidden
+behind lambdas, the same control) and counts the trajectory values where
+the two differ; that count must be 0.
 
 The host_staged lane integrates a _STAGED_STEPS-step forecast for each
 severity model two ways: through integrate_ode, where the severity forcing
@@ -188,6 +188,16 @@ def _feedback_draws(n: int):
             for row in zip(alpha, theta, p, theta1, k)]
 
 
+def _u_warm(alpha_t, theta, p, theta1, k):
+    """The feedback law at (alpha, theta, p), with the warm-started root."""
+    return K._u_law(alpha_t * theta1 * theta1 * theta * p, theta1, k, K._feedback_root)
+
+
+def _u_bisect(alpha_t, theta, p, theta1, k):
+    """_u_warm with the root bisected from [1, 3/2]: the reference."""
+    return K._u_law(alpha_t * theta1 * theta1 * theta * p, theta1, k, K._reference_root)
+
+
 def _feedback_root_lane(repeats: int):
     n_draws = _FEEDBACK_DRAWS
     draws = _feedback_draws(n_draws)
@@ -195,10 +205,9 @@ def _feedback_root_lane(repeats: int):
     def run(fn):
         return [fn(*d) for d in draws]
 
-    warm = _best_of(run, (K._u_interior,), repeats)
-    bisect = _best_of(run, (K._u_interior_bisect,), repeats)
-    mismatches = sum(a != b for a, b in zip(run(K._u_interior),
-                                            run(K._u_interior_bisect)))
+    warm = _best_of(run, (_u_warm,), repeats)
+    bisect = _best_of(run, (_u_bisect,), repeats)
+    mismatches = sum(a != b for a, b in zip(run(_u_warm), run(_u_bisect)))
     return {"draws": n_draws,
             "warm_s": warm,
             "bisect_s": bisect,
@@ -405,10 +414,7 @@ def _host_cases():
     """(name, alpha integrate_ode packs, the same alpha behind a lambda)."""
     seasonal = SeasonalForcing(a=4.0, b=0.75, c=0.2)
     return (
-        # the kernel's seasonal product, which SeasonalForcing.__call__ (with
-        # its **2) can miss in the last bit
-        ("seasonal", seasonal, lambda t, th: 4.0 * (t - 0.75) * (t - 0.75) * (
-            1.0 - math.cos(2.0 * math.pi * t / 0.2))),
+        ("seasonal", seasonal, lambda t, th: seasonal(t, th)),
         ("constant", ConstantForcing(2.5), lambda t, th: 2.5),
         ("proportional", ProportionalForcing(3.0), lambda t, th: 3.0 * th),
     )
@@ -419,16 +425,14 @@ def _host_lane(repeats: int):
     dt = 1.0 / _HOST_STEPS
     knots = np.linspace(0.0, 1.0, 11)
     sampled = ControlSignal(times=knots, values=0.3 + 0.4 * np.sin(np.pi * knots))
-    ts, vs = knots.tolist(), sampled.values.tolist()
-    controls = (("constant", 0.35, lambda t: 0.35),
-                ("sampled", sampled, lambda t: K._interp_knots(t, ts, vs)))
+    controls = (("constant", 0.35), ("sampled", sampled))
     lane = {}
     for alpha_name, alpha, hidden_alpha in _host_cases():
         packed = ModelParams.with_default_forcings(theta1=0.6, alpha=alpha)
         hidden = ModelParams(theta1=0.6, theta2=1.0, v_max=1.0, alpha=hidden_alpha,
                              beta=lambda t, th: 0.5, gamma=lambda t, th: 0.1 * th,
                              eta=lambda t: 1.0)
-        for control_name, u, hidden_u in controls:
+        for control_name, u in controls:
             calls = []
 
             def record(*args):
@@ -438,7 +442,7 @@ def _host_lane(repeats: int):
             with _swapped("host_rk4_single", record) as kernel:
                 fast = integrate_ode(packed, u, x0, T=1.0, dt=dt)
             seconds = _best_of(K.host_rk4_single, calls[0], repeats)
-            slow = integrate_ode(hidden, hidden_u, x0, T=1.0, dt=dt)
+            slow = integrate_ode(hidden, u, x0, T=1.0, dt=dt)
             mismatches = sum(int(np.sum(getattr(fast, name).view(np.int64)
                                         != getattr(slow, name).view(np.int64)))
                              for name in ("theta", "v", "v_r"))

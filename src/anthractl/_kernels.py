@@ -7,7 +7,8 @@ The single-trajectory kernels are scalar loops on Python floats: they turn
 their knot arrays into lists at entry, and ``_interp_knots`` finds a knot
 interval with ``bisect``, so no numpy scalar enters the loop.  The batch
 kernel runs the same RK4 step vectorized across scenarios; the same
-``_interp_knots`` interpolates there with one lane vector per knot.
+``_interp_knots`` interpolates there with one lane vector per knot, and
+serves ``pde_control``'s Riccati matrices and PDE control rows too.
 
 Both single-trajectory kernels run the four RK4 stages of a step through
 one stage body and read a time-dependent rate from a per-step table of its
@@ -199,19 +200,6 @@ def _u_law(c3: float, theta1: float, k: float, root) -> float:
     return u
 
 
-def _u_interior(alpha_t: float, theta: float, p: float,
-                theta1: float, k: float) -> float:
-    """_u_law at (alpha, theta, p) with the warm-started root (_feedback_root),
-    so the result is bit-identical to _u_interior_bisect."""
-    return _u_law(alpha_t * theta1 * theta1 * theta * p, theta1, k, _feedback_root)
-
-
-def _u_interior_bisect(alpha_t: float, theta: float, p: float,
-                       theta1: float, k: float) -> float:
-    """_u_interior with the root bisected from [1, 3/2]: the reference."""
-    return _u_law(alpha_t * theta1 * theta1 * theta * p, theta1, k, _reference_root)
-
-
 # ---------------------------------------------------------------------------
 #  Single-trajectory host kernel
 # ---------------------------------------------------------------------------
@@ -336,7 +324,8 @@ def host_rk4_batch(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
     def forcing(slot, t, theta_now):
         code = codes[:, slot]
         base = q0[:, slot]
-        seas = base * (t - q1[:, slot]) ** 2 * (1.0 - np.cos(_TWO_PI * t / q2[:, slot]))
+        lag = t - q1[:, slot]
+        seas = base * lag * lag * (1.0 - np.cos(_TWO_PI * t / q2[:, slot]))
         return np.where(code == FORCING_CONST, base,
                         np.where(code == FORCING_SEASONAL, seas, base * theta_now))
 
@@ -386,8 +375,8 @@ def host_rk4_batch(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
 
 def _time_rate(code, q0, q1, q2, knot_t, knot_v):
     """A time-only rate as a function of t: the constant q0, the seasonal
-    q0*(t - q1)^2*(1 - cos(2*pi*t/q2)) or (FORCING_SAMPLED) the linear
-    interpolant of the knot lists."""
+    q0*(t - q1)^2*(1 - cos(2*pi*t/q2)) (the package's one scalar seasonal
+    formula) or (FORCING_SAMPLED) the linear interpolant of the knot lists."""
     if code == FORCING_SAMPLED:
         return lambda t: _interp_knots(t, knot_t, knot_v)
     if code == FORCING_SEASONAL:
@@ -488,9 +477,9 @@ def _bisect_switch(forcing, tc, al_c, th, pp, tau_lo, tau_hi, theta1, k, law,
                    stop):
     """Bisect (tau_lo, tau_hi] for the first end-state flip, 60 halvings.
 
-    With stop, it returns once the midpoint rounds to a bracket end: the
-    midpoint's substep is then the one that set that end, so it would set it
-    to itself again and the bracket can no longer change.
+    With stop (_switching_step), it returns once the midpoint rounds to a
+    bracket end: the midpoint's substep is then the one that set that end, so
+    it would set it to itself again and the bracket can no longer change.
     """
     for _ in range(60):
         mid = 0.5 * (tau_lo + tau_hi)
@@ -501,19 +490,6 @@ def _bisect_switch(forcing, tc, al_c, th, pp, tau_lo, tau_hi, theta1, k, law,
         else:
             tau_lo = mid
     return tau_hi
-
-
-def _locate_switch(forcing, tc, al_c, th, pp, tau_lo, tau_hi, theta1, k, law):
-    """Switch time of the bracket, stopping at its fixed point."""
-    return _bisect_switch(forcing, tc, al_c, th, pp, tau_lo, tau_hi, theta1, k,
-                          law, True)
-
-
-def _locate_switch_full(forcing, tc, al_c, th, pp, tau_lo, tau_hi, theta1, k,
-                        law):
-    """_locate_switch with all 60 halvings: the reference."""
-    return _bisect_switch(forcing, tc, al_c, th, pp, tau_lo, tau_hi, theta1, k,
-                          law, False)
 
 
 #: Switch events located in one step before the rest of it is taken on the
@@ -547,8 +523,8 @@ def _switching_step(forcing, tc, al_c, th, pp, remaining, th_e, pp_e,
             # The crossing never shows at a substep end (grazing touch);
             # the frozen-branch step is the consistent choice.
             return th_e, pp_e, events, 0, 1
-        tau_hi = _locate_switch(forcing, tc, al_c, th, pp, tau_lo, tau_hi,
-                                theta1, k, law)
+        tau_hi = _bisect_switch(forcing, tc, al_c, th, pp, tau_lo, tau_hi,
+                                theta1, k, law, True)
         th, pp, _, _ = _substep_at(forcing, tc, al_c, th, pp, tau_hi, theta1, k, law)
         tc += tau_hi
         remaining -= tau_hi

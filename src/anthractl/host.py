@@ -15,7 +15,6 @@ layer lives in :mod:`anthractl.ode_control`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -85,7 +84,8 @@ class SeasonalForcing:
             raise ValueError(f"SeasonalForcing.c must be in (0, 1], got {self.c}")
 
     def __call__(self, t: float, theta: float = 0.0) -> float:
-        return self.a * (t - self.b) ** 2 * (1.0 - math.cos(2.0 * math.pi * t / self.c))
+        return _kernels._time_rate(_kernels.FORCING_SEASONAL, self.a, self.b, self.c,
+                                   (), ())(t)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class ProportionalForcing:
 
 def seasonal_alpha(f: SeasonalForcing, t: float) -> float:
     """Evaluate the seasonal forcing ``a*(t-b)^2*(1-cos(2*pi*t/c))`` at time t."""
-    return f.a * (t - f.b) ** 2 * (1.0 - math.cos(2.0 * math.pi * t / f.c))
+    return f(t)
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +368,25 @@ def eval_rhs(t: float, x: HostState, u_val: float, p: ModelParams) -> tuple:
 #  Integration
 # ---------------------------------------------------------------------------
 
-def _normalize_control(u: Union[ControlSignal, Callable[[float], float], float]):
-    """Return (u_fn, knots_t, knots_v); the knot arrays are None when u is opaque."""
+def _control_knots(u) -> Optional[tuple]:
+    """(knot times, knot values) the kernels interpolate a sampled or constant
+    control between, or None for any other control."""
     if isinstance(u, SampledPath):
-        return u, u.times, u.values
+        return u.times, u.values
     if isinstance(u, (int, float)):
-        val = float(u)
-        return (lambda t: val), np.array([0.0, 1.0]), np.array([val, val])
+        return np.array([0.0, 1.0]), np.array([float(u)] * 2)
+    return None
+
+
+def _normalize_control(u: Union[ControlSignal, Callable[[float], float], float]):
+    """The control as a function of t: _interp_knots on the lists of its
+    _control_knots, or, for an opaque callable, the callable itself."""
+    knots = _control_knots(u)
+    if knots is not None:
+        ts, vs = knots[0].tolist(), knots[1].tolist()
+        return lambda t: _kernels._interp_knots(t, ts, vs)
     if callable(u):
-        return u, None, None
+        return u
     raise TypeError(f"unsupported control specification: {type(u)!r}")
 
 
@@ -440,12 +450,12 @@ def integrate_ode(
 
     Recognized forcing/control combinations are dispatched to the host
     kernel; a SeverityForcing alpha enters it sampled once at every RK4
-    stage time.  Anything opaque falls back to a Python loop through
-    eval_rhs with the same RK4 stages, but not bit for bit the kernel's
-    arithmetic: it interpolates a ControlSignal with np.interp where the
-    kernel uses _kernels._interp_knots, and evaluates a SeasonalForcing as
-    a*(t-b)**2*(...) where the kernel multiplies a*(t-b)*(t-b)*(...), so the
-    two can differ in the last bit.  If the state hits v = 0 or theta = 1,
+    stage time.  Anything else falls back to a Python loop through eval_rhs
+    with the same RK4 stages, which is the kernel's arithmetic bit for bit
+    for every recognized forcing and every ControlSignal or constant: both
+    evaluate a SeasonalForcing through _kernels._time_rate and interpolate a
+    ControlSignal with _kernels._interp_knots.  Only an opaque callable
+    rounds its own way.  If the state hits v = 0 or theta = 1,
     or the control pushes 1 - theta1*u nonpositive, integration aborts with
     DivisionGuardError — valid inputs cannot reach those points, so this is
     a diagnostic, not a recoverable condition.
@@ -453,7 +463,7 @@ def integrate_ode(
     if dt is None:
         dt = 1e-3 * (T - t0)
     n, h, times = time_grid(t0, T, dt)
-    u_fn, knots_t, knots_v = _normalize_control(u)
+    knots = _control_knots(u)
 
     packs = [_pack_forcing(f) for f in (p.alpha, p.beta, p.gamma)]
     staged = isinstance(p.alpha, SeverityForcing)
@@ -464,7 +474,7 @@ def integrate_ode(
         all(q is not None for q in packs)
         and eta_pack is not None
         and eta_pack[0] == _kernels.FORCING_CONST
-        and knots_t is not None
+        and knots is not None
     )
 
     if packable:
@@ -477,7 +487,7 @@ def integrate_ode(
             b[0], b[1], b[2], b[3],
             g[0], g[1], g[2], g[3],
             eta_pack[1],
-            knots_t, knots_v,
+            knots[0], knots[1],
             a_stage,
         )
         if status != 0:
@@ -488,6 +498,7 @@ def integrate_ode(
         return Trajectory(times=times, theta=theta, v=v, v_r=v_r)
 
     # Generic fallback: one RK4 step at a time through eval_rhs.
+    u_fn = _normalize_control(u)
     theta = np.empty(n + 1)
     v = np.empty(n + 1)
     v_r = np.empty(n + 1)

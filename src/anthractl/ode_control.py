@@ -23,13 +23,13 @@ import numpy as np
 
 from . import _kernels
 from .host import (
-    ConstantForcing,
     ControlSignal,
     DivisionGuardError,
     ModelParams,
     SampledPath,
-    SeasonalForcing,
     Trajectory,
+    _normalize_control,
+    _pack_forcing,
     time_grid,
 )
 
@@ -219,8 +219,6 @@ def _time_only_alpha(params: ModelParams) -> Callable[[float], float]:
     to theta would invalidate the adjoint equation, so it is refused.
     """
     alpha = params.alpha
-    if isinstance(alpha, (ConstantForcing, SeasonalForcing)):
-        return lambda t: alpha(t, 0.0)
     for t in (0.0, 0.31, 0.77):
         lo, hi = alpha(t, 0.2), alpha(t, 0.8)
         if lo != hi:
@@ -240,13 +238,11 @@ def _coupled_setup(params: ModelParams, cost: CostSpec, T: float, dt: float,
     (theta0, p0).
     """
     n, h, times = time_grid(t0, T, dt)
-    alpha = params.alpha
+    pack = _pack_forcing(params.alpha)
     dummy = np.zeros(1)
 
-    if isinstance(alpha, ConstantForcing):
-        forcing = (_kernels.FORCING_CONST, alpha.value, 0.0, 0.0, dummy, dummy)
-    elif isinstance(alpha, SeasonalForcing):
-        forcing = (_kernels.FORCING_SEASONAL, alpha.a, alpha.b, alpha.c, dummy, dummy)
+    if pack is not None and pack[0] != _kernels.FORCING_PROPORTIONAL:
+        forcing = (*pack, dummy, dummy)
     else:
         # Opaque time-only forcing: hand the kernel alpha sampled on the
         # half-step grid.  Every RK4 stage of the uniform grid falls on a
@@ -307,11 +303,7 @@ def integrate_adjoint(
     Returns (theta path, p path) on the forward-ordered grid.
     """
     n, h, times = time_grid(t0, T, dt)
-    if isinstance(u, (int, float)):
-        uval = float(u)
-        u_fn = lambda t: uval  # noqa: E731
-    else:
-        u_fn = u
+    u_fn = _normalize_control(u)
     alpha_fn = _time_only_alpha(params)
     theta1 = params.theta1
 

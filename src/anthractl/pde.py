@@ -463,17 +463,12 @@ def principal_eigenvalue(L: OperatorMatrix, exclude_constant: bool = False,
     M = (A + shift * sp.identity(n, format="csr")).tocsc()
     lu = spla.splu(M)
 
-    # deterministic start vector with components on every low mode
+    # deterministic start vector with components on every low mode; it holds
+    # 1.5 and -0.5 (n >= 2), so neither it nor its projection off 1 is zero
     x = np.cos(np.linspace(0.0, np.pi, n)) + 0.5
     if exclude_constant:
         x -= (x @ ones) * ones
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        x = np.linspace(-1.0, 1.0, n)
-        if exclude_constant:
-            x -= (x @ ones) * ones
-        nx = np.linalg.norm(x)
-    x /= nx
+    x /= np.linalg.norm(x)
 
     lam = float(x @ (A @ x))
     iters = 0

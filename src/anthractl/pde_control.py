@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
+from ._kernels import _interp_knots
 from .grid import DiffusionField, ScalarField, SpatialGrid, as_cell_values
 from .host import DivisionGuardError, time_grid
 from .ode_control import GridMismatchError
@@ -203,7 +204,7 @@ class RiccatiPath:
 
     def P_at(self, s: float) -> np.ndarray:
         """P at pseudo-time s, linearly interpolated between samples."""
-        return _interp_samples(self.times, self.matrices, s)
+        return _interp_knots(s, self.times, self.matrices)
 
     def P_lookback(self, t_phys: float) -> np.ndarray:
         """P(T - t): the matrix the feedback uses at physical time t."""
@@ -214,18 +215,6 @@ class RiccatiPath:
 
 
 _RICCATI_MAX_CELLS = 256  # dense N x N storage; larger grids are out of scope
-
-
-def _interp_samples(times: np.ndarray, samples: np.ndarray, t: float) -> np.ndarray:
-    """samples[j] linearly interpolated in t, (1-w)*samples[j-1] + w*samples[j],
-    with the end samples extended as constants."""
-    if t <= times[0]:
-        return samples[0]
-    if t >= times[-1]:
-        return samples[-1]
-    j = int(times.searchsorted(t, side="right"))
-    w = (t - times[j - 1]) / (times[j] - times[j - 1])
-    return (1.0 - w) * samples[j - 1] + w * samples[j]
 
 
 def _eig_extremes(P: np.ndarray) -> tuple:
@@ -278,11 +267,12 @@ def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: fl
     mats = [P.copy()]
     eig_range = []
 
-    def check_state(P_now, s_now):
+    def check_state(P_now, s_now, store):
+        """The blow-up guard on every step; the PSD check on stored ones."""
         norm = float(np.max(np.abs(P_now)))
         if not np.isfinite(norm) or norm > _NORM_CAP:
             raise RiccatiBlowupError(f"||P|| reached {norm:.3e} at pseudo-time {s_now:g}")
-        if check_psd:
+        if store and check_psd:
             eig_range.append(_eig_extremes(P_now))
             lam = eig_range[-1][0]
             if lam < _PSD_TOL:
@@ -290,7 +280,7 @@ def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: fl
                     f"P lost positive semidefiniteness (min eigenvalue {lam:.3e}) "
                     f"at pseudo-time {s_now:g}")
 
-    check_state(P, 0.0)
+    check_state(P, 0.0, True)
     for k in range(1, n_steps + 1):
         X = Phi11 + Phi12 @ P
         Y = Phi21 + Phi22 @ P
@@ -300,11 +290,9 @@ def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: fl
             raise RiccatiBlowupError(
                 f"Riccati step matrix became singular at pseudo-time {k * h:g}") from None
         P = 0.5 * (P + P.T)
-        norm = float(np.max(np.abs(P)))
-        if not np.isfinite(norm) or norm > _NORM_CAP:
-            raise RiccatiBlowupError(f"||P|| reached {norm:.3e} at pseudo-time {k * h:g}")
-        if k % store_every == 0 or k == n_steps:
-            check_state(P, k * h)
+        store = k % store_every == 0 or k == n_steps
+        check_state(P, k * h, store)
+        if store:
             stored.append(k)
             mats.append(P.copy())
     return RiccatiPath(times[stored], np.asarray(mats),
@@ -364,9 +352,10 @@ def _last_call_cache(fn):
 
 def _path_control(times: np.ndarray, samples: np.ndarray):
     """u_of(t, theta) of a control sampled at `times`, interpolated by
-    _interp_samples once per distinct t.  Scalar samples give a spatially
+    _interp_knots once per distinct t.  Scalar samples give a spatially
     uniform control with the same value per cell as a path of uniform rows."""
-    u_at = _last_call_cache(lambda t: _interp_samples(times, samples, t))
+    ts = times.tolist()
+    u_at = _last_call_cache(lambda t: _interp_knots(t, ts, samples))
     return lambda t, x: u_at(t)
 
 
@@ -684,8 +673,9 @@ class SweepResult:
     """Outcome of the forward-backward sweep.
 
     u_path / theta_path / adjoint_path are aligned FieldPaths on the step
-    grid; cost_history holds the cost after every sweep (reported even when
-    the iteration stops on max_iter without meeting the tolerance).
+    grid; cost_history[i] is the cost of the control sweep i + 1 starts from
+    (u = 0 first), the last entry that of the returned control (reported
+    even when the iteration stops on max_iter without meeting the tolerance).
     """
 
     u_path: FieldPath
@@ -729,6 +719,7 @@ def forward_backward_sweep(theta0, grid: SpatialGrid, A: DiffusionField, alpha,
 
     for iterations in range(1, max_iter + 1):
         theta_path = integrate_controlled(theta0, grid, A, al, u_path, theta1, T, dt)
+        history.append(eval_cost_JT3(theta_path, u_path, cost, grid, h))
         p_path = solve_adjoint_pde(theta_path, u_path, cost, grid, A, T, dt, al, theta1)
         u_new = _stationarity_feedback(al, theta_path.values, p_path.values,
                                        t1, k1)
@@ -736,7 +727,6 @@ def forward_backward_sweep(theta0, grid: SpatialGrid, A: DiffusionField, alpha,
         change = float(np.max(np.abs(u_next - u_vals)))
         u_vals = u_next
         u_path = FieldPath(times, u_vals)
-        history.append(eval_cost_JT3(theta_path, u_path, cost, grid, h))
         if change < _SWEEP_TOL:
             converged = True
             break

@@ -129,6 +129,17 @@ def test_bundled_scenarios_complete():
     assert tuple(sorted(bundled_scenarios())) == _BUNDLED
 
 
+@pytest.mark.parametrize("name", _BUNDLED)
+def test_bundled_config_round_trips_through_pickle(name):
+    # a parsed config, plan included, must pickle (a process pool hands
+    # configs to its workers), so no forcing may hold a closure
+    cfg = parse_config(resolve_config_path(name))
+    blob = pickle.dumps(cfg)
+    back = pickle.loads(blob)
+    assert (back.name, back.mode, type(back.plan)) == (name, cfg.mode, type(cfg.plan))
+    assert pickle.dumps(back) == blob
+
+
 def test_resolve_prefers_existing_file(tmp_path):
     path = _write_cfg(tmp_path, _tiny_ode())
     assert resolve_config_path(path) == path

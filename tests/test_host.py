@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anthractl import (
     ConstantForcing,
@@ -32,7 +34,18 @@ def test_seasonal_forcing_shape():
     assert f(0.75) == 0.0
     assert abs(f(0.4)) < 1e-12
     assert f(0.5) > 0.0
-    assert seasonal_alpha(f, 0.5) == f(0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(0.0, 10.0), b=st.floats(0.0, 1.0),
+       c=st.floats(0.01, 1.0), t=st.floats(-1.0, 2.0))
+@example(a=3.7, b=0.75, c=0.3, t=0.02)  # where (t-b)**2 rounds apart from (t-b)*(t-b)
+def test_seasonal_forcing_is_the_kernels_closure(a, b, c, t):
+    # one seasonal formula: the forcing, seasonal_alpha and the kernels'
+    # closure agree bit for bit
+    f = SeasonalForcing(a=a, b=b, c=c)
+    kernel = _kernels._time_rate(_kernels.FORCING_SEASONAL, a, b, c, (), ())
+    assert seasonal_alpha(f, t) == f(t) == kernel(t)
 
 
 def test_seasonal_forcing_validation():

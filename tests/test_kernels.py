@@ -1,6 +1,5 @@
 """Integration kernels: the feedback root, event location and Python-float loops."""
 
-import math
 import sys
 
 import numpy as np
@@ -54,10 +53,11 @@ def test_feedback_root_equals_bisection(ratio, k):
 
 @settings(max_examples=1500, deadline=None)
 @given(ratio=_ratio, k=_k, theta1=_unit, theta=_unit, p=st.floats(1e-3, 2.0))
-def test_u_interior_equals_bisection_reference(ratio, k, theta1, theta, p):
+def test_u_law_equals_bisection_reference(ratio, k, theta1, theta, p):
     alpha = ratio * k / (theta1 * theta1 * theta * p)
-    assert _kernels._u_interior(alpha, theta, p, theta1, k) == \
-        _kernels._u_interior_bisect(alpha, theta, p, theta1, k)
+    c3 = alpha * theta1 * theta1 * theta * p
+    assert _kernels._u_law(c3, theta1, k, _kernels._feedback_root) == \
+        _kernels._u_law(c3, theta1, k, _kernels._reference_root)
 
 
 def test_feedback_root_underflowed_ratio():
@@ -145,7 +145,8 @@ def test_event_location_stop_matches_full_bisection(monkeypatch, p0):
         return out
 
     early = run()
-    monkeypatch.setattr(_kernels, "_locate_switch", _kernels._locate_switch_full)
+    bisect = _kernels._bisect_switch
+    monkeypatch.setattr(_kernels, "_bisect_switch", lambda *a: bisect(*a[:-1], False))
     full = run()
     assert early[3][0] > 0  # switch events were located
     assert counts[0] < counts[1]
@@ -338,21 +339,18 @@ def test_interp_knots_matches_searchsorted_bitwise():
 # ---------------------------------------------------------------------------
 
 def _host_rate(kind, amp):
-    """(forcing integrate_ode packs for the kernel, the same rate behind a
+    """(forcing integrate_ode packs for the kernel, the same forcing behind a
     lambda, which sends integrate_ode to its generic eval_rhs loop)."""
     if kind == "const":
-        return ConstantForcing(amp), lambda t, th: amp
-    if kind == "proportional":
-        return ProportionalForcing(amp), lambda t, th: amp * th
-    if kind == "severity":
+        f = ConstantForcing(amp)
+    elif kind == "proportional":
+        f = ProportionalForcing(amp)
+    elif kind == "severity":
         f = SeverityForcing(WeatherSeries(**_SEVERITY_WEATHER), "asi",
                             AsiCoefficients(a0=amp, a01=0.05), scale=2.0)
-        return f, lambda t, th: f(t, th)
-    f = SeasonalForcing(a=amp, b=0.75, c=0.3)
-    # the kernel's product; SeasonalForcing.__call__ squares with ** instead,
-    # which rounds differently in the last bit for some amplitudes
-    return f, lambda t, th: amp * (t - 0.75) * (t - 0.75) * (
-        1.0 - math.cos(2.0 * math.pi * t / 0.3))
+    else:
+        f = SeasonalForcing(a=amp, b=0.75, c=0.3)
+    return f, lambda t, th: f(t, th)
 
 
 def _guard_exit(run):
@@ -389,19 +387,28 @@ _RATE_KINDS = ("const", "seasonal", "proportional")
 @example(alpha="proportional", beta="proportional", gamma="const", amps=(1.0, 0.5, 0.1),
          control="float", level=1.2, theta1=0.9, theta0=0.2, v0=0.5,
          horizon=1.0, steps=100, seed=0)
+# a = 3.7, where a*(t-b)**2*... and a*(t-b)*(t-b)*... round apart
+@example(alpha="seasonal", beta="const", gamma="proportional", amps=(3.7, 0.5, 0.1),
+         control="float", level=0.35, theta1=0.6, theta0=0.2, v0=0.5,
+         horizon=1.0, steps=300, seed=0)
+# knots where np.interp and _interp_knots round apart
+@example(alpha="const", beta="const", gamma="proportional", amps=(2.0, 0.5, 0.1),
+         control="sampled", level=0.0, theta1=0.6, theta0=0.2, v0=0.5,
+         horizon=1.0, steps=300, seed=2)
 def test_host_kernel_equals_generic_loop_bitwise(alpha, beta, gamma, amps, control,
                                                  level, theta1, theta0, v0, horizon,
                                                  steps, seed):
     # integrate_ode through host_rk4_single and through the generic eval_rhs
-    # loop (every rate and the control hidden behind lambdas) give the same
-    # trajectory bits, or stop at the same guard in the same step
+    # loop (every forcing hidden behind a lambda, the same control) give the
+    # same trajectory bits, or stop at the same guard in the same step
     rates = [_host_rate(kind, amp) for kind, amp in zip((alpha, beta, gamma), amps)]
     packed = ModelParams(theta1=theta1, theta2=0.9, v_max=1.5,
                          alpha=rates[0][0], beta=rates[1][0], gamma=rates[2][0],
                          eta=ConstantForcing(0.8))
+    calls = []  # eta is read once by every stage that passes its guards
     hidden = ModelParams(theta1=theta1, theta2=0.9, v_max=1.5,
                          alpha=rates[0][1], beta=rates[1][1], gamma=rates[2][1],
-                         eta=lambda t: 0.8)
+                         eta=lambda t: calls.append(t) or 0.8)
     rng = np.random.default_rng(seed)
     knots = np.cumsum(rng.uniform(0.05, 1.0, 12))
     knots = (knots - knots[0]) / (knots[-1] - knots[0]) * 1.2 * horizon - 0.1 * horizon
@@ -411,22 +418,12 @@ def test_host_kernel_equals_generic_loop_bitwise(alpha, beta, gamma, amps, contr
         u = ControlSignal(times=knots, values=np.full(knots.size, min(level, 1.0)))
     else:
         u = ControlSignal(times=knots, values=rng.uniform(0.0, 1.0, knots.size))
-        ts, vs = u.times.tolist(), u.values.tolist()
-    calls = []
-
-    def u_hidden(t):
-        # a sampled control through the kernel's interpolant, which
-        # test_interp_knots_matches_searchsorted_bitwise pins
-        calls.append(t)
-        if control == "sampled":
-            return _kernels._interp_knots(t, ts, vs)
-        return u if control == "float" else min(level, 1.0)
 
     x0 = HostState(theta0, v0, 0.0)
     dt = horizon / steps
     fast, fast_error = _guard_exit(lambda: integrate_ode(packed, u, x0, T=horizon, dt=dt))
     with np.errstate(all="ignore"):  # numpy scalars warn where floats overflow
-        slow, slow_error = _guard_exit(lambda: integrate_ode(hidden, u_hidden, x0,
+        slow, slow_error = _guard_exit(lambda: integrate_ode(hidden, u, x0,
                                                              T=horizon, dt=dt))
     if slow_error is None:
         assert fast_error is None
@@ -434,8 +431,8 @@ def test_host_kernel_equals_generic_loop_bitwise(alpha, beta, gamma, amps, contr
             a, b = getattr(fast, name), getattr(slow, name)
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
         return
-    # the generic loop asks for u three times per step before its first stage
-    step = len(calls) // 3 - 1
+    # every step has four stages
+    step = len(calls) // 4
     guard = {"1 - theta1*u": 1, "theta == 1": 2, "v == 0": 3}
     code = next(c for prefix, c in guard.items() if slow_error.startswith(prefix))
     h = time_grid(0.0, horizon, dt)[1]

@@ -15,6 +15,7 @@ from anthractl import (
     GridMismatchError,
     HostState,
     ModelParams,
+    ProportionalForcing,
     SampledPath,
     SeasonalForcing,
     ShootingError,
@@ -124,6 +125,10 @@ def test_coupled_terminal_map_is_continuous(season_params, unit_cost):
 def test_coupled_rejects_state_dependent_alpha(unit_cost):
     p = ModelParams.with_default_forcings(theta1=0.5, alpha=1.0)
     object.__setattr__(p, "alpha", lambda t, th: 1.0 + th)
+    with pytest.raises(ValueError, match="time only"):
+        integrate_coupled(0.5, 0.2, p, unit_cost, T=1.0, dt=0.01)
+    # a proportional alpha has a kernel code but depends on theta
+    p = ModelParams.with_default_forcings(theta1=0.5, alpha=ProportionalForcing(2.0))
     with pytest.raises(ValueError, match="time only"):
         integrate_coupled(0.5, 0.2, p, unit_cost, T=1.0, dt=0.01)
 

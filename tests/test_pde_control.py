@@ -31,7 +31,8 @@ from anthractl import (
 )
 from anthractl.grid import as_cell_values
 from anthractl.host import time_grid
-from anthractl.pde_control import _closed_loop_lanes, _interp_samples
+from anthractl._kernels import _interp_knots
+from anthractl.pde_control import _closed_loop_lanes
 
 # the 1-cell reference problem: alpha=1, eps=4, theta1=0.5, k1=k2=0.5
 # => b = alpha*eps*theta1 = 2 and the stationary Riccati equation
@@ -227,7 +228,7 @@ def _separate_rollouts(theta0, L1, b, P_path, cost, eps, theta1, alpha, T, dt):
     theta = rollout(feedback)
     u = np.array([feedback(t, x) for t, x in zip(times, theta)])
     constant = [rollout(lambda t, x, uv=np.full((len(times), n), c):
-                        _interp_samples(times, uv, t))
+                        _interp_knots(t, times, uv))
                 for c in _CONSTANTS]
     return theta, u, constant
 
@@ -494,6 +495,24 @@ def test_sweep_converges_and_dominates_constants():
     assert np.all(res.u_path.values >= 0.0) and np.all(res.u_path.values <= 1.0)
 
 
+def test_sweep_cost_history_is_the_cost_of_each_iterate(monkeypatch, tmp_path):
+    # row i of the history is J(u_i): on sweep-1d the first row is the cost
+    # of u = 0 and the last that of the returned control, bit for bit as
+    # the CLI reports them
+    from anthractl import cli
+
+    results = []
+    sweep = cli.forward_backward_sweep
+    monkeypatch.setattr(cli, "forward_backward_sweep",
+                        lambda *a, **kw: results.append(sweep(*a, **kw)) or results[-1])
+    report = cli.execute(cli.parse_config(cli.resolve_config_path("sweep-1d")),
+                         str(tmp_path))
+    history = results[0].cost_history
+    assert len(history) == results[0].iterations + 1
+    assert history[0] == report.costs["u_zero"]
+    assert history[-1] == report.costs["controlled"]
+
+
 def test_sweep_nonconvergence_is_reported_not_raised():
     grid, A = _grid_1d(n=4, A=0.01)
     alpha = np.full(4, 5.0)  # strong pressure drives near-bang oscillation
@@ -503,4 +522,4 @@ def test_sweep_nonconvergence_is_reported_not_raised():
                                  max_iter=3)
     assert not res.converged
     assert res.iterations == 3
-    assert len(res.cost_history) == 4  # 3 sweeps + final consistent re-eval
+    assert len(res.cost_history) == 4  # the costs of u_0, u_1, u_2 and the returned u_3

@@ -111,12 +111,11 @@ def _single_args(n_steps: int):
     # seasonal-burst forcing, sampled control on 11 knots
     u_t = np.linspace(0.0, 1.0, 11)
     u_v = 0.3 + 0.4 * np.sin(np.pi * u_t)
-    return (0.2, 0.5, 0.0, 0.0, 1.0 / n_steps, n_steps,
-            0.6, 1.0, 1.0,
-            K.FORCING_SEASONAL, 4.0, 0.75, 0.2,
-            K.FORCING_CONST, 0.5, 0.0, 0.0,
-            K.FORCING_PROPORTIONAL, 0.1, 0.0, 0.0,
-            1.0, u_t, u_v, np.empty((0, 3)))
+    rates = ((K.FORCING_SEASONAL, 4.0, 0.75, 0.2),
+             (K.FORCING_CONST, 0.5, 0.0, 0.0),
+             (K.FORCING_PROPORTIONAL, 0.1, 0.0, 0.0))
+    return (0.2, 0.5, 0.0, 0.0, 1.0 / n_steps, n_steps, 0.6, 1.0, 1.0,
+            rates, 1.0, u_t, u_v, np.empty((0, 3)))
 
 
 def _batch_args(m: int, n_steps: int):
@@ -144,11 +143,10 @@ def _batch_args(m: int, n_steps: int):
 
 
 def _coupled_args(n_steps: int):
-    dummy = np.zeros(1)
     h = 1.0 / n_steps
-    forcing, table = K.coupled_forcing(K.FORCING_SEASONAL, 4.0, 0.75, 0.2,
-                                       dummy, dummy, 0.0, h, n_steps)
-    return (0.2, 0.76, 0.0, h, n_steps, 0.6, 1.0, forcing, table)
+    forcing = K._time_rate(K.FORCING_SEASONAL, 4.0, 0.75, 0.2)
+    return (0.2, 0.76, 0.0, h, n_steps, 0.6, 1.0, forcing,
+            K._stage_table(forcing, 0.0, h, n_steps))
 
 
 def _workloads(args):

@@ -13,10 +13,11 @@ serves ``pde_control``'s Riccati matrices and PDE control rows too.
 Both single-trajectory kernels run the four RK4 stages of a step through
 one stage body and read a time-dependent rate from a per-step table of its
 values at t, t + h/2 and t + h (``_stage_table``, or a severity forcing's
-stage-sampled rows).  ``coupled_forcing`` builds the coupled kernel's table
-once per grid, so shooting pays for alpha once per grid it solves on; its
-stage body holds the branch test and the feedback law, which remembers its
-last root.
+stage-sampled rows).  The coupled kernel takes alpha as a function of t,
+which ``ode_control._time_only_alpha`` resolves, with its ``_stage_table``
+built once per grid, so shooting pays for alpha once per grid it solves on;
+its stage body holds the branch test and the feedback law, which remembers
+its last root.
 """
 
 from __future__ import annotations
@@ -35,16 +36,12 @@ __all__ = [
     "backend_name",
     "host_rk4_single",
     "host_rk4_batch",
-    "coupled_forcing",
     "coupled_rk4",
 ]
 
 FORCING_CONST = 0
 FORCING_SEASONAL = 1
 FORCING_PROPORTIONAL = 2
-#: Time-sampled forcing with linear interpolation between knots (coupled
-#: kernel only; knot arrays travel alongside the code).
-FORCING_SAMPLED = 3
 #: alpha given at the RK4 stage times of each step (host kernel only): row i
 #: of an (n, 3) array holds alpha at t_i, t_i + h/2 and t_i + h.
 FORCING_STAGED = 4
@@ -204,22 +201,19 @@ def _u_law(c3: float, theta1: float, k: float, root) -> float:
 #  Single-trajectory host kernel
 # ---------------------------------------------------------------------------
 
-def host_rk4_single(theta0, v0, vr0, t0, h, n,
-                    theta1, theta2, vmax,
-                    a_code, a0, a1, a2,
-                    b_code, b0, b1, b2,
-                    g_code, g0, g1, g2,
-                    eta0, u_t, u_v, a_stage):
+def host_rk4_single(theta0, v0, vr0, t0, h, n, theta1, theta2, vmax,
+                    rates, eta0, u_t, u_v, a_stage):
     """RK4 of the host system over n steps of h from t0, u interpolated from
     the knots (u_t, u_v); returns (theta, v, v_r, status, steps done).
 
-    Each step runs its four stages through one stage body.  A seasonal rate
-    comes from its _stage_table (FORCING_STAGED alpha from a_stage's rows), a
-    constant one is hoisted, and only a rate proportional to theta is
-    evaluated in the loop.  Equal, finite knot values on knots of finite span
-    make u that constant without interpolation: the interpolant there is
-    c + 0*x, and u enters only through 1 - theta1*u, where +0 and -0 give
-    the same floor.  The first stage whose guard fails (1 - theta1*u <= 0,
+    rates holds the (code, q0, q1, q2) packs of alpha, beta and gamma that
+    host._kernel_forcings gives.  Each step runs its four stages through one
+    stage body.  A seasonal rate comes from its _stage_table (FORCING_STAGED
+    alpha from a_stage's rows), a constant one is hoisted, and only a rate
+    proportional to theta is evaluated in the loop.  Equal, finite knot
+    values on knots of finite span make u that constant without
+    interpolation: the interpolant there is c + 0*x, and u enters only
+    through 1 - theta1*u, where +0 and -0 give the same floor.  The first stage whose guard fails (1 - theta1*u <= 0,
     theta == 1, v == 0, tested in that order) ends the call with its status
     1, 2 or 3 and its step index.  The loop runs on Python floats: knots and
     tables are lists, and the state starts from float() of x0.
@@ -231,13 +225,12 @@ def host_rk4_single(theta0, v0, vr0, t0, h, n,
     fl1 = flm = fl2 = 1.0 - theta1 * vs[0]
     # per-step rows of each rate; None where the rate is hoisted or proportional
     a_rows, b_rows, g_rows = (
-        a_stage.tolist() if code == FORCING_STAGED
-        else _stage_table(_time_rate(code, q0, q1, q2, (), ()), t0, h, n)
-        if code == FORCING_SEASONAL else None
-        for code, q0, q1, q2 in ((a_code, a0, a1, a2), (b_code, b0, b1, b2),
-                                 (g_code, g0, g1, g2)))
-    a_prop, b_prop, g_prop = (code == FORCING_PROPORTIONAL
-                              for code in (a_code, b_code, g_code))
+        a_stage.tolist() if pack[0] == FORCING_STAGED
+        else _stage_table(_time_rate(*pack), t0, h, n)
+        if pack[0] == FORCING_SEASONAL else None
+        for pack in rates)
+    a_prop, b_prop, g_prop = (pack[0] == FORCING_PROPORTIONAL for pack in rates)
+    a0, b0, g0 = (pack[1] for pack in rates)
     al1 = alm = al2 = a0
     be1 = bem = be2 = b0
     ga1 = gam = ga2 = g0
@@ -373,12 +366,10 @@ def host_rk4_batch(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
 #  Coupled state/costate kernel with feedback control
 # ---------------------------------------------------------------------------
 
-def _time_rate(code, q0, q1, q2, knot_t, knot_v):
-    """A time-only rate as a function of t: the constant q0, the seasonal
-    q0*(t - q1)^2*(1 - cos(2*pi*t/q2)) (the package's one scalar seasonal
-    formula) or (FORCING_SAMPLED) the linear interpolant of the knot lists."""
-    if code == FORCING_SAMPLED:
-        return lambda t: _interp_knots(t, knot_t, knot_v)
+def _time_rate(code, q0, q1, q2):
+    """A time-only rate as a function of t: the constant q0 or the seasonal
+    q0*(t - q1)^2*(1 - cos(2*pi*t/q2)), the package's one scalar seasonal
+    formula."""
     if code == FORCING_SEASONAL:
         return lambda t: q0 * (t - q1) * (t - q1) * (1.0 - math.cos(_TWO_PI * t / q2))
     return lambda t: q0
@@ -394,18 +385,6 @@ def _stage_table(rate, t0, h, n):
         t = t0 + i * h
         table.append((rate(t), rate(t + half), rate(t + h)))
     return table
-
-
-def coupled_forcing(a_code, a0, a1, a2, a_t, a_v, t0, h, n):
-    """coupled_rk4's forcing arguments for the grid t0 + i*h, i = 0..n.
-
-    Returns (forcing, table): alpha as a function of t (_time_rate, on the
-    knots as lists) and its _stage_table, the alpha a step without a switch
-    evaluates.  The table depends on the grid alone, so shooting builds it
-    once per grid of a solve.
-    """
-    forcing = _time_rate(a_code, a0, a1, a2, a_t.tolist(), a_v.tolist())
-    return forcing, _stage_table(forcing, t0, h, n)
 
 
 def _interior_law(theta1, k):
@@ -550,11 +529,12 @@ def coupled_rk4(theta0, p0, t0, h, n, theta1, k, forcing, a_table):
     branch.  The reported u values are recomputed from the node values with
     the plain (unfrozen) law.
 
-    forcing and a_table come from coupled_forcing for the same grid: a step
-    without a switch reads its alpha from the table, and only switch location
-    evaluates alpha at other times.  The loop runs on Python floats (theta0
-    and p0 are taken as floats), and the interior law remembers its last
-    root for the call (_interior_law).  Returns (theta, p, u, counts), counts
+    forcing is alpha as a function of t (ode_control._time_only_alpha) and
+    a_table its _stage_table on the same grid: a step without a switch reads
+    its alpha from the table, and only switch location evaluates alpha at
+    other times.  The loop runs on Python floats (theta0 and p0 are taken
+    as floats), and the interior law remembers its last root for the call
+    (_interior_law).  Returns (theta, p, u, counts), counts
     being (switch events, steps that hit the _MAX_EVENTS cap, grazing exits).
     """
     law = _interior_law(theta1, k)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -345,7 +346,7 @@ def _time_block(cfg: ScenarioConfig) -> tuple:
         raise ConfigError(f"{where}: dt must not exceed T")
     try:
         _, h, times = time_grid(0.0, T, dt)
-    except ValueError as exc:  # numpy refuses an array of T/dt + 1 times
+    except (ValueError, OverflowError) as exc:  # T/dt too large to count or to store
         raise ConfigError(f"{where}: T/dt = {T / dt:.3g} steps: {exc}") from None
     return T, h, times
 
@@ -490,6 +491,12 @@ def _ode_plan(cfg: ScenarioConfig) -> OdePlan:
     forcing = _build_severity(cfg) if cfg.mode == "forecast" else None
     params = _build_host_params(cfg, alpha_override=forcing)
     T, h, times = _time_block(cfg)
+    for slot in ("alpha", "beta", "gamma", "eta"):
+        f = getattr(params, slot)
+        # the seasonal closure's phase 2*pi*t/c, in its association, at t = T
+        if isinstance(f, SeasonalForcing) and not math.isfinite(2.0 * math.pi * T / f.c):
+            raise ConfigError(f"{cfg.name}.host.{slot}: the seasonal phase "
+                              f"2*pi*T/c overflows for T = {T} and c = {f.c}")
     optimize = cfg.mode == "optimize-ode"
     k = _num(cfg.data.get("cost", {}), "k", f"{cfg.name}.cost", default=1.0,
              minimum=0.0, strict_min=True)
@@ -743,7 +750,8 @@ def _run_sweep_pde(plan: PdePlan, out_dir: str) -> tuple:
     relax, max_iter = plan.sweep
     res = forward_backward_sweep(plan.theta0, grid, plan.A, plan.alpha, cost, T, h,
                                  theta1=plan.theta1, relax=relax, max_iter=max_iter)
-    J = float(res.cost_history[-1])
+    # the sweep starts from u = 0, so its first cost is the u = 0 baseline
+    J, J0 = float(res.cost_history[-1]), float(res.cost_history[0])
 
     def const_cost(u_val):
         up = FieldPath(res.u_path.times, np.full(res.u_path.values.shape, u_val))
@@ -751,7 +759,7 @@ def _run_sweep_pde(plan: PdePlan, out_dir: str) -> tuple:
                                   T, h)
         return eval_cost_JT3(th, up, cost, grid, h)
 
-    J0, J1 = const_cost(0.0), const_cost(1.0)
+    J1 = const_cost(1.0)
 
     _write_field_path_csv(os.path.join(out_dir, "u_path.csv"), res.u_path)
     _write_field_path_csv(os.path.join(out_dir, "theta_path.csv"), res.theta_path)

@@ -12,6 +12,7 @@ two-point flux approximation used throughout and are rejected up front.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,47 +120,19 @@ class SpatialGrid:
 
 
 def _build_faces(resolution, spacing):
-    """Interior-face connectivity arrays for a uniform grid."""
-    if len(resolution) == 1:
-        nx = resolution[0]
-        left = np.arange(nx - 1, dtype=np.int64)
-        right = left + 1
-        axis = np.zeros(nx - 1, dtype=np.int64)
-        area = np.ones(nx - 1, dtype=float)
-        return left, right, axis, area
-
-    nx, ny = resolution
-    hx, hy = spacing
-    lefts, rights, axes, areas = [], [], [], []
-    # faces normal to x: between (ix, iy) and (ix+1, iy)
-    if nx > 1:
-        ix = np.arange(nx - 1)
-        for iy in range(ny):
-            lefts.append(iy * nx + ix)
-            rights.append(iy * nx + ix + 1)
-        n = (nx - 1) * ny
-        axes.append(np.zeros(n, dtype=np.int64))
-        areas.append(np.full(n, hy))
-    # faces normal to y: between (ix, iy) and (ix, iy+1)
-    if ny > 1:
-        ix = np.arange(nx)
-        for iy in range(ny - 1):
-            lefts.append(iy * nx + ix)
-            rights.append((iy + 1) * nx + ix)
-        n = nx * (ny - 1)
-        axes.append(np.zeros(n, dtype=np.int64) + 1)
-        areas.append(np.full(n, hx))
-    if lefts:
-        left = np.concatenate(lefts).astype(np.int64)
-        right = np.concatenate(rights).astype(np.int64)
-        axis = np.concatenate(axes)
-        area = np.concatenate(areas)
-    else:  # single-cell grid: no interior faces
-        left = np.zeros(0, dtype=np.int64)
-        right = np.zeros(0, dtype=np.int64)
-        axis = np.zeros(0, dtype=np.int64)
-        area = np.zeros(0, dtype=float)
-    return left, right, axis, area
+    """Interior-face connectivity arrays for a uniform grid: the faces normal
+    to x, then those normal to y, each set in cell order (x fastest)."""
+    cells = np.arange(math.prod(resolution), dtype=np.int64).reshape(resolution[::-1])
+    faces = []
+    for ax in range(len(resolution)):
+        lower, upper = [slice(None)] * cells.ndim, [slice(None)] * cells.ndim
+        lower[-1 - ax], upper[-1 - ax] = slice(None, -1), slice(1, None)
+        left = cells[tuple(lower)].ravel()
+        area = math.prod(s for j, s in enumerate(spacing) if j != ax)
+        faces.append((left, cells[tuple(upper)].ravel(),
+                      np.full(left.size, ax, dtype=np.int64),
+                      np.full(left.size, area, dtype=float)))
+    return tuple(np.concatenate(parts) for parts in zip(*faces))
 
 
 # --------------------------------------------------------------------------

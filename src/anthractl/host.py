@@ -84,8 +84,7 @@ class SeasonalForcing:
             raise ValueError(f"SeasonalForcing.c must be in (0, 1], got {self.c}")
 
     def __call__(self, t: float, theta: float = 0.0) -> float:
-        return _kernels._time_rate(_kernels.FORCING_SEASONAL, self.a, self.b, self.c,
-                                   (), ())(t)
+        return _kernels._time_rate(_kernels.FORCING_SEASONAL, self.a, self.b, self.c)(t)
 
 
 @dataclass(frozen=True)
@@ -238,9 +237,6 @@ class HostState:
     theta: float
     v: float
     v_r: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta, self.v, self.v_r], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +397,21 @@ def _pack_forcing(f) -> Optional[tuple]:
     return None
 
 
+def _kernel_forcings(p: ModelParams) -> Optional[tuple]:
+    """(rates, eta0): the (code, q0, q1, q2) packs of alpha, beta and gamma
+    and the constant eta that the host kernels take, or None when a forcing
+    is opaque or eta is not constant.  A SeverityForcing alpha packs as
+    FORCING_STAGED, which only host_rk4_single reads (its rows come from
+    _stage_alpha)."""
+    alpha = ((_kernels.FORCING_STAGED, 0.0, 0.0, 0.0)
+             if isinstance(p.alpha, SeverityForcing) else _pack_forcing(p.alpha))
+    rates = (alpha, _pack_forcing(p.beta), _pack_forcing(p.gamma))
+    eta = _pack_forcing(p.eta)
+    if None in rates or eta is None or eta[0] != _kernels.FORCING_CONST:
+        return None
+    return rates, eta[1]
+
+
 def _stage_alpha(f: SeverityForcing, times: np.ndarray, h: float) -> np.ndarray:
     """(n, 3) alpha at t_i, t_i + h/2 and t_i + h for the n steps of the grid
     `times`, for FORCING_STAGED; the times are the floats the generic loop
@@ -448,48 +459,32 @@ def integrate_ode(
     steps.  The default dt is 1e-3*(T-t0).  The control may be a
     ControlSignal, a plain callable of time, or a constant.
 
-    Recognized forcing/control combinations are dispatched to the host
-    kernel; a SeverityForcing alpha enters it sampled once at every RK4
-    stage time.  Anything else falls back to a Python loop through eval_rhs
-    with the same RK4 stages, which is the kernel's arithmetic bit for bit
-    for every recognized forcing and every ControlSignal or constant: both
-    evaluate a SeasonalForcing through _kernels._time_rate and interpolate a
-    ControlSignal with _kernels._interp_knots.  Only an opaque callable
-    rounds its own way.  If the state hits v = 0 or theta = 1,
-    or the control pushes 1 - theta1*u nonpositive, integration aborts with
-    DivisionGuardError — valid inputs cannot reach those points, so this is
-    a diagnostic, not a recoverable condition.
+    Forcings that _kernel_forcings packs, under a ControlSignal or constant
+    control, are dispatched to the host kernel; a SeverityForcing alpha
+    enters it sampled once at every RK4 stage time.  Anything else falls
+    back to a Python loop through eval_rhs with the same RK4 stages, which
+    is the kernel's arithmetic bit for bit for every recognized forcing and
+    every ControlSignal or constant: both evaluate a SeasonalForcing through
+    _kernels._time_rate and interpolate a ControlSignal with
+    _kernels._interp_knots.  Only an opaque callable rounds its own way.
+    If the state hits v = 0 or theta = 1, or the control pushes
+    1 - theta1*u nonpositive, integration aborts with DivisionGuardError —
+    valid inputs cannot reach those points, so this is a diagnostic, not a
+    recoverable condition.
     """
     if dt is None:
         dt = 1e-3 * (T - t0)
     n, h, times = time_grid(t0, T, dt)
     knots = _control_knots(u)
+    forcings = _kernel_forcings(p)
 
-    packs = [_pack_forcing(f) for f in (p.alpha, p.beta, p.gamma)]
-    staged = isinstance(p.alpha, SeverityForcing)
-    if staged:
-        packs[0] = (_kernels.FORCING_STAGED, 0.0, 0.0, 0.0)
-    eta_pack = _pack_forcing(p.eta)
-    packable = (
-        all(q is not None for q in packs)
-        and eta_pack is not None
-        and eta_pack[0] == _kernels.FORCING_CONST
-        and knots is not None
-    )
-
-    if packable:
-        a, b, g = packs
-        a_stage = _stage_alpha(p.alpha, times, h) if staged else _NO_STAGES
+    if forcings is not None and knots is not None:
+        rates, eta0 = forcings
+        a_stage = (_stage_alpha(p.alpha, times, h)
+                   if rates[0][0] == _kernels.FORCING_STAGED else _NO_STAGES)
         theta, v, v_r, status, i_fail = _kernels.host_rk4_single(
-            x0.theta, x0.v, x0.v_r, t0, h, n,
-            p.theta1, p.theta2, p.v_max,
-            a[0], a[1], a[2], a[3],
-            b[0], b[1], b[2], b[3],
-            g[0], g[1], g[2], g[3],
-            eta_pack[1],
-            knots[0], knots[1],
-            a_stage,
-        )
+            x0.theta, x0.v, x0.v_r, t0, h, n, p.theta1, p.theta2, p.v_max,
+            rates, eta0, knots[0], knots[1], a_stage)
         if status != 0:
             raise DivisionGuardError(
                 f"integration aborted at step {i_fail} (t≈{t0 + i_fail * h:.6g}): "
@@ -538,69 +533,37 @@ def integrate_ode_batch(
 ) -> list:
     """Integrate many scenarios at once.
 
-    All controls must be sampled on one common knot grid (constants are
-    broadcast onto it) and all forcings must be of the recognized types;
-    scenarios that do not fit are integrated one by one via
-    :func:`integrate_ode` instead.  The batch kernel interpolates the control
-    exactly as :func:`integrate_ode` does, but its seasonal forcing calls
-    np.cos where the scalar kernel calls math.cos, so the two paths agree to
-    within 1e-12 rather than bit for bit.
+    Every scenario falls back to :func:`integrate_ode`, one by one, when any
+    scenario has a SeverityForcing alpha (the batch kernel takes no stage
+    rows) or a forcing that _kernel_forcings cannot pack, or when the
+    controls are not all constants or SampledPaths on one common knot grid
+    (constants are broadcast onto it).  The batch kernel interpolates the
+    control exactly as :func:`integrate_ode` does, but its seasonal forcing
+    calls np.cos where the scalar kernel calls math.cos, so the two paths
+    agree to within 1e-12 rather than bit for bit.
     """
     m = len(params)
     if not (len(controls) == len(x0s) == m):
         raise ValueError("params, controls and x0s must have equal length")
     n, h, times = time_grid(t0, T, dt)
 
-    knots_t = None
-    knot_vals = []
-    batchable = True
-    for u in controls:
-        if isinstance(u, (int, float)):
-            knot_vals.append(None)  # broadcast later
-            continue
-        if not isinstance(u, SampledPath):
-            batchable = False
-            break
-        kt = u.times
-        if knots_t is None:
-            knots_t = kt
-        elif kt.shape != knots_t.shape or not np.array_equal(kt, knots_t):
-            batchable = False
-            break
-        knot_vals.append(u.values)
-
-    packed = []
-    if batchable:
-        for p in params:
-            packs = tuple(_pack_forcing(f) for f in (p.alpha, p.beta, p.gamma))
-            eta_pack = _pack_forcing(p.eta)
-            if any(q is None for q in packs) or eta_pack is None \
-                    or eta_pack[0] != _kernels.FORCING_CONST:
-                batchable = False
-                break
-            packed.append((packs, eta_pack))
-
-    if not batchable:
+    knots_t = next((u.times for u in controls if isinstance(u, SampledPath)),
+                   np.array([t0, T]))
+    forcings = [_kernel_forcings(p) for p in params]
+    if not all(isinstance(u, (int, float))
+               or isinstance(u, SampledPath) and np.array_equal(u.times, knots_t)
+               for u in controls) \
+            or any(f is None or f[0][0][0] == _kernels.FORCING_STAGED for f in forcings):
         return [integrate_ode(p, u, x0, t0, T, dt)
                 for p, u, x0 in zip(params, controls, x0s)]
 
-    if knots_t is None:
-        knots_t = np.array([t0, T])
-    K = knots_t.size
-    u_vals = np.empty((m, K))
-    for i, (u, kv) in enumerate(zip(controls, knot_vals)):
-        u_vals[i, :] = float(u) if kv is None else kv
-
+    u_vals = np.array([np.full(knots_t.size, float(u)) if isinstance(u, (int, float))
+                       else u.values for u in controls])
     x0_arr = np.array([[s.theta, s.v, s.v_r] for s in x0s], dtype=float)
     scal = np.array([[p.theta1, p.theta2, p.v_max] for p in params], dtype=float)
-    codes = np.empty((m, 3), dtype=np.int64)
-    q = np.empty((m, 3, 3), dtype=float)
-    eta0 = np.empty(m, dtype=float)
-    for i, (packs, eta_pack) in enumerate(packed):
-        for j in range(3):
-            codes[i, j] = packs[j][0]
-            q[i, j, 0], q[i, j, 1], q[i, j, 2] = packs[j][1], packs[j][2], packs[j][3]
-        eta0[i] = eta_pack[1]
+    codes = np.array([[r[0] for r in rates] for rates, _ in forcings], dtype=np.int64)
+    q = np.array([[r[1:] for r in rates] for rates, _ in forcings], dtype=float)
+    eta0 = np.array([eta for _, eta in forcings], dtype=float)
 
     theta, v, v_r, status = _kernels.host_rk4_batch(
         x0_arr, t0, h, n, scal, codes, q, eta0, knots_t, u_vals)

@@ -215,46 +215,40 @@ def eval_adjoint_rhs(t: float, p: float, theta: float, u_val: float,
 def _time_only_alpha(params: ModelParams) -> Callable[[float], float]:
     """Return alpha as a function of time, rejecting state-dependent forcings.
 
-    The feedback law is derived under alpha = alpha(t); a forcing that reacts
-    to theta would invalidate the adjoint equation, so it is refused.
+    A constant or seasonal alpha becomes the kernels' own closure
+    (_kernels._time_rate).  The feedback law is derived under
+    alpha = alpha(t); any other forcing is probed for a reaction to theta,
+    which would invalidate the adjoint equation, and refused if it reacts.
     """
     alpha = params.alpha
+    pack = _pack_forcing(alpha)
+    if pack is not None and pack[0] != _kernels.FORCING_PROPORTIONAL:
+        return _kernels._time_rate(*pack)
     for t in (0.0, 0.31, 0.77):
         lo, hi = alpha(t, 0.2), alpha(t, 0.8)
         if lo != hi:
             raise ValueError(
                 "integrate_coupled requires alpha to depend on time only; "
                 f"alpha({t}, 0.2) = {lo} != alpha({t}, 0.8) = {hi}")
-    return lambda t: alpha(t, 0.0)
+    return lambda t: float(alpha(t, 0.0))
 
 
 def _coupled_setup(params: ModelParams, cost: CostSpec, T: float, dt: float,
                    t0: float):
     """The part of a coupled integration that does not depend on the initial
-    values: the grid and the kernel's forcing with its per-step alpha table.
+    values: the grid, alpha as a function of t (_time_only_alpha) and its
+    per-step _stage_table.
 
     Returns (times, grid args), so that
     ``_kernels.coupled_rk4(theta0, p0, *grid_args)`` integrates from any
     (theta0, p0).
     """
     n, h, times = time_grid(t0, T, dt)
-    pack = _pack_forcing(params.alpha)
-    dummy = np.zeros(1)
-
-    if pack is not None and pack[0] != _kernels.FORCING_PROPORTIONAL:
-        forcing = (*pack, dummy, dummy)
-    else:
-        # Opaque time-only forcing: hand the kernel alpha sampled on the
-        # half-step grid.  Every RK4 stage of the uniform grid falls on a
-        # knot, so stage values are exact; only event-located substeps see
-        # the linear interpolant (an O(dt^2) effect on switch placement).
-        alpha_fn = _time_only_alpha(params)
-        knots_t = t0 + 0.5 * h * np.arange(2 * n + 1)
-        knots_v = np.array([alpha_fn(float(t)) for t in knots_t])
-        if np.any(knots_v < 0.0):
-            raise ValueError("alpha must be nonnegative on the horizon")
-        forcing = (_kernels.FORCING_SAMPLED, 0.0, 0.0, 0.0, knots_t, knots_v)
-    forcing, table = _kernels.coupled_forcing(*forcing, t0, h, n)
+    forcing = _time_only_alpha(params)
+    table = _kernels._stage_table(forcing, t0, h, n)
+    # only an opaque alpha can fail: the kernels' closures are nonnegative
+    if any(a < 0.0 for row in table for a in row):
+        raise ValueError("alpha must be nonnegative on the horizon")
     return times, (t0, h, n, params.theta1, cost.k, forcing, table)
 
 

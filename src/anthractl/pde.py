@@ -255,9 +255,6 @@ class FieldPath:
     def n_times(self) -> int:
         return int(self.times.shape[0])
 
-    def field_at(self, i: int) -> ScalarField:
-        return ScalarField(self.values[i])
-
     def final(self) -> ScalarField:
         return ScalarField(self.values[-1])
 
@@ -288,7 +285,10 @@ def integrate_pde(theta0: ScalarField, L: OperatorMatrix, alpha, T: float,
 
     n_steps, h, times = time_grid(0.0, T, dt)
     M = (sp.identity(n, format="csc") + h * L.matrix).tocsc()
-    lu = spla.splu(M)
+    try:
+        lu = spla.splu(M)
+    except RuntimeError as exc:  # a singular (say, overflowed) step matrix
+        raise SolverBreakdownError(f"step matrix factorization failed: {exc}") from None
     stored = [0]
     states = [th.copy()]
     for k in range(1, n_steps + 1):

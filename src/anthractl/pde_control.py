@@ -158,9 +158,6 @@ class RiccatiState:
             raise ValueError(f"P must be symmetric (defect {defect:.3e})")
         object.__setattr__(self, "P", P)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.P)[0])
-
 
 @dataclass(frozen=True)
 class RiccatiPath:

@@ -247,6 +247,25 @@ def _with(data, **over):
     return data
 
 
+def _seasonal_c(data, slot, c):
+    """data with a seasonal host.<slot> of period c."""
+    data["host"][slot] = {"kind": "seasonal", "a": 0.5, "b": 0.75, "c": c}
+    return data
+
+
+@pytest.mark.parametrize("grid", [
+    {"extents": [1.0], "resolution": [8], "diffusion": 1e300},
+    {"extents": [1e-200], "resolution": [8], "diffusion": 0.02},
+], ids=["huge_diffusion", "tiny_extent"])
+def test_overflowed_step_matrix_exits_numerical(tmp_path, capsys, grid):
+    # the face coefficients overflow, so the step matrix cannot be factorized:
+    # a numerical failure (exit 3) that validate cannot see
+    path = _write_cfg(tmp_path, _with(_tiny_pde(), grid=grid))
+    assert main(["validate", path]) == EXIT_OK
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    assert "SolverBreakdownError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("data, key", [
     (_with(_tiny_pde(), store_every=0), "store_every"),
     (_with(_tiny_pde(), store_every=2.5), "store_every"),
@@ -259,9 +278,19 @@ def _with(data, **over):
     (_with(_tiny_sweep(), theta1=0.0), "theta1"),
     (_with(_tiny_sweep(), theta1=1.0), "theta1"),
     (_tiny_ode(time={"T": 1e6, "dt": 1e-13}), "time"),
+    (_tiny_ode(time={"T": 1.7e308, "dt": 0.01}), "time"),
+    (_seasonal_c(_tiny_ode(), "alpha", 1e-310), "host.alpha"),
+    (_seasonal_c(_tiny_ode("optimize-ode"), "alpha", 1e-310), "host.alpha"),
+    (_seasonal_c(_tiny_ode(), "beta", 1e-310), "host.beta"),
+    (_seasonal_c(_tiny_ode("optimize-ode"), "beta", 1e-310), "host.beta"),
+    (_seasonal_c(_tiny_forecast(), "eta", 1e-310), "host.eta"),
+    (_tiny_ode(time={"T": 1e308, "dt": 1e308}), "host.alpha"),
 ], ids=["store_every", "store_every_fraction", "shooting_tol", "sweep_max_iter",
         "seed", "initial", "store_every_not_dividing_steps", "riccati_cells",
-        "sweep_theta1_zero", "sweep_theta1_one", "steps_beyond_array_size"])
+        "sweep_theta1_zero", "sweep_theta1_one", "steps_beyond_array_size",
+        "steps_overflow", "subnormal_alpha_period", "subnormal_alpha_period_optimize",
+        "subnormal_beta_period", "subnormal_beta_period_optimize",
+        "subnormal_eta_period_forecast", "seasonal_phase_overflow"])
 def test_bad_value_exits_config_in_validate_and_run(tmp_path, capsys, data, key):
     path = _write_cfg(tmp_path, data)
     assert main(["validate", path]) == EXIT_CONFIG
@@ -592,7 +621,8 @@ _TINY = (_tiny_ode, lambda: _tiny_ode("optimize-ode"), _tiny_forecast, _tiny_pde
          _tiny_riccati, _tiny_sweep)
 _DELETE = object()
 _ODD_VALUES = st.sampled_from([_DELETE, None, True, -1, 0, 0.5, 1, 2.5, 1e6, "x",
-                               [], [1, 2], {}, {"kind": "constant"}])
+                               [], [1, 2], {}, {"kind": "constant"},
+                               5e-324, 1e-310, 1e300, 1.7e308, -0.0])
 
 
 def _leaves(data, prefix=()):

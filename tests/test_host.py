@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anthractl import (
+    AsiCoefficients,
     ConstantForcing,
     ControlSignal,
     DivisionGuardError,
@@ -14,6 +15,8 @@ from anthractl import (
     ProportionalForcing,
     SampledPath,
     SeasonalForcing,
+    SeverityForcing,
+    WeatherSeries,
     check_region,
     eval_rhs,
     integrate_ode,
@@ -44,7 +47,7 @@ def test_seasonal_forcing_is_the_kernels_closure(a, b, c, t):
     # one seasonal formula: the forcing, seasonal_alpha and the kernels'
     # closure agree bit for bit
     f = SeasonalForcing(a=a, b=b, c=c)
-    kernel = _kernels._time_rate(_kernels.FORCING_SEASONAL, a, b, c, (), ())
+    kernel = _kernels._time_rate(_kernels.FORCING_SEASONAL, a, b, c)
     assert seasonal_alpha(f, t) == f(t) == kernel(t)
 
 
@@ -245,6 +248,25 @@ def test_batch_falls_back_on_opaque_control(season_params, season_x0):
     out = integrate_ode_batch([season_params], [0.3], [season_x0], 0.0, 1.0, 0.01)
     ref = integrate_ode(season_params, 0.3, season_x0, 0.0, 1.0, 0.01)
     assert np.allclose(out[0].theta, ref.theta, atol=1e-14)
+
+
+def test_batch_falls_back_on_severity_alpha(season_params, season_x0, monkeypatch):
+    # a SeverityForcing alpha packs as stage rows, which only the single
+    # kernel reads: the whole batch falls back to integrate_ode, bit for bit
+    weather = WeatherSeries(times=np.array([0.0, 0.5, 1.0]),
+                            temperature=np.array([18.0, 24.0, 21.0]),
+                            wetness=np.array([2.0, 5.0, 3.0]),
+                            humidity=np.array([80.0, 85.0, 90.0]))
+    severity = SeverityForcing(weather, "asi", AsiCoefficients(a0=1.0, a01=0.05),
+                               scale=2.0)
+    params = [ModelParams.with_default_forcings(theta1=0.6, alpha=severity), season_params]
+    controls = [0.3, ControlSignal.constant(0.2)]
+    monkeypatch.setattr(_kernels, "host_rk4_batch", None)  # never reached
+    out = integrate_ode_batch(params, controls, [season_x0] * 2, 0.0, 1.0, 0.01)
+    for p, u, tb in zip(params, controls, out):
+        ref = integrate_ode(p, u, season_x0, 0.0, 1.0, 0.01)
+        for name in ("theta", "v", "v_r"):
+            assert np.array_equal(getattr(tb, name), getattr(ref, name))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from anthractl import (AsiCoefficients, ConstantForcing, ControlSignal,
                        SeasonalForcing, SeverityForcing, WeatherSeries, _kernels,
                        integrate_ode)
 from anthractl.host import _GUARD_MESSAGES, time_grid
+from anthractl.ode_control import CostSpec, _coupled_setup
 from anthractl._kernels import FORCING_SEASONAL, backend_name
 
 
@@ -21,9 +22,8 @@ def test_backend_name_is_valid():
 
 def test_flag_constants_are_distinct():
     codes = {_kernels.FORCING_CONST, _kernels.FORCING_SEASONAL,
-             _kernels.FORCING_PROPORTIONAL, _kernels.FORCING_SAMPLED,
-             _kernels.FORCING_STAGED}
-    assert len(codes) == 5
+             _kernels.FORCING_PROPORTIONAL, _kernels.FORCING_STAGED}
+    assert len(codes) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +68,10 @@ def test_feedback_root_underflowed_ratio():
 
 def _fig1_args(p0, n=1000):
     # fig1's coupled integration: seasonal alpha, theta1 0.6, k 1, dt 1e-3
-    dummy = np.zeros(1)
     h = 1.0 / n
-    forcing, table = _kernels.coupled_forcing(FORCING_SEASONAL, 4.0, 0.75, 0.2,
-                                              dummy, dummy, 0.0, h, n)
-    return (0.2, p0, 0.0, h, n, 0.6, 1.0, forcing, table)
+    forcing = _kernels._time_rate(FORCING_SEASONAL, 4.0, 0.75, 0.2)
+    return (0.2, p0, 0.0, h, n, 0.6, 1.0, forcing,
+            _kernels._stage_table(forcing, 0.0, h, n))
 
 
 _FIG1_P0 = 0.7619851105816545
@@ -189,28 +188,28 @@ def test_coarse_bracket_replaces_most_full_bisections(monkeypatch):
     assert counts[0] > 200 and counts[1] * 10 < counts[0]
 
 
-@pytest.mark.parametrize("code", ["const", "seasonal", "sampled"])
+@pytest.mark.parametrize("code", ["const", "seasonal", "opaque"])
 def test_alpha_table_matches_alpha_at_stage_times(code):
     # row i holds alpha at the three times a switch-free step evaluates it:
-    # t = t0 + i*h, t + 0.5*tau and t + tau with tau = h
+    # t = t0 + i*h, t + 0.5*tau and t + tau with tau = h; an opaque alpha is
+    # called at exactly those times
     t0, n = 0.3, 37
     h = (1.3 - t0) / n
-    dummy = np.zeros(1)
-    forcing = {
-        "const": (_kernels.FORCING_CONST, 2.5, 0.0, 0.0, dummy, dummy),
-        "seasonal": (FORCING_SEASONAL, 4.0, 0.75, 0.2, dummy, dummy),
-        "sampled": (_kernels.FORCING_SAMPLED, 0.0, 0.0, 0.0,
-                    t0 + 0.5 * h * np.arange(2 * n + 1),
-                    np.random.default_rng(2).uniform(0.0, 3.0, 2 * n + 1)),
+    alpha = {
+        "const": ConstantForcing(2.5),
+        "seasonal": SeasonalForcing(a=4.0, b=0.75, c=0.2),
+        "opaque": lambda t, theta: np.float64(3.0 * np.sin(7.0 * t) ** 2),
     }[code]
-    listed, table = _kernels.coupled_forcing(*forcing, t0, h, n)
+    params = ModelParams.with_default_forcings(theta1=0.6, alpha=alpha)
+    _, (_, _, _, _, _, listed, table) = _coupled_setup(params, CostSpec(k=1.0),
+                                                       1.3, h, t0)
     assert len(table) == n
     for i, row in enumerate(table):
         t = t0 + i * h
         tau = h
-        want = [listed(s) for s in (t, t + 0.5 * tau, t + tau)]
+        want = [float(alpha(s, 0.0)) for s in (t, t + 0.5 * tau, t + tau)]
         assert [type(a) for a in row] == [float] * 3
-        assert list(row) == want
+        assert list(row) == want == [listed(s) for s in (t, t + 0.5 * tau, t + tau)]
 
 
 def test_root_memo_keeps_bits_and_saves_roots(monkeypatch):

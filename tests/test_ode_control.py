@@ -1,5 +1,6 @@
 """Feedback law, coupled integration, shooting, and cost evaluation."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -130,6 +131,15 @@ def test_coupled_rejects_state_dependent_alpha(unit_cost):
     # a proportional alpha has a kernel code but depends on theta
     p = ModelParams.with_default_forcings(theta1=0.5, alpha=ProportionalForcing(2.0))
     with pytest.raises(ValueError, match="time only"):
+        integrate_coupled(0.5, 0.2, p, unit_cost, T=1.0, dt=0.01)
+
+
+def test_coupled_rejects_alpha_negative_at_a_stage_time(unit_cost):
+    # an opaque alpha is checked at the stage times the kernel reads it at:
+    # negative only between grid nodes, it shows at the step midpoint 0.505
+    p = ModelParams.with_default_forcings(
+        theta1=0.5, alpha=lambda t, th: -1.0 if 0.503 < t < 0.507 else 1.0)
+    with pytest.raises(ValueError, match="nonnegative on the horizon"):
         integrate_coupled(0.5, 0.2, p, unit_cost, T=1.0, dt=0.01)
 
 
@@ -369,6 +379,25 @@ def test_two_stage_shooting_bits_pinned_on_bundled_scenarios(name):
     assert _sha256(sol.control.values) == u_sha
     # within 1e-9 (relative) of the single-stage solve's cost
     assert sol.cost == pytest.approx(_SINGLE_STAGE_COST[name], rel=1e-9, abs=0.0)
+
+
+def test_opaque_alpha_shoots_like_the_seasonal_forcing():
+    # fig1's seasonal alpha behind a lambda: the coupled kernel calls it at
+    # the same stage and switch times as the seasonal closure, so shooting
+    # finds the same p0 in the same evaluations, with the same paths
+    plan = _bundled_plan("fig1")
+    tol, max_iter = plan.shooting
+    seasonal = plan.params.alpha
+    hidden = dataclasses.replace(plan.params, alpha=lambda t, theta: seasonal(t, theta))
+    packed, opaque = (shoot_p0(plan.x0.theta, params, plan.cost, T=plan.T, dt=plan.h,
+                               tol=tol, max_iter=max_iter)
+                      for params in (plan.params, hidden))
+    assert packed.p0.hex() == _PINNED_TWO_STAGE["fig1"][0]
+    for name in ("p0", "cost", "residual", "iterations", "coarse_evaluations",
+                 "shooting_residuals", "switch_events", "event_cap_hits", "grazing_exits"):
+        assert getattr(opaque, name) == getattr(packed, name), name
+    for name in ("control", "theta_path", "adjoint_path"):
+        assert np.array_equal(getattr(opaque, name).values, getattr(packed, name).values)
 
 
 def test_shoot_constant_alpha_zero_control():

@@ -513,6 +513,22 @@ def test_sweep_cost_history_is_the_cost_of_each_iterate(monkeypatch, tmp_path):
     assert history[-1] == report.costs["controlled"]
 
 
+def test_sweep_first_cost_is_the_zero_control_cost_in_2d():
+    # sweep-pde reports row 0 of the history as its u = 0 baseline: the sweep
+    # starts from u = 0, so that row is J(0) bit for bit, on a 2-D grid too
+    grid, A = build_grid(GridSpec((1.0, 1.0), (6, 6)), A_spec=0.02)
+    x, y = grid.centers[:, 0], grid.centers[:, 1]
+    alpha = 1.0 + 2.0 * x * (1.0 - y)
+    cost = PdeCostSpec(k1=1.0, k2=0.25)
+    theta0 = ScalarField.constant(grid, 0.2)
+    T, h = 1.0, 0.05
+    res = forward_backward_sweep(theta0, grid, A, alpha, cost, T, h, theta1=0.6,
+                                 relax=0.5, max_iter=5)
+    zero = FieldPath(res.u_path.times, np.zeros(res.u_path.values.shape))
+    th = integrate_controlled(theta0, grid, A, alpha, zero, 0.6, T, h)
+    assert res.cost_history[0] == eval_cost_JT3(th, zero, cost, grid, h)
+
+
 def test_sweep_nonconvergence_is_reported_not_raised():
     grid, A = _grid_1d(n=4, A=0.01)
     alpha = np.full(4, 5.0)  # strong pressure drives near-bang oscillation

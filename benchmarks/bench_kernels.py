@@ -55,6 +55,12 @@ coarse evaluations, the wall time of each way (best of --repeats) and the
 relative change of the controlled cost J.  The two ways must fail on the
 same solves, and J may move by at most _SHOOTING_MAX_REL_DJ.
 
+The sweep lane runs forward_backward_sweep on sweep-1d and on the sweep
+draw of pde_sweep benchmark seed _SWEEP_SEED (perfbench/scenarios.py).  Per
+sweep it reports the iterations, whether the sweep converged, the time per
+iteration (best of --repeats) and the number of _controlled_reaction calls,
+the reaction-diagonal evaluations of its forward and adjoint marches.
+
 --json PATH also writes every result, with the environment, as JSON.
 """
 
@@ -90,6 +96,7 @@ from anthractl import (
     assemble_operator,
     build_grid,
     closed_loop_linearized,
+    forward_backward_sweep,
     integrate_linearized,
     integrate_ode,
     integrate_riccati,
@@ -97,7 +104,7 @@ from anthractl import (
     shoot_p0,
 )
 from anthractl import _kernels as K
-from anthractl import ode_control
+from anthractl import ode_control, pde_control
 from anthractl.cli import parse_config, resolve_config_path
 from anthractl.pde import FieldPath, _FixedStencilStepper, _solve_checked
 from anthractl.pde_control import _closed_loop_lanes
@@ -216,14 +223,15 @@ def _feedback_root_lane(repeats: int):
 
 
 @contextlib.contextmanager
-def _swapped(name: str, replacement):
-    """Replace the _kernels global `name` while the block runs."""
-    original = getattr(K, name)
-    setattr(K, name, replacement)
+def _swapped(name: str, replacement, module=K):
+    """Replace the global `name` of `module` (_kernels by default) while the
+    block runs."""
+    original = getattr(module, name)
+    setattr(module, name, replacement)
     try:
         yield original
     finally:
-        setattr(K, name, original)
+        setattr(module, name, original)
 
 
 def _fig1_shooting_calls():
@@ -352,6 +360,52 @@ def _shooting_lane(repeats: int):
             "single_stage_converged": single_cost is not None,
             "rel_dJ": (cost - single_cost) / abs(single_cost)
                       if cost is not None and single_cost is not None else None}
+    return lane
+
+
+#: The pde_sweep benchmark seed whose sweep draw the sweep lane runs: a 44-cell
+#: 1-D draw that stops on max_iter.
+_SWEEP_SEED = 104
+
+
+def _sweep_plans():
+    """(name, plan) of sweep-1d and the pde_sweep sweep draw of _SWEEP_SEED."""
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench.scenarios import sweep_variant
+
+    plans = [("sweep-1d", parse_config(resolve_config_path("sweep-1d")).plan)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep-draw.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(dict(sweep_variant(_SWEEP_SEED), seed=_SWEEP_SEED), fh)
+        plans.append((f"{_SWEEP_SEED}/sweep-draw", parse_config(path).plan))
+    return plans
+
+
+def _sweep_lane(repeats: int):
+    lane = {}
+    for name, plan in _sweep_plans():
+        relax, max_iter = plan.sweep
+
+        def run():
+            return forward_backward_sweep(plan.theta0, plan.grid, plan.A, plan.alpha,
+                                          plan.cost, plan.T, plan.h, theta1=plan.theta1,
+                                          relax=relax, max_iter=max_iter)
+
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return reaction(*args)
+
+        with _swapped("_controlled_reaction", counted, pde_control) as reaction:
+            res = run()
+        seconds = _best_of(run, (), repeats)
+        lane[name] = {"cells": plan.grid.n_cells,
+                      "iterations": res.iterations,
+                      "converged": bool(res.converged),
+                      "ms_per_iteration": seconds / res.iterations * 1e3,
+                      "reaction_calls": calls[0]}
     return lane
 
 
@@ -571,6 +625,7 @@ def main() -> None:
     staged = _host_staged_lane(args.repeats)
     riccati = _riccati_lanes_lane(args.repeats)
     shooting = _shooting_lane(args.repeats)
+    sweep = _sweep_lane(args.repeats)
     workloads = {name: workload for name, _, _, workload in kernels}
 
     print(f"{'kernel':<18} {'workload':<34} {'time':>10}")
@@ -609,6 +664,11 @@ def main() -> None:
               f"{r['coarse_evaluations']} coarse evaluations "
               f"{r['two_stage_s'] * 1e3:.0f}ms, single stage "
               f"{r['single_stage_evaluations']} {r['single_stage_s'] * 1e3:.0f}ms, {dj}")
+    for name, r in sweep.items():
+        state = "converged" if r["converged"] else "stopped on max_iter"
+        print(f"sweep ({name}, {r['cells']} cells): {r['iterations']} iterations, "
+              f"{state}, {r['ms_per_iteration']:.2f}ms/iteration, "
+              f"{r['reaction_calls']} reaction calls")
 
     if args.json is not None:
         report = {
@@ -628,6 +688,7 @@ def main() -> None:
             "host_staged": staged,
             "riccati_lanes": riccati,
             "shooting": shooting,
+            "sweep": sweep,
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report, indent=2) + "\n")

@@ -346,7 +346,7 @@ def _time_block(cfg: ScenarioConfig) -> tuple:
         raise ConfigError(f"{where}: dt must not exceed T")
     try:
         _, h, times = time_grid(0.0, T, dt)
-    except (ValueError, OverflowError) as exc:  # T/dt too large to count or to store
+    except (ValueError, OverflowError, MemoryError) as exc:  # T/dt too large to count or to store
         raise ConfigError(f"{where}: T/dt = {T / dt:.3g} steps: {exc}") from None
     return T, h, times
 

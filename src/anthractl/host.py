@@ -328,10 +328,6 @@ class Trajectory:
         return HostState(float(self.theta[i]), float(self.v[i]), float(self.v_r[i]))
 
     @property
-    def states(self) -> list:
-        return [self.state(i) for i in range(len(self))]
-
-    @property
     def final(self) -> HostState:
         return self.state(len(self) - 1)
 
@@ -546,6 +542,8 @@ def integrate_ode_batch(
     if not (len(controls) == len(x0s) == m):
         raise ValueError("params, controls and x0s must have equal length")
     n, h, times = time_grid(t0, T, dt)
+    if m == 0:
+        return []
 
     knots_t = next((u.times for u in controls if isinstance(u, SampledPath)),
                    np.array([t0, T]))

@@ -38,7 +38,6 @@ __all__ = [
     "ShootingError",
     "GridMismatchError",
     "CostSpec",
-    "AdjointState",
     "OptimalSolution",
     "solve_feedback_cubic",
     "optimal_u_feedback",
@@ -107,17 +106,6 @@ class CostSpec:
                 raise ValueError(
                     f"terminal_f_prime inconsistent with terminal_f at theta={th}: "
                     f"finite difference {fd} vs derivative {fp}")
-
-
-@dataclass(frozen=True)
-class AdjointState:
-    """Adjoint (costate) value: the sensitivity of the cost to the state."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.p):
-            raise ValueError(f"adjoint value must be finite, got {self.p}")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ __all__ = [
     "StiffStepError",
     "PdeCostSpec",
     "LinearizationPoint",
-    "RiccatiState",
     "RiccatiPath",
     "SweepResult",
     "linearize",
@@ -45,7 +44,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_SYM_TOL = 1e-10        # Riccati symmetry tolerance
 _PSD_TOL = -1e-8        # smallest admissible Riccati eigenvalue
 _NORM_CAP = 1e12        # Riccati blow-up guard
 _SWEEP_TOL = 1e-6       # sweep stopping tolerance on max-norm control change
@@ -142,24 +140,6 @@ def linearize(alpha, eps: LinearizationPoint, theta1: float,
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RiccatiState:
-    """Dense symmetric Riccati matrix P at pseudo-time t."""
-
-    P: np.ndarray = field(repr=False)
-    t: float
-
-    def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError(f"P must be square, got shape {P.shape}")
-        scale = max(1.0, float(np.max(np.abs(P))) if P.size else 0.0)
-        defect = float(np.max(np.abs(P - P.T))) if P.size else 0.0
-        if defect > _SYM_TOL * scale:
-            raise ValueError(f"P must be symmetric (defect {defect:.3e})")
-        object.__setattr__(self, "P", P)
-
-
-@dataclass(frozen=True)
 class RiccatiPath:
     """Riccati matrices sampled on a pseudo-time grid [0, T].
 
@@ -207,9 +187,6 @@ class RiccatiPath:
         """P(T - t): the matrix the feedback uses at physical time t."""
         return self.P_at(self.horizon - t_phys)
 
-    def state(self, i: int) -> RiccatiState:
-        return RiccatiState(P=self.matrices[i], t=float(self.times[i]))
-
 
 _RICCATI_MAX_CELLS = 256  # dense N x N storage; larger grids are out of scope
 
@@ -220,7 +197,7 @@ def _eig_extremes(P: np.ndarray) -> tuple:
 
 
 def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: float,
-                      store_every: int = 1, check_psd: bool = True) -> RiccatiPath:
+                      store_every: int = 1) -> RiccatiPath:
     """Integrate dP/ds = G P + P G - P diag(b^2/k1) P + I from P(0) = k2*I,
 
     where G = -L1 is the linearized generator and b the control diagonal.
@@ -229,9 +206,9 @@ def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: fl
     d/ds [X; Y] = [[-G, W], [I, G]] [X; Y], W = diag(b^2/k1), whose
     propagator Phi = expm(h*H) is computed once; then
     P <- (Phi21 + Phi22 P)(Phi11 + Phi12 P)^{-1}, symmetrized.  Aborts if
-    ||P|| exceeds 1e12 (finite-time blow-up guard).  With check_psd, every
-    stored matrix must have smallest eigenvalue >= -1e-8; the eigenvalue
-    extremes computed for that check are kept in the path's eig_range.
+    ||P|| exceeds 1e12 (finite-time blow-up guard).  The PSD check is always
+    on: every stored matrix must have smallest eigenvalue >= -1e-8, and the
+    eigenvalue extremes computed for it are kept in the path's eig_range.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -269,7 +246,7 @@ def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: fl
         norm = float(np.max(np.abs(P_now)))
         if not np.isfinite(norm) or norm > _NORM_CAP:
             raise RiccatiBlowupError(f"||P|| reached {norm:.3e} at pseudo-time {s_now:g}")
-        if store and check_psd:
+        if store:
             eig_range.append(_eig_extremes(P_now))
             lam = eig_range[-1][0]
             if lam < _PSD_TOL:
@@ -292,8 +269,7 @@ def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: fl
         if store:
             stored.append(k)
             mats.append(P.copy())
-    return RiccatiPath(times[stored], np.asarray(mats),
-                       eig_range=np.asarray(eig_range) if check_psd else None)
+    return RiccatiPath(times[stored], np.asarray(mats), eig_range=np.asarray(eig_range))
 
 
 def riccati_feedback(P_path: RiccatiPath, theta, t: float, B, cost: PdeCostSpec,
@@ -471,9 +447,7 @@ def _closed_loop_lanes(theta0, L1: OperatorMatrix, B, P_path: RiccatiPath,
         shares.append(clamped)
         return u
 
-    grid_times = time_grid(0.0, T, dt)[2]
-    laws = [feedback] + [_path_control(grid_times, np.full(grid_times.shape, float(c)))
-                         for c in constants]
+    laws = [feedback] + [lambda t, x, c=float(c): c for c in constants]
     times, states, controls = _linearized_rk4(theta0, L1, b, as_cell_values(alpha, n),
                                               T, dt, laws)
     clamping = (sum(c > 0.0 for c in shares), len(shares), max(shares))
@@ -499,13 +473,19 @@ def _require_step_grid(times: np.ndarray, n: int, **paths: FieldPath) -> None:
             raise GridMismatchError(f"{name} path times do not match the step grid")
 
 
-def _controlled_reaction(al: np.ndarray, t1: float, u: np.ndarray, t: float) -> np.ndarray:
-    """Reaction diagonal alpha/(1 - theta1*u) of the full operator at time t."""
+def _controlled_reaction(al: np.ndarray, t1: float, u: np.ndarray,
+                         times: np.ndarray) -> np.ndarray:
+    """Reaction diagonals alpha/(1 - theta1*u) of the full operator, one row
+    per control row u[i] at times[i], in the order a march visits them; the
+    guard names the first row, in that order, whose denominator is not
+    positive."""
     floor = 1.0 - t1 * u
-    if np.any(floor <= 0.0):
+    bad = np.any(floor <= 0.0, axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise DivisionGuardError(
             f"control denominator 1 - theta1*u reached "
-            f"{float(np.min(floor)):.3e} <= 0 at t={t:g}")
+            f"{float(np.min(floor[i])):.3e} <= 0 at t={times[i]:g}")
     return al / floor
 
 
@@ -528,11 +508,11 @@ def integrate_controlled(theta0, grid: SpatialGrid, A: DiffusionField, alpha,
     t1 = float(theta1)
     stepper = _controlled_stepper(grid, A, h)
 
+    r = _controlled_reaction(al, t1, u_path.values[1:], times[1:])
     out = np.empty((len(times), n))
     out[0] = th
     for k in range(1, len(times)):
-        r = _controlled_reaction(al, t1, u_path.values[k], times[k])
-        th = stepper.solve(r, th + h * al, x0=th)
+        th = stepper.solve(r[k - 1], th + h * al, x0=th)
         out[k] = th
     return FieldPath(times, out)
 
@@ -560,14 +540,15 @@ def solve_adjoint_pde(theta_path: FieldPath, u_star: FieldPath, cost: PdeCostSpe
     k2 = cost.k2_values(n)
     stepper = _controlled_stepper(grid, A, h)
 
+    # the march visits levels N-1 .. 0
+    r = _controlled_reaction(al, t1, u_star.values[-2::-1], times[-2::-1])[::-1]
     n_t = len(times)
     p = np.empty((n_t, n))
     p[-1] = 2.0 * k2 * theta_path.values[-1]
     for k in range(n_t - 2, -1, -1):
         # implicit step toward time level k: (I + h L_u(t_k)) p_k = p_{k+1} + h*2*theta(t_k)
-        r = _controlled_reaction(al, t1, u_star.values[k], times[k])
         rhs = p[k + 1] + h * 2.0 * theta_path.values[k]
-        p[k] = stepper.solve(r, rhs, x0=p[k + 1])
+        p[k] = stepper.solve(r[k], rhs, x0=p[k + 1])
     return FieldPath(times, p)
 
 
@@ -640,12 +621,8 @@ def eval_cost_JT3(theta_path: FieldPath, u_path: FieldPath, cost: PdeCostSpec,
     space, of integral(theta^2 + k1 u^2) dx dt plus terminal
     integral(k2 theta(T)^2) dx."""
     n = grid.n_cells
-    if theta_path.values.shape[1] != n or u_path.values.shape[1] != n:
-        raise GridMismatchError("paths are not sized to the grid")
-    if theta_path.times.shape != u_path.times.shape or \
-            np.max(np.abs(theta_path.times - u_path.times)) > 1e-9:
-        raise GridMismatchError("theta and u paths are on different time grids")
     t = theta_path.times
+    _require_step_grid(t, n, theta=theta_path, u=u_path)
     if len(t) > 1:
         steps = np.diff(t)
         if abs(float(np.min(steps)) - dt) > 1e-9 * max(1.0, dt) or \
@@ -689,11 +666,13 @@ def forward_backward_sweep(theta0, grid: SpatialGrid, A: DiffusionField, alpha,
                            max_iter: int = 100) -> SweepResult:
     """Fixed-point iteration for the nonlinear control problem.
 
-    Each sweep integrates the state forward under the current control,
-    solves the adjoint backward, evaluates the pointwise stationarity
-    feedback at every time level, and relaxes the control toward it:
-    u <- (1-relax)*u + relax*u_new.  Stops when the max-norm control change
-    drops below 1e-6 or after max_iter sweeps (reported, not raised).
+    One loop: each pass integrates the state forward under the current
+    control, evaluates its cost, solves the adjoint backward, then evaluates
+    the pointwise stationarity feedback at every time level and relaxes the
+    control toward it: u <- (1-relax)*u + relax*u_new.  The iteration stops
+    once an update changes the control by less than 1e-6 in max norm, or
+    after max_iter updates (reported, not raised); the pass after the last
+    update, which does not update, is the one returned.
     """
     if not 0.0 < relax <= 1.0:
         raise ValueError(f"relax must lie in (0,1], got {relax}")
@@ -707,31 +686,20 @@ def forward_backward_sweep(theta0, grid: SpatialGrid, A: DiffusionField, alpha,
     _check_feedback_args(t1, k1)
 
     u_vals = np.zeros((len(times), n))
-    u_path = FieldPath(times, u_vals)
     history = []
     converged = False
-    iterations = 0
-    theta_path = None
-    p_path = None
-
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(max_iter + 1):
+        u_path = FieldPath(times, u_vals)
         theta_path = integrate_controlled(theta0, grid, A, al, u_path, theta1, T, dt)
         history.append(eval_cost_JT3(theta_path, u_path, cost, grid, h))
         p_path = solve_adjoint_pde(theta_path, u_path, cost, grid, A, T, dt, al, theta1)
+        if converged or iterations == max_iter:
+            break
         u_new = _stationarity_feedback(al, theta_path.values, p_path.values,
                                        t1, k1)
         u_next = (1.0 - relax) * u_vals + relax * u_new
-        change = float(np.max(np.abs(u_next - u_vals)))
+        converged = float(np.max(np.abs(u_next - u_vals))) < _SWEEP_TOL
         u_vals = u_next
-        u_path = FieldPath(times, u_vals)
-        if change < _SWEEP_TOL:
-            converged = True
-            break
-
-    # final state/adjoint consistent with the returned control
-    theta_path = integrate_controlled(theta0, grid, A, al, u_path, theta1, T, dt)
-    p_path = solve_adjoint_pde(theta_path, u_path, cost, grid, A, T, dt, al, theta1)
-    history.append(eval_cost_JT3(theta_path, u_path, cost, grid, h))
     return SweepResult(
         u_path=u_path,
         theta_path=theta_path,

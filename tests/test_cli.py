@@ -279,6 +279,7 @@ def test_overflowed_step_matrix_exits_numerical(tmp_path, capsys, grid):
     (_with(_tiny_sweep(), theta1=1.0), "theta1"),
     (_tiny_ode(time={"T": 1e6, "dt": 1e-13}), "time"),
     (_tiny_ode(time={"T": 1.7e308, "dt": 0.01}), "time"),
+    (_tiny_ode(time={"T": 0.5, "dt": 1e-12}), "time"),
     (_seasonal_c(_tiny_ode(), "alpha", 1e-310), "host.alpha"),
     (_seasonal_c(_tiny_ode("optimize-ode"), "alpha", 1e-310), "host.alpha"),
     (_seasonal_c(_tiny_ode(), "beta", 1e-310), "host.beta"),
@@ -288,9 +289,10 @@ def test_overflowed_step_matrix_exits_numerical(tmp_path, capsys, grid):
 ], ids=["store_every", "store_every_fraction", "shooting_tol", "sweep_max_iter",
         "seed", "initial", "store_every_not_dividing_steps", "riccati_cells",
         "sweep_theta1_zero", "sweep_theta1_one", "steps_beyond_array_size",
-        "steps_overflow", "subnormal_alpha_period", "subnormal_alpha_period_optimize",
-        "subnormal_beta_period", "subnormal_beta_period_optimize",
-        "subnormal_eta_period_forecast", "seasonal_phase_overflow"])
+        "steps_overflow", "steps_beyond_memory", "subnormal_alpha_period",
+        "subnormal_alpha_period_optimize", "subnormal_beta_period",
+        "subnormal_beta_period_optimize", "subnormal_eta_period_forecast",
+        "seasonal_phase_overflow"])
 def test_bad_value_exits_config_in_validate_and_run(tmp_path, capsys, data, key):
     path = _write_cfg(tmp_path, data)
     assert main(["validate", path]) == EXIT_CONFIG

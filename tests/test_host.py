@@ -244,6 +244,12 @@ def test_batch_runs_kernel_on_nonuniform_knots(rng, monkeypatch):
             assert np.max(np.abs(got - ref)) < 1e-12
 
 
+def test_batch_of_no_scenarios():
+    assert integrate_ode_batch([], [], [], 0.0, 1.0, 0.01) == []
+    with pytest.raises(ValueError):
+        integrate_ode_batch([], [], [], 1.0, 1.0, 0.01)
+
+
 def test_batch_falls_back_on_opaque_control(season_params, season_x0):
     out = integrate_ode_batch([season_params], [0.3], [season_x0], 0.0, 1.0, 0.01)
     ref = integrate_ode(season_params, 0.3, season_x0, 0.0, 1.0, 0.01)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from anthractl import (
+    DivisionGuardError,
     FieldPath,
     GridMismatchError,
     GridSpec,
@@ -32,7 +33,7 @@ from anthractl import (
 from anthractl.grid import as_cell_values
 from anthractl.host import time_grid
 from anthractl._kernels import _interp_knots
-from anthractl.pde_control import _closed_loop_lanes
+from anthractl.pde_control import _closed_loop_lanes, _stationarity_feedback
 
 # the 1-cell reference problem: alpha=1, eps=4, theta1=0.5, k1=k2=0.5
 # => b = alpha*eps*theta1 = 2 and the stationary Riccati equation
@@ -146,7 +147,7 @@ def test_riccati_blowup_guard():
                         includes_reaction=True, reaction="linearized")
     with pytest.raises(RiccatiBlowupError):
         integrate_riccati(L1, np.zeros(1), PdeCostSpec(k1=1.0, k2=1e9),
-                          T=10.0, dt=0.01, check_psd=False)
+                          T=10.0, dt=0.01)
 
 
 def test_riccati_feedback_offset_and_clamp():
@@ -315,6 +316,22 @@ def test_integrate_controlled_rejects_off_grid_control():
     coarse = FieldPath(np.array([0.0, 1.0]), np.full((2, 4), 0.2))
     with pytest.raises(GridMismatchError):
         integrate_controlled(0.2, grid, A, 1.0, coarse, 0.5, 1.0, 0.1)
+
+
+def test_division_guard_names_the_first_level_each_march_reaches():
+    # the control's floor 1 - theta1*u is negative at t = 0.3 and t = 0.7:
+    # the forward march reaches 0.3 first, the backward adjoint march 0.7
+    grid, A = _grid_1d(n=4)
+    times = np.linspace(0.0, 1.0, 11)
+    u = np.zeros((11, 4))
+    u[3, 1] = u[7, 2] = 2.5
+    u_path = FieldPath(times, u)
+    with pytest.raises(DivisionGuardError, match=r"-2\.500e-01 <= 0 at t=0\.3$"):
+        integrate_controlled(0.2, grid, A, 1.0, u_path, 0.5, 1.0, 0.1)
+    theta_path = FieldPath(times, np.full((11, 4), 0.2))
+    with pytest.raises(DivisionGuardError, match=r"-2\.500e-01 <= 0 at t=0\.7$"):
+        solve_adjoint_pde(theta_path, u_path, PdeCostSpec(k1=1.0, k2=0.3), grid, A,
+                          1.0, 0.1, alpha=1.0, theta1=0.5)
 
 
 def test_adjoint_terminal_condition_and_shape():
@@ -527,6 +544,70 @@ def test_sweep_first_cost_is_the_zero_control_cost_in_2d():
     zero = FieldPath(res.u_path.times, np.zeros(res.u_path.values.shape))
     th = integrate_controlled(theta0, grid, A, alpha, zero, 0.6, T, h)
     assert res.cost_history[0] == eval_cost_JT3(th, zero, cost, grid, h)
+
+
+def _reference_sweep(theta0, grid, A, alpha, cost, T, dt, theta1, relax, max_iter):
+    """The sweep as passes that each update the control, then one final
+    pass under the returned control."""
+    n = grid.n_cells
+    _, h, times = time_grid(0.0, T, dt)
+    al, k1 = as_cell_values(alpha, n), cost.k1_values(n)
+    u_vals = np.zeros((len(times), n))
+    history, converged = [], False
+    for iterations in range(1, max_iter + 1):
+        u_path = FieldPath(times, u_vals)
+        th = integrate_controlled(theta0, grid, A, al, u_path, theta1, T, dt)
+        history.append(eval_cost_JT3(th, u_path, cost, grid, h))
+        p = solve_adjoint_pde(th, u_path, cost, grid, A, T, dt, al, theta1)
+        u_next = ((1.0 - relax) * u_vals
+                  + relax * _stationarity_feedback(al, th.values, p.values, theta1, k1))
+        change = float(np.max(np.abs(u_next - u_vals)))
+        u_vals = u_next
+        if change < 1e-6:
+            converged = True
+            break
+    u_path = FieldPath(times, u_vals)
+    th = integrate_controlled(theta0, grid, A, al, u_path, theta1, T, dt)
+    p = solve_adjoint_pde(th, u_path, cost, grid, A, T, dt, al, theta1)
+    history.append(eval_cost_JT3(th, u_path, cost, grid, h))
+    return u_path, th, p, np.asarray(history), converged, iterations
+
+
+def _sweep_1d_case():
+    from anthractl.cli import parse_config, resolve_config_path
+
+    plan = parse_config(resolve_config_path("sweep-1d")).plan
+    relax, max_iter = plan.sweep
+    return (plan.theta0, plan.grid, plan.A, plan.alpha, plan.cost, plan.T, plan.h,
+            plan.theta1, relax, max_iter)
+
+
+def _sweep_2d_case():
+    grid, A = build_grid(GridSpec((1.0, 1.0), (6, 6)), A_spec=0.02)
+    x, y = grid.centers[:, 0], grid.centers[:, 1]
+    return (ScalarField.constant(grid, 0.2), grid, A, 1.0 + 2.0 * x * (1.0 - y),
+            PdeCostSpec(k1=1.0, k2=0.25), 1.0, 0.05, 0.6, 0.5, 100)
+
+
+def _sweep_capped_case():
+    grid, A = _grid_1d(n=4, A=0.01)
+    return (ScalarField.constant(grid, 0.5), grid, A, np.full(4, 5.0),
+            PdeCostSpec(k1=0.05, k2=0.5), 1.0, 0.05, 0.9, 1.0, 3)
+
+
+@pytest.mark.parametrize("case", [_sweep_1d_case, _sweep_2d_case, _sweep_capped_case],
+                         ids=["sweep-1d", "2d-6x6", "max_iter-3"])
+def test_sweep_equals_reference_loop_with_final_pass(case):
+    args = case()
+    res = forward_backward_sweep(*args[:7], theta1=args[7], relax=args[8],
+                                 max_iter=args[9])
+    u, th, p, history, converged, iterations = _reference_sweep(*args)
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert res.converged == (case is not _sweep_capped_case)
+    for got, ref in ((res.u_path, u), (res.theta_path, th), (res.adjoint_path, p)):
+        assert np.array_equal(got.times, ref.times)
+        assert np.array_equal(got.values, ref.values)
+    assert np.array_equal(res.cost_history, history)
 
 
 def test_sweep_nonconvergence_is_reported_not_raised():

@@ -6,9 +6,11 @@ closes the loop through the cubic feedback law.
 The single-trajectory kernels are scalar loops on Python floats: they turn
 their knot arrays into lists at entry, and ``_interp_knots`` finds a knot
 interval with ``bisect``, so no numpy scalar enters the loop.  The batch
-kernel runs the same RK4 step vectorized across scenarios; the same
-``_interp_knots`` interpolates there with one lane vector per knot, and
-serves ``pde_control``'s Riccati matrices and PDE control rows too.
+kernel steps one (3, lanes) state with ``_rk4_step``, the RK4 step that the
+generic ``integrate_ode`` loop, ``integrate_adjoint`` and ``pde_control``'s
+linearized lanes take too; the same ``_interp_knots`` interpolates there
+with one lane vector per knot, and serves ``pde_control``'s Riccati
+matrices and PDE control rows too.
 
 Both single-trajectory kernels run the four RK4 stages of a step through
 one stage body and read a time-dependent rate from a per-step table of its
@@ -75,6 +77,16 @@ def _interp_knots(t: float, ts: list, vs):
     t0 = ts[j - 1]
     t1 = ts[j]
     return vs[j - 1] + (vs[j] - vs[j - 1]) * (t - t0) / (t1 - t0)
+
+
+def _rk4_step(f, t, y, h, d1):
+    """One classical RK4 step of dy/dt = f(t, y) from (t, y) over h (which
+    may be negative), y an array; d1 = f(t, y) comes from the caller, so it
+    can read what the first stage did."""
+    d2 = f(t + 0.5 * h, y + 0.5 * h * d1)
+    d3 = f(t + 0.5 * h, y + 0.5 * h * d2)
+    d4 = f(t + h, y + h * d3)
+    return y + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
 
 
 #: (width, last bracket index, halvings) of the dyadic brackets at levels 38
@@ -292,17 +304,13 @@ def host_rk4_single(theta0, v0, vr0, t0, h, n, theta1, theta2, vmax,
 def host_rk4_batch(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
     """host_rk4_single's RK4 step vectorized across scenarios, one lane per
     row of x0; row s of u_vals holds lane s's control at the knots u_t.
-    Returns (theta, v, v_r, status), each row one lane."""
+    Returns (theta, v, v_r, status), each row one lane.  A lane's status is
+    the first nonzero guard code of its stages, as host_rk4_single's; from
+    that step on the lane keeps its state."""
     m = x0.shape[0]
-    th = x0[:, 0].copy()
-    vv = x0[:, 1].copy()
-    vr = x0[:, 2].copy()
-    out_th = np.empty((m, n + 1))
-    out_v = np.empty((m, n + 1))
-    out_vr = np.empty((m, n + 1))
-    out_th[:, 0] = th
-    out_v[:, 0] = vv
-    out_vr[:, 0] = vr
+    X = x0.T.copy()
+    out = np.empty((3, m, n + 1))
+    out[:, :, 0] = X
     status = np.zeros(m, dtype=np.int64)
     alive = np.ones(m, dtype=bool)
     theta1 = scal[:, 0]
@@ -313,6 +321,7 @@ def host_rk4_batch(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
     q2 = np.where(q[:, :, 2] == 0.0, 1.0, q[:, :, 2])
     ts = u_t.tolist()
     vs = u_vals.T
+    stage_codes = []
 
     def forcing(slot, t, theta_now):
         code = codes[:, slot]
@@ -322,44 +331,28 @@ def host_rk4_batch(x0, t0, h, n, scal, codes, q, eta0, u_t, u_vals):
         return np.where(code == FORCING_CONST, base,
                         np.where(code == FORCING_SEASONAL, seas, base * theta_now))
 
-    def rhs(t, a, b, c, u):
-        floor = 1.0 - theta1 * u
-        code = np.where(floor <= 0.0, 1,
-                        np.where(a == 1.0, 2, np.where(b == 0.0, 3, 0)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            al = forcing(0, t, a)
-            be = forcing(1, t, a)
-            ga = forcing(2, t, a)
-            da = al * (1.0 - a / floor)
-            db = be * (1.0 - b * theta2 / ((1.0 - a) * eta0 * vmax))
-            dc = ga * (1.0 - c / b)
-        return da, db, dc, code
+    def rhs(t, Y):
+        a, b, c = Y
+        floor = 1.0 - theta1 * _interp_knots(t, ts, vs)
+        stage_codes.append(np.where(floor <= 0.0, 1,
+                                    np.where(a == 1.0, 2, np.where(b == 0.0, 3, 0))))
+        da = forcing(0, t, a) * (1.0 - a / floor)
+        db = forcing(1, t, a) * (1.0 - b * theta2 / ((1.0 - a) * eta0 * vmax))
+        dc = forcing(2, t, a) * (1.0 - c / b)
+        return np.array((da, db, dc))
 
     for i in range(n):
         t = t0 + i * h
-        u1 = _interp_knots(t, ts, vs)
-        um = _interp_knots(t + 0.5 * h, ts, vs)
-        u2 = _interp_knots(t + h, ts, vs)
-        d1t, d1v, d1r, c1 = rhs(t, th, vv, vr, u1)
-        d2t, d2v, d2r, c2 = rhs(t + 0.5 * h, th + 0.5 * h * d1t,
-                                vv + 0.5 * h * d1v, vr + 0.5 * h * d1r, um)
-        d3t, d3v, d3r, c3 = rhs(t + 0.5 * h, th + 0.5 * h * d2t,
-                                vv + 0.5 * h * d2v, vr + 0.5 * h * d2r, um)
-        d4t, d4v, d4r, c4 = rhs(t + h, th + h * d3t, vv + h * d3v,
-                                vr + h * d3r, u2)
-        code = np.where(c1 != 0, c1, np.where(c2 != 0, c2,
-                        np.where(c3 != 0, c3, c4)))
+        stage_codes.clear()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            X_next = _rk4_step(rhs, t, X, h, rhs(t, X))
+        code = np.select([c != 0 for c in stage_codes], stage_codes)
         newly = alive & (code != 0)
         status[newly] = code[newly]
-        ok = alive & (code == 0)
-        th = np.where(ok, th + (h / 6.0) * (d1t + 2.0 * d2t + 2.0 * d3t + d4t), th)
-        vv = np.where(ok, vv + (h / 6.0) * (d1v + 2.0 * d2v + 2.0 * d3v + d4v), vv)
-        vr = np.where(ok, vr + (h / 6.0) * (d1r + 2.0 * d2r + 2.0 * d3r + d4r), vr)
-        alive = ok
-        out_th[:, i + 1] = th
-        out_v[:, i + 1] = vv
-        out_vr[:, i + 1] = vr
-    return out_th, out_v, out_vr, status
+        alive &= code == 0
+        X = np.where(alive, X_next, X)
+        out[:, :, i + 1] = X
+    return out[0], out[1], out[2], status
 
 
 # ---------------------------------------------------------------------------

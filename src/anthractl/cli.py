@@ -40,7 +40,6 @@ from .host import (
     HostState,
     ModelParams,
     ProportionalForcing,
-    SampledPath,
     SeasonalForcing,
     integrate_ode,
     time_grid,
@@ -628,8 +627,7 @@ def _host_cost_for_control(params, cost, x0, T, dt, u_values, times) -> float:
     u = ControlSignal(times=times, values=u_values)
     traj = integrate_ode(params, u, x0, t0=0.0, T=T, dt=dt)
     _require_finite_trajectory(traj, f"u={_fmt(u_values[0])}")
-    theta = SampledPath(times=traj.times, values=traj.theta)
-    return eval_cost_JT(u, theta, cost, dt)
+    return eval_cost_JT(u, traj, cost, dt)
 
 
 def _run_ode_like(plan: OdePlan, out_dir: str) -> tuple:
@@ -669,8 +667,7 @@ def _run_ode_like(plan: OdePlan, out_dir: str) -> tuple:
     u = ControlSignal(times=times, values=u_values)
     traj = integrate_ode(params, u, x0, t0=0.0, T=T, dt=h)
     _require_finite_trajectory(traj, "the run's control")
-    theta = SampledPath(times=traj.times, values=traj.theta)
-    J = eval_cost_JT(u, theta, cost, h)
+    J = eval_cost_JT(u, traj, cost, h)
     J0 = _host_cost_for_control(params, cost, x0, T, h, np.zeros(times.shape), times)
     J1 = _host_cost_for_control(params, cost, x0, T, h, np.ones(times.shape), times)
 
@@ -728,7 +725,7 @@ def _run_riccati_pde(plan: PdePlan, out_dir: str) -> tuple:
 
     _write_field_path_csv(os.path.join(out_dir, "theta_path.csv"), theta_path)
     _write_field_path_csv(os.path.join(out_dir, "u_path.csv"), u_path)
-    eig_range = P_path.eigenvalue_range()
+    eig_range = P_path.eig_range
     _write_csv(os.path.join(out_dir, "riccati_diagnostics.csv"),
                ("s", "trace", "eig_min", "eig_max"),
                (P_path.times, [float(np.trace(P)) for P in P_path.matrices],

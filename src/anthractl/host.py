@@ -458,11 +458,12 @@ def integrate_ode(
     Forcings that _kernel_forcings packs, under a ControlSignal or constant
     control, are dispatched to the host kernel; a SeverityForcing alpha
     enters it sampled once at every RK4 stage time.  Anything else falls
-    back to a Python loop through eval_rhs with the same RK4 stages, which
+    back to _kernels._rk4_step on the state vector through eval_rhs, which
     is the kernel's arithmetic bit for bit for every recognized forcing and
     every ControlSignal or constant: both evaluate a SeasonalForcing through
     _kernels._time_rate and interpolate a ControlSignal with
-    _kernels._interp_knots.  Only an opaque callable rounds its own way.
+    _kernels._interp_knots.  Only an opaque callable rounds its own way; an
+    opaque control is called at every stage, twice per step at t + h/2.
     If the state hits v = 0 or theta = 1, or the control pushes
     1 - theta1*u nonpositive, integration aborts with DivisionGuardError —
     valid inputs cannot reach those points, so this is a diagnostic, not a
@@ -490,33 +491,16 @@ def integrate_ode(
 
     # Generic fallback: one RK4 step at a time through eval_rhs.
     u_fn = _normalize_control(u)
-    theta = np.empty(n + 1)
-    v = np.empty(n + 1)
-    v_r = np.empty(n + 1)
-    theta[0], v[0], v_r[0] = x0.theta, x0.v, x0.v_r
-    state = x0
+
+    def rhs(t, y):
+        return np.array(eval_rhs(t, HostState(*y), float(u_fn(t)), p))
+
+    out = np.empty((3, n + 1))
+    out[:, 0] = x0.theta, x0.v, x0.v_r
     for i in range(n):
         t = times[i]
-        u1 = float(u_fn(t))
-        um = float(u_fn(t + 0.5 * h))
-        u2 = float(u_fn(t + h))
-        k1 = eval_rhs(t, state, u1, p)
-        s2 = HostState(state.theta + 0.5 * h * k1[0], state.v + 0.5 * h * k1[1],
-                       state.v_r + 0.5 * h * k1[2])
-        k2 = eval_rhs(t + 0.5 * h, s2, um, p)
-        s3 = HostState(state.theta + 0.5 * h * k2[0], state.v + 0.5 * h * k2[1],
-                       state.v_r + 0.5 * h * k2[2])
-        k3 = eval_rhs(t + 0.5 * h, s3, um, p)
-        s4 = HostState(state.theta + h * k3[0], state.v + h * k3[1],
-                       state.v_r + h * k3[2])
-        k4 = eval_rhs(t + h, s4, u2, p)
-        state = HostState(
-            state.theta + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            state.v + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-            state.v_r + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        )
-        theta[i + 1], v[i + 1], v_r[i + 1] = state.theta, state.v, state.v_r
-    return Trajectory(times=times, theta=theta, v=v, v_r=v_r)
+        out[:, i + 1] = _kernels._rk4_step(rhs, t, out[:, i], h, rhs(t, out[:, i]))
+    return Trajectory(times=times, theta=out[0], v=out[1], v_r=out[2])
 
 
 def integrate_ode_batch(

@@ -289,29 +289,22 @@ def integrate_adjoint(
     alpha_fn = _time_only_alpha(params)
     theta1 = params.theta1
 
-    def rhs(t, a, b):
+    def rhs(t, y):
+        a, b = y
         al = alpha_fn(t)
         uv = float(u_fn(t))
         floor = 1.0 - theta1 * uv
         if floor <= 0.0:
             raise DivisionGuardError(f"1 - theta1*u = {floor} <= 0 at t = {t}")
-        return al * (1.0 - a / floor), al * b / floor - 2.0 * a
+        return np.array((al * (1.0 - a / floor), al * b / floor - 2.0 * a))
 
-    th = np.empty(n + 1)
-    p = np.empty(n + 1)
-    th[n] = theta_T
-    p[n] = cost.terminal_f_prime(theta_T)
+    out = np.empty((2, n + 1))
+    out[:, n] = theta_T, cost.terminal_f_prime(theta_T)
     for i in range(n, 0, -1):
         t = times[i]
-        a, b = th[i], p[i]
-        # RK4 with step -h.
-        d1a, d1b = rhs(t, a, b)
-        d2a, d2b = rhs(t - 0.5 * h, a - 0.5 * h * d1a, b - 0.5 * h * d1b)
-        d3a, d3b = rhs(t - 0.5 * h, a - 0.5 * h * d2a, b - 0.5 * h * d2b)
-        d4a, d4b = rhs(t - h, a - h * d3a, b - h * d3b)
-        th[i - 1] = a - (h / 6.0) * (d1a + 2.0 * d2a + 2.0 * d3a + d4a)
-        p[i - 1] = b - (h / 6.0) * (d1b + 2.0 * d2b + 2.0 * d3b + d4b)
-    return SampledPath(times=times, values=th), SampledPath(times=times, values=p)
+        # RK4 with step -h: 0.5*(-h) is -(0.5*h) and y + (-x) is y - x exactly
+        out[:, i - 1] = _kernels._rk4_step(rhs, t, out[:, i], -h, rhs(t, out[:, i]))
+    return SampledPath(times=times, values=out[0]), SampledPath(times=times, values=out[1])
 
 
 # ---------------------------------------------------------------------------

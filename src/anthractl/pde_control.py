@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from ._kernels import _interp_knots
+from ._kernels import _interp_knots, _rk4_step
 from .grid import DiffusionField, ScalarField, SpatialGrid, as_cell_values
 from .host import DivisionGuardError, time_grid
 from .ode_control import GridMismatchError
@@ -149,8 +149,8 @@ class RiccatiPath:
 
     times: np.ndarray
     matrices: np.ndarray = field(repr=False)  # (n_t, N, N)
-    # (n_t, 2) smallest and largest eigenvalue of each matrix, when known
-    eig_range: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # (n_t, 2) smallest and largest eigenvalue of each matrix
+    eig_range: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -161,23 +161,14 @@ class RiccatiPath:
             raise ValueError("Riccati path times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "matrices", m)
-        if self.eig_range is not None:
-            e = np.asarray(self.eig_range, dtype=float)
-            if e.shape != (t.shape[0], 2):
-                raise ValueError(f"eig_range must have shape {(t.shape[0], 2)}, got {e.shape}")
-            object.__setattr__(self, "eig_range", e)
+        e = np.asarray(self.eig_range, dtype=float)
+        if e.shape != (t.shape[0], 2):
+            raise ValueError(f"eig_range must have shape {(t.shape[0], 2)}, got {e.shape}")
+        object.__setattr__(self, "eig_range", e)
 
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
-
-    def eigenvalue_range(self) -> np.ndarray:
-        """(n_t, 2): smallest and largest eigenvalue of every stored matrix,
-        computed on first use unless the integrator already supplied them."""
-        if self.eig_range is None:
-            object.__setattr__(self, "eig_range",
-                               np.array([_eig_extremes(P) for P in self.matrices]))
-        return self.eig_range
 
     def P_at(self, s: float) -> np.ndarray:
         """P at pseudo-time s, linearly interpolated between samples."""
@@ -385,10 +376,7 @@ def _linearized_rk4(theta0, L1: OperatorMatrix, b: np.ndarray, al: np.ndarray,
         s1 = f(t, X)
         states[:, k] = X.T
         controls[:, k] = U.T
-        s2 = f(t + 0.5 * h, X + 0.5 * h * s1)
-        s3 = f(t + 0.5 * h, X + 0.5 * h * s2)
-        s4 = f(t + h, X + h * s3)
-        X = X + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+        X = _rk4_step(f, t, X, h, s1)
     states[:, -1] = X.T
     controls[:, -1] = control(times[-1], X).T
     return times, states, controls

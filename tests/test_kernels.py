@@ -437,3 +437,39 @@ def test_host_kernel_equals_generic_loop_bitwise(alpha, beta, gamma, amps, contr
     h = time_grid(0.0, horizon, dt)[1]
     assert fast_error == (f"integration aborted at step {step} (t≈{step * h:.6g}): "
                           + _GUARD_MESSAGES[code])
+
+
+def test_batch_kernel_lanes_equal_single_kernel_bitwise():
+    # On constant and proportional rates (no np.cos against math.cos) every
+    # lane of host_rk4_batch has host_rk4_single's status and bits up to its
+    # stop, then holds its state; lanes 0-2 stop on guards 1, 2 and 3
+    rng = np.random.default_rng(23)
+    m, n = 8, 200
+    h = 1.0 / n
+    u_t = np.linspace(0.0, 1.0, 11)
+    u_vals = rng.uniform(0.0, 1.0, (m, u_t.size))
+    u_vals[0] = np.linspace(0.0, 2.0, u_t.size)  # 1 - 0.9*u <= 0 from t ≈ 0.56
+    x0 = np.column_stack([rng.uniform(0.05, 0.8, m), rng.uniform(0.2, 0.9, m),
+                          np.zeros(m)])
+    x0[1, 0] = 1.0
+    x0[2, 1] = 0.0
+    scal = np.column_stack([rng.uniform(0.1, 0.9, m), np.full(m, 0.9), np.full(m, 1.5)])
+    scal[0, 0] = 0.9
+    codes = rng.choice([_kernels.FORCING_CONST, _kernels.FORCING_PROPORTIONAL], (m, 3))
+    q = np.zeros((m, 3, 3))
+    q[:, :, 0] = rng.uniform(0.05, 3.0, (m, 3))
+    eta0 = rng.uniform(0.5, 0.9, m)
+    *paths, status = _kernels.host_rk4_batch(x0, 0.0, h, n, scal, codes, q, eta0,
+                                             u_t, u_vals)
+    assert status.tolist()[:3] == [1, 2, 3] and not status[3:].any()
+    for s in range(m):
+        rates = tuple((int(c), *pack) for c, pack in zip(codes[s], q[s].tolist()))
+        *single, code, steps = _kernels.host_rk4_single(
+            *x0[s].tolist(), 0.0, h, n, *scal[s].tolist(), rates, float(eta0[s]),
+            u_t, u_vals[s], np.empty((0, 3)))
+        assert status[s] == code
+        if s == 0:
+            assert 0 < steps < n
+        for got, ref in zip(paths, single):
+            assert np.array_equal(got[s, :steps + 1].view(np.int64), ref.view(np.int64))
+            assert np.all(got[s, steps:] == ref[-1])

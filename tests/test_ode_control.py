@@ -29,6 +29,7 @@ from anthractl import (
     shoot_p0,
     solve_feedback_cubic,
 )
+from anthractl.host import DivisionGuardError, _normalize_control, time_grid
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +153,67 @@ def test_integrate_adjoint_reverses_forward(season_params, unit_cost):
                                   unit_cost, u_const, 0.0, 1.0, 1e-3)
     assert th_b.values[0] == pytest.approx(0.2, abs=1e-9)
     assert p_b.values[-1] == pytest.approx(1.0)  # f(theta)=theta => f'=1
+
+
+def _unrolled_adjoint(theta_T, params, cost, u, t0, T, dt):
+    """integrate_adjoint's backward RK4 with its four stages written out."""
+    n, h, times = time_grid(t0, T, dt)
+    u_fn = _normalize_control(u)
+    alpha_fn = ode_control._time_only_alpha(params)
+    theta1 = params.theta1
+
+    def rhs(t, a, b):
+        al = alpha_fn(t)
+        uv = float(u_fn(t))
+        floor = 1.0 - theta1 * uv
+        if floor <= 0.0:
+            raise DivisionGuardError(f"1 - theta1*u = {floor} <= 0 at t = {t}")
+        return al * (1.0 - a / floor), al * b / floor - 2.0 * a
+
+    th = np.empty(n + 1)
+    p = np.empty(n + 1)
+    th[n] = theta_T
+    p[n] = cost.terminal_f_prime(theta_T)
+    for i in range(n, 0, -1):
+        t = times[i]
+        a, b = th[i], p[i]
+        d1a, d1b = rhs(t, a, b)
+        d2a, d2b = rhs(t - 0.5 * h, a - 0.5 * h * d1a, b - 0.5 * h * d1b)
+        d3a, d3b = rhs(t - 0.5 * h, a - 0.5 * h * d2a, b - 0.5 * h * d2b)
+        d4a, d4b = rhs(t - h, a - h * d3a, b - h * d3b)
+        th[i - 1] = a - (h / 6.0) * (d1a + 2.0 * d2a + 2.0 * d3a + d4a)
+        p[i - 1] = b - (h / 6.0) * (d1b + 2.0 * d2b + 2.0 * d3b + d4b)
+    return th, p
+
+
+@pytest.mark.parametrize("alpha", [ConstantForcing(1.3),
+                                   SeasonalForcing(a=3.7, b=0.75, c=0.3)])
+def test_integrate_adjoint_is_the_unrolled_backward_rk4(alpha, rng):
+    # the step -h through the shared RK4 step keeps every bit of the
+    # stages written with t - h/2 and y - h/2*d
+    params = ModelParams.with_default_forcings(theta1=0.6, alpha=alpha)
+    cost = CostSpec(k=0.8, terminal_f=lambda x: x * x, terminal_f_prime=lambda x: 2.0 * x)
+    knots = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 9)]))
+    u = ControlSignal(times=knots, values=rng.uniform(0.0, 1.0, knots.size))
+    th_b, p_b = integrate_adjoint(0.43, params, cost, u, 0.0, 1.0, 1.0 / 700)
+    th_r, p_r = _unrolled_adjoint(0.43, params, cost, u, 0.0, 1.0, 1.0 / 700)
+    for got, ref in ((th_b.values, th_r), (p_b.values, p_r)):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_integrate_adjoint_guard_names_the_stage_time(unit_cost):
+    params = ModelParams.with_default_forcings(theta1=0.6, alpha=1.0)
+
+    def u(t):  # 1 - theta1*u <= 0 once the backward march passes t = 0.4
+        return 2.0 if t < 0.4 else 0.5
+
+    with pytest.raises(DivisionGuardError) as got:
+        integrate_adjoint(0.3, params, unit_cost, u, 0.0, 1.0, 0.03)
+    with pytest.raises(DivisionGuardError) as ref:
+        _unrolled_adjoint(0.3, params, unit_cost, u, 0.0, 1.0, 0.03)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).startswith("1 - theta1*u = -0.19")
+    assert " <= 0 at t = 0.3" in str(got.value)
 
 
 # ---------------------------------------------------------------------------

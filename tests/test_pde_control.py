@@ -88,7 +88,7 @@ def test_riccati_matrices_symmetric_psd():
         eigs = np.linalg.eigvalsh(P)
         assert eigs[0] >= -1e-8
         # the extremes kept from the PSD check are the ones recomputed here
-        assert path.eigenvalue_range()[i].tolist() == [eigs[0], eigs[-1]]
+        assert path.eig_range[i].tolist() == [eigs[0], eigs[-1]]
 
 
 def _riccati_rk4_reference(L1, b, cost, T, dt):
@@ -131,7 +131,7 @@ def test_riccati_stiff_fine_grid_stays_psd():
     grid, A = _grid_1d(n=47, A=0.0416)
     L1, b = linearize(1.45, LinearizationPoint(4.0), 0.5, grid, A)
     path = integrate_riccati(L1, b, PdeCostSpec(k1=0.5, k2=0.5), T=1.0, dt=0.005)
-    assert np.min(path.eigenvalue_range()[:, 0]) > 0.0
+    assert np.min(path.eig_range[:, 0]) > 0.0
 
 
 def test_riccati_lookback_indexing():

@@ -61,6 +61,12 @@ sweep it reports the iterations, whether the sweep converged, the time per
 iteration (best of --repeats) and the number of _controlled_reaction calls,
 the reaction-diagonal evaluations of its forward and adjoint marches.
 
+The cold_start lane runs `python -m anthractl run <name>` for every bundled
+scenario in --repeats fresh processes and reports the median wall time,
+start-up included.  One more run under `python -X importtime` counts the
+scipy modules the scenario loaded.  scipy belongs to the PDE layer only, so
+the lane counts the ODE-mode scenarios that loaded any; that count must be 0.
+
 --json PATH also writes every result, with the environment, as JSON.
 """
 
@@ -70,6 +76,8 @@ import json
 import math
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -78,6 +86,7 @@ import numpy as np
 import scipy
 import scipy.sparse as sp
 
+import anthractl
 from anthractl import (
     AsiCoefficients,
     ConstantForcing,
@@ -105,7 +114,7 @@ from anthractl import (
 )
 from anthractl import _kernels as K
 from anthractl import ode_control, pde_control
-from anthractl.cli import parse_config, resolve_config_path
+from anthractl.cli import bundled_scenarios, parse_config, resolve_config_path
 from anthractl.pde import FieldPath, _FixedStencilStepper, _solve_checked
 from anthractl.pde_control import _closed_loop_lanes
 
@@ -587,6 +596,33 @@ def _riccati_lanes_lane(repeats: int):
     return lane
 
 
+def _cold_start_lane(repeats: int):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(anthractl.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    results = {}
+    with tempfile.TemporaryDirectory() as out:
+        for name, path in bundled_scenarios().items():
+            mode = parse_config(path).mode
+            cmd = ["-m", "anthractl", "run", name, "--out", out]
+            walls = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                subprocess.run([sys.executable, *cmd], env=env, check=True,
+                               stdout=subprocess.DEVNULL)
+                walls.append(time.perf_counter() - t0)
+            # -X importtime writes one stderr line per module imported
+            probe = subprocess.run([sys.executable, "-X", "importtime", *cmd], env=env,
+                                   check=True, stdout=subprocess.DEVNULL,
+                                   stderr=subprocess.PIPE, text=True)
+            modules = [line.rsplit("|", 1)[-1].strip() for line in probe.stderr.splitlines()]
+            results[name] = {"mode": mode, "runs": repeats,
+                             "wall_s": statistics.median(walls),
+                             "scipy_modules": sum(m.split(".")[0] == "scipy"
+                                                  for m in modules)}
+    return results
+
+
 # ---------------------------------------------------------------------------
 #  Timing
 # ---------------------------------------------------------------------------
@@ -626,6 +662,9 @@ def main() -> None:
     riccati = _riccati_lanes_lane(args.repeats)
     shooting = _shooting_lane(args.repeats)
     sweep = _sweep_lane(args.repeats)
+    cold = _cold_start_lane(args.repeats)
+    ode_with_scipy = [name for name, r in cold.items()
+                      if not r["mode"].endswith("-pde") and r["scipy_modules"]]
     workloads = {name: workload for name, _, _, workload in kernels}
 
     print(f"{'kernel':<18} {'workload':<34} {'time':>10}")
@@ -669,6 +708,10 @@ def main() -> None:
         print(f"sweep ({name}, {r['cells']} cells): {r['iterations']} iterations, "
               f"{state}, {r['ms_per_iteration']:.2f}ms/iteration, "
               f"{r['reaction_calls']} reaction calls")
+    for name, r in cold.items():
+        print(f"cold_start ({name}, {r['mode']}): {r['wall_s'] * 1e3:.0f}ms median "
+              f"of {r['runs']} processes, {r['scipy_modules']} scipy modules")
+    print(f"cold_start: {len(ode_with_scipy)} ODE-mode scenarios loaded scipy")
 
     if args.json is not None:
         report = {
@@ -689,6 +732,7 @@ def main() -> None:
             "riccati_lanes": riccati,
             "shooting": shooting,
             "sweep": sweep,
+            "cold_start": cold,
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report, indent=2) + "\n")
@@ -723,6 +767,8 @@ def main() -> None:
     if not worst <= _IMPLICIT_MAX_DEVIATION:
         sys.exit(f"implicit_step: the fixed-stencil path deviates by {worst:.3e} "
                  f"> {_IMPLICIT_MAX_DEVIATION:g} from rebuild+CG")
+    if ode_with_scipy:
+        sys.exit(f"cold_start: {', '.join(ode_with_scipy)} loaded scipy")
 
 
 if __name__ == "__main__":

@@ -507,6 +507,10 @@ def _ode_plan(cfg: ScenarioConfig) -> OdePlan:
 
 
 def _pde_plan(cfg: ScenarioConfig) -> PdePlan:
+    # scipy loads here, at the first PDE config parsed and never for an ODE
+    # one, so batch imports it before its thread pool starts
+    from .pde import _load_scipy
+    _load_scipy()
     grid, A = _build_grid(cfg)
     theta1 = _num(cfg.data, "theta1", cfg.name, minimum=0.0, maximum=1.0)
     alpha = _build_pde_alpha(_need(cfg.data, "alpha", cfg.name), grid.centers,
@@ -668,8 +672,11 @@ def _run_ode_like(plan: OdePlan, out_dir: str) -> tuple:
     traj = integrate_ode(params, u, x0, t0=0.0, T=T, dt=h)
     _require_finite_trajectory(traj, "the run's control")
     J = eval_cost_JT(u, traj, cost, h)
-    J0 = _host_cost_for_control(params, cost, x0, T, h, np.zeros(times.shape), times)
-    J1 = _host_cost_for_control(params, cost, x0, T, h, np.ones(times.shape), times)
+    # a constant run at u = 0 or 1 is that baseline itself: the rerun would
+    # integrate the same control values (-0.0 gives the same floor and k*u^2)
+    J0, J1 = (J if plan.u == u_val else
+              _host_cost_for_control(params, cost, x0, T, h, np.full(times.shape, u_val), times)
+              for u_val in (0.0, 1.0))
 
     columns = ("t", "theta", "v", "v_r", "u")
     series = [traj.times, traj.theta, traj.v, traj.v_r, u_values]

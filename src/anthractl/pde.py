@@ -9,6 +9,10 @@ where L bundles the reaction term alpha/(1 - theta1*u) (or its
 linearization alpha) with the negative divergence of A grad(theta) under
 no-flux boundaries.  L is assembled as an M-matrix so that backward-Euler
 steps preserve nonnegativity regardless of the step size.
+
+scipy is a dependency of the PDE layer only: the functions here import the
+scipy modules they use when they run, so importing anthractl for the ODE
+modes loads numpy alone.
 """
 
 from __future__ import annotations
@@ -16,9 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import get_lapack_funcs
 
 from .grid import DiffusionField, ScalarField, SpatialGrid, as_cell_values
 from .host import DivisionGuardError, time_grid
@@ -43,9 +44,32 @@ __all__ = [
 _LINEAR_RTOL = 1e-12      # relative residual target for the implicit solve
 _CONST_FIELD_TOL = 1e-12  # spatial-constancy tolerance in verify_bounds
 
-# LAPACK's SPD tridiagonal solver for float64, the routine scipy's
-# solveh_banded calls for a two-row band
-_ptsv, = get_lapack_funcs(("ptsv",), (np.empty(0),))
+
+def _load_scipy() -> None:
+    """Import every scipy module the PDE layer uses, in one fixed order.
+
+    The CLI calls this when it parses a PDE config, before any worker thread
+    starts, so concurrent first uses never race through scipy's imports.
+    """
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
+
+
+def _fetch_ptsv(d, e, b):
+    """LAPACK's SPD tridiagonal solver for float64, the routine scipy's
+    solveh_banded calls for a two-row band.
+
+    The first call fetches the routine and rebinds _ptsv to it, so later
+    solves call LAPACK with no lookup.
+    """
+    global _ptsv
+    from scipy.linalg import get_lapack_funcs
+    _ptsv, = get_lapack_funcs(("ptsv",), (np.empty(0),))
+    return _ptsv(d, e, b)
+
+
+_ptsv = _fetch_ptsv
 
 
 class SingularOperatorError(ValueError):
@@ -113,6 +137,8 @@ def assemble_operator(grid: SpatialGrid, A: DiffusionField, alpha, u,
     rows sum to zero, so L is an M-matrix whenever the reaction diagonal is
     nonnegative.
     """
+    import scipy.sparse as sp
+
     n = grid.n_cells
     alpha_v = as_cell_values(alpha, n)
     if reaction == "full":
@@ -155,6 +181,8 @@ def assemble_operator(grid: SpatialGrid, A: DiffusionField, alpha, u,
 
 def _solve_checked(M: sp.spmatrix, rhs: np.ndarray, x0=None) -> np.ndarray:
     """Solve M x = rhs to relative residual 1e-12, CG first then direct."""
+    import scipy.sparse.linalg as spla
+
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
@@ -190,6 +218,8 @@ class _FixedStencilStepper:
     """
 
     def __init__(self, D: sp.spmatrix, h: float):
+        import scipy.sparse as sp
+
         n = D.shape[0]
         M = (sp.identity(n, format="csr") + h * D).tocsr()
         M.sort_indices()
@@ -224,6 +254,8 @@ class _FixedStencilStepper:
 
 def step_implicit(theta: ScalarField, L: OperatorMatrix, alpha, dt: float) -> ScalarField:
     """One backward-Euler step: solve (I + dt*L) theta' = theta + dt*alpha."""
+    import scipy.sparse as sp
+
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = L.n_cells
@@ -268,6 +300,9 @@ def integrate_pde(theta0: ScalarField, L: OperatorMatrix, alpha, T: float,
     step_implicit.  store_every > 1 thins the stored path; the final state
     is always stored.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if T < 0.0:
         raise ValueError(f"T must be nonnegative, got {T}")
     if dt <= 0.0:
@@ -315,6 +350,8 @@ def solve_equilibrium(L: OperatorMatrix, alpha) -> ScalarField:
     identically zero; otherwise the pure-Neumann kernel (constants) makes
     the system singular.
     """
+    import scipy.sparse.linalg as spla
+
     n = L.n_cells
     al = as_cell_values(alpha, n)
     if not L.includes_reaction or not np.any(al != 0.0):
@@ -439,6 +476,9 @@ def principal_eigenvalue(L: OperatorMatrix, exclude_constant: bool = False,
     the complement of the constant mode; this requires constants to actually
     be an eigenvector (zero row sums plus a constant diagonal).
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     A = L.matrix
     n = A.shape[0]
     defect = L.symmetry_defect()

@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._kernels import _interp_knots, _rk4_step
 from .grid import DiffusionField, ScalarField, SpatialGrid, as_cell_values
@@ -201,6 +200,8 @@ def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: fl
     on: every stored matrix must have smallest eigenvalue >= -1e-8, and the
     eigenvalue extremes computed for it are kept in the path's eig_range.
     """
+    from scipy.linalg import expm
+
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if T < 0.0:

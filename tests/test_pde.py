@@ -172,6 +172,16 @@ def test_direct_tridiagonal_solve_equals_solveh_banded(rng):
             assert np.array_equal(x, solveh_banded(ab, rhs, check_finite=False))
 
 
+def test_ptsv_binds_lapack_on_first_call(monkeypatch):
+    d, e, b = np.array([2.0, 3.0]), np.array([-1.0]), np.array([1.0, 2.0])
+    monkeypatch.setattr(pde, "_ptsv", pde._fetch_ptsv)  # as before any solve
+    _, _, x, info = pde._ptsv(d, e, b)
+    assert info == 0 and np.allclose([2 * x[0] - x[1], 3 * x[1] - x[0]], b, rtol=1e-14)
+    assert pde._ptsv is not pde._fetch_ptsv
+    _, _, again, _ = pde._ptsv(d, e, b)
+    assert np.array_equal(again, x)
+
+
 def test_fixed_stencil_stepper_solves_one_cell():
     # one cell has no off-diagonal band, so it goes through _solve_checked
     grid, A = _setup_1d(n=1, A=0.02)

@@ -672,11 +672,8 @@ def _run_ode_like(plan: OdePlan, out_dir: str) -> tuple:
     traj = integrate_ode(params, u, x0, t0=0.0, T=T, dt=h)
     _require_finite_trajectory(traj, "the run's control")
     J = eval_cost_JT(u, traj, cost, h)
-    # a constant run at u = 0 or 1 is that baseline itself: the rerun would
-    # integrate the same control values (-0.0 gives the same floor and k*u^2)
-    J0, J1 = (J if plan.u == u_val else
-              _host_cost_for_control(params, cost, x0, T, h, np.full(times.shape, u_val), times)
-              for u_val in (0.0, 1.0))
+    J0 = _host_cost_for_control(params, cost, x0, T, h, np.zeros(times.shape), times)
+    J1 = _host_cost_for_control(params, cost, x0, T, h, np.ones(times.shape), times)
 
     columns = ("t", "theta", "v", "v_r", "u")
     series = [traj.times, traj.theta, traj.v, traj.v_r, u_values]

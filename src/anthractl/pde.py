@@ -18,11 +18,15 @@ modes loads numpy alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import DiffusionField, ScalarField, SpatialGrid, as_cell_values
 from .host import DivisionGuardError, time_grid
+
+if TYPE_CHECKING:  # names the sp.* annotations for type checkers; at run
+    import scipy.sparse as sp  # time they stay strings and import nothing
 
 __all__ = [
     "SingularOperatorError",

@@ -9,14 +9,13 @@ import os
 import pickle
 import tempfile
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from anthractl import FieldPath, GridSpec, build_grid, cli
+from anthractl import FieldPath, GridSpec, build_grid
 from anthractl.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -38,7 +37,6 @@ from anthractl.cli import (
 
 _BUNDLED = ("fig1", "fig2", "fig3", "fig4", "forecast-demo",
             "pde-1d-demo", "riccati-scalar", "sweep-1d")
-_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def _write_cfg(tmp_path, data, name="scenario.json"):
@@ -382,41 +380,6 @@ def test_run_optimize_ode(tmp_path):
     assert abs(residuals[-1]) == rep["diagnostics"]["shooting_residual"]
     header = (run_dir / "ode_series.csv").read_text().splitlines()[0]
     assert header == "t,theta,v,v_r,u,p"
-
-
-def _counted_integrations(monkeypatch) -> list:
-    calls = []
-    real = cli.integrate_ode
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "integrate_ode", counted)
-    return calls
-
-
-@pytest.mark.parametrize("name", ["fig2", "fig4"])
-def test_constant_run_at_u_zero_is_its_own_baseline(name, tmp_path, monkeypatch):
-    # the run under u = 0 is the u=0 baseline: the host integrates the run
-    # and the u=1 baseline only, and the cost triple keeps its recorded bits
-    calls = _counted_integrations(monkeypatch)
-    assert main(["run", name, "--out", str(tmp_path)]) == EXIT_OK
-    assert len(calls) == 2
-    expected = json.loads(_REFERENCE.read_text())[name]
-    costs = _report(tmp_path / name)["costs"]
-    assert {key: costs[key] for key in expected} == expected
-
-
-def test_constant_run_at_u_one_is_its_own_baseline(tmp_path, monkeypatch):
-    calls = _counted_integrations(monkeypatch)
-    code, mixed = _run(tmp_path, _tiny_ode(name="mixed", control={"u": 0.3}))
-    assert code == EXIT_OK and len(calls) == 3
-    code, held = _run(tmp_path, _tiny_ode(name="held", control={"u": 1.0}))
-    assert code == EXIT_OK and len(calls) == 5
-    costs = _report(held)["costs"]
-    assert costs["controlled"] == costs["u_one"] == _report(mixed)["costs"]["u_one"]
-    assert costs["u_zero"] == _report(mixed)["costs"]["u_zero"]
 
 
 def test_run_simulate_pde(tmp_path):

@@ -11,7 +11,10 @@ host_rk4_batch and coupled_rk4), best of --repeats, in this process.
 The feedback_root lane times the feedback law with the warm-started root
 (_u_warm) against the same law with the plain bisection it must reproduce
 bit for bit (_u_bisect) on the same _FEEDBACK_DRAWS seeded draws, and counts
-the draws where the two differ; that count must be 0.
+the draws where the two differ; that count must be 0.  It also evaluates the
+sweep's pointwise feedback (_stationarity_feedback, on arrays) on the whole
+(theta, p) path sweep-1d returns, and counts the samples where it differs
+from optimal_u_feedback at that sample; that count must be 0 too.
 
 The coupled lane replays the coupled_rk4 calls of fig1's single-stage
 shooting solve (the fine-grid secant seeded with p0 in {0, 1}; one call per
@@ -115,6 +118,7 @@ from anthractl import (
 from anthractl import _kernels as K
 from anthractl import ode_control, pde_control
 from anthractl.cli import bundled_scenarios, parse_config, resolve_config_path
+from anthractl.grid import as_cell_values
 from anthractl.pde import FieldPath, _FixedStencilStepper, _solve_checked
 from anthractl.pde_control import _closed_loop_lanes
 
@@ -209,7 +213,28 @@ def _u_warm(alpha_t, theta, p, theta1, k):
 
 def _u_bisect(alpha_t, theta, p, theta1, k):
     """_u_warm with the root bisected from [1, 3/2]: the reference."""
-    return K._u_law(alpha_t * theta1 * theta1 * theta * p, theta1, k, K._reference_root)
+    return K._u_law(alpha_t * theta1 * theta1 * theta * p, theta1, k, K._bisect_root)
+
+
+def _sweep_law_mismatches():
+    """(samples, mismatches) of the sweep's pointwise feedback on sweep-1d's
+    returned (theta, p) path against optimal_u_feedback per sample."""
+    plan = parse_config(resolve_config_path("sweep-1d")).plan
+    relax, max_iter = plan.sweep
+    res = forward_backward_sweep(plan.theta0, plan.grid, plan.A, plan.alpha, plan.cost,
+                                 plan.T, plan.h, theta1=plan.theta1, relax=relax,
+                                 max_iter=max_iter)
+    n = plan.grid.n_cells
+    al = as_cell_values(plan.alpha, n)
+    k1 = plan.cost.k1_values(n)
+    th, p = res.theta_path.values, res.adjoint_path.values
+    u = pde_control._stationarity_feedback(al, th, p, plan.theta1, k1)
+    mismatches = sum(
+        u[j, c] != ode_control.optimal_u_feedback(float(al[c]), float(th[j, c]),
+                                                  float(p[j, c]), plan.theta1,
+                                                  float(k1[c]))
+        for j, c in np.ndindex(u.shape))
+    return u.size, int(mismatches)
 
 
 def _feedback_root_lane(repeats: int):
@@ -222,13 +247,16 @@ def _feedback_root_lane(repeats: int):
     warm = _best_of(run, (_u_warm,), repeats)
     bisect = _best_of(run, (_u_bisect,), repeats)
     mismatches = sum(a != b for a, b in zip(run(_u_warm), run(_u_bisect)))
+    sweep_samples, sweep_mismatches = _sweep_law_mismatches()
     return {"draws": n_draws,
             "warm_s": warm,
             "bisect_s": bisect,
             "warm_us_per_call": warm / n_draws * 1e6,
             "bisect_us_per_call": bisect / n_draws * 1e6,
             "speedup": bisect / warm,
-            "mismatches": int(mismatches)}
+            "mismatches": int(mismatches),
+            "sweep_samples": sweep_samples,
+            "sweep_mismatches": sweep_mismatches}
 
 
 @contextlib.contextmanager
@@ -282,7 +310,7 @@ def _coupled_lane(repeats: int):
     with _swapped("_interior_law", lambda theta1, k: (
             lambda c3: K._u_law(c3, theta1, k, K._feedback_root))):
         _, memo_free_roots = roots_per_step()
-    with _swapped("_feedback_root", K._reference_root):
+    with _swapped("_feedback_root", K._bisect_root):
         reference = run()
     mismatches = 0
     for got, ref in zip(out, reference):
@@ -674,6 +702,9 @@ def main() -> None:
           f"warm {root['warm_us_per_call']:.2f}us/call, "
           f"bisection {root['bisect_us_per_call']:.2f}us/call, "
           f"{root['speedup']:.2f}x, mismatches {root['mismatches']}")
+    print(f"feedback_root (sweep-1d path, {root['sweep_samples']} samples): "
+          f"pointwise feedback against optimal_u_feedback, "
+          f"mismatches {root['sweep_mismatches']}")
     print(f"coupled (fig1 shooting, {coupled['evaluations']} evaluations, "
           f"{coupled['steps']} steps): {coupled['us_per_step']:.2f}us/step, "
           f"{coupled['roots_per_step']:.3f} roots/step "
@@ -738,6 +769,9 @@ def main() -> None:
             fh.write(json.dumps(report, indent=2) + "\n")
     if root["mismatches"]:
         sys.exit(f"feedback_root: {root['mismatches']} draws differ from bisection")
+    if root["sweep_mismatches"]:
+        sys.exit(f"feedback_root: {root['sweep_mismatches']} samples of the sweep-1d "
+                 f"path differ from optimal_u_feedback")
     if coupled["mismatches"]:
         sys.exit(f"coupled: {coupled['mismatches']} output values differ from the "
                  f"bisection-root run")

@@ -89,33 +89,44 @@ def _rk4_step(f, t, y, h, d1):
     return y + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
 
 
+#: Halvings of the feedback-root bisection: width 1/2 to 2**-50, the first <= 1e-15.
+_HALVINGS = 49
 #: (width, last bracket index, halvings) of the dyadic brackets at levels 38
-#: and 30 of the bisection from [1, 3/2], where the warm-started feedback
-#: root tries to join it: the width at level L is 0.5 * 2**-L, and 49 - L
-#: halvings take it to 2**-50, the first dyadic width at or below
-#: _bisect_root's 1e-15 stop.  The bracket ends are multiples of the width
-#: in [1, 3/2], so every midpoint and width is exact.
-_BRACKETS = tuple((0.5 * 2.0 ** -level, 2.0 ** level - 1.0, 49 - level)
+#: and 30 of that bisection, where the warm-started feedback root tries to
+#: join it: the width at level L is 0.5 * 2**-L, and _HALVINGS - L halvings
+#: finish it.  The bracket ends are multiples of the width in [1, 3/2], so
+#: every midpoint and width is exact.
+_BRACKETS = tuple((0.5 * 2.0 ** -level, 2.0 ** level - 1.0, _HALVINGS - level)
                   for level in (38, 30))
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _bisect_root(c3: float, k: float, lo: float, hi: float) -> float:
-    """Bisect g(w) = c3*w^3 - 2k*w + 2k on [lo, hi] down to width 1e-15."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+def _bisect_root(c3: float, k: float) -> float:
+    """The feedback root bisected from [1, 3/2] to width 2**-50 (_HALVINGS):
+    the reference _feedback_root reproduces, and its fallback.  The bracket
+    is dyadic, so lo + width/2 is its midpoint exactly."""
+    lo = 1.0
+    width = 0.5
+    for _ in range(_HALVINGS):
+        width *= 0.5
+        mid = lo + width
         if c3 * mid * mid * mid - 2.0 * k * mid + 2.0 * k > 0.0:
             lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    return lo + 0.5 * width
 
 
-def _reference_root(c3: float, k: float) -> float:
-    """The feedback root bisected from [1, 3/2]: what _feedback_root reproduces."""
-    return _bisect_root(c3, k, 1.0, 1.5)
+def _bisect_roots(c3: np.ndarray, k) -> np.ndarray:
+    """_bisect_root elementwise over the broadcast of c3 and k, bit for bit,
+    for the sweep.  A scalar root costs far more here, so the kernels keep
+    the scalar form."""
+    k2 = 2.0 * k
+    lo = np.ones(np.broadcast(c3, k).shape)
+    width = 0.5
+    for _ in range(_HALVINGS):
+        width *= 0.5
+        mid = lo + width
+        np.copyto(lo, mid, where=c3 * mid * mid * mid - k2 * mid + k2 > 0.0)
+    return lo + 0.5 * width
 
 
 def _feedback_root(c3: float, k: float) -> float:
@@ -133,9 +144,8 @@ def _feedback_root(c3: float, k: float) -> float:
     m <= lo has exact g(m) > 2b and computed g(m) > 0, so bisection keeps
     the upper half there, and by the same argument the lower half at every
     m >= hi.
-    So bisection arrives at [lo, hi] (its width, 2**-39 or 2**-31, is far
-    above the 1e-15 stop) and the bracket's count of halvings of the same
-    loop finishes it; 2.0*k is hoisted, as g already evaluates it first.
+    So bisection arrives at [lo, hi] and the bracket's count of halvings
+    finishes it; 2.0*k is hoisted, as g already evaluates it first.
     The argument and B are the same at both levels; a bracket fails the
     check when the root lies within about B/|g'| of an end, which the
     coarse one does about 256 times more rarely.
@@ -148,7 +158,7 @@ def _feedback_root(c3: float, k: float) -> float:
     r = c3 / k
     if r == 0.0:
         # c3/k underflowed: Viete's form would divide by zero
-        return _bisect_root(c3, k, 1.0, 1.5)
+        return _bisect_root(c3, k)
     x = -1.5 * math.sqrt(1.5 * r)
     if x < -1.0:
         x = -1.0
@@ -174,7 +184,7 @@ def _feedback_root(c3: float, k: float) -> float:
                 else:
                     hi = mid
             return 0.5 * (lo + hi)
-    return _bisect_root(c3, k, 1.0, 1.5)
+    return _bisect_root(c3, k)
 
 
 def _u_law(c3: float, theta1: float, k: float, root) -> float:

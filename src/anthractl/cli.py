@@ -426,7 +426,7 @@ def _build_grid(cfg: ScenarioConfig):
     diffusion = gblock.get("diffusion", 1.0)
     try:
         return build_grid(GridSpec(tuple(extents), tuple(resolution)), A_spec=diffusion)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError, MemoryError) as exc:  # or too large to store
         raise ConfigError(f"{where}: {exc}") from None
 
 

@@ -96,8 +96,7 @@ class CostSpec:
     terminal_f_prime: Callable[[float], float] = _one
 
     def __post_init__(self) -> None:
-        if not self.k > 0.0:
-            raise ValueError(f"cost ratio k must be > 0, got {self.k}")
+        _check_k(self.k)
         delta = 1e-5
         for th in (0.1, 0.35, 0.6, 0.85):
             fd = (self.terminal_f(th + delta) - self.terminal_f(th - delta)) / (2.0 * delta)
@@ -141,6 +140,12 @@ class OptimalSolution:
 #  Feedback law
 # ---------------------------------------------------------------------------
 
+def _check_k(k: float) -> None:
+    """The feedback law's cost weight k must be finite and > 0."""
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be finite and > 0, got {k}")
+
+
 def solve_feedback_cubic(c3: float, k: float, theta1: Optional[float] = None) -> float:
     """Solve c3*w^3 - 2k*w + 2k = 0 for the feedback multiplier w3.
 
@@ -152,8 +157,7 @@ def solve_feedback_cubic(c3: float, k: float, theta1: Optional[float] = None) ->
     Raises BangRegimeError when 27*c3 >= 8k — there is no usable nonnegative
     root and the caller must saturate the control at u = 1.
     """
-    if not k > 0.0:
-        raise ValueError(f"k must be > 0, got {k}")
+    _check_k(k)
     if 27.0 * c3 >= 8.0 * k:
         raise BangRegimeError(
             f"27*c3 = {27.0 * c3} >= 8k = {8.0 * k}: bang regime, set u = 1")
@@ -173,17 +177,19 @@ def solve_feedback_cubic(c3: float, k: float, theta1: Optional[float] = None) ->
 def optimal_u_feedback(alpha_t: float, theta: float, p: float,
                        theta1: float, k: float) -> float:
     """Pointwise optimal control: u = 1 when 27*alpha*theta1^2*theta*p >= 8k,
-    otherwise u = (w3 - 1)/(theta1*w3) with w3 from solve_feedback_cubic.
-    The result is clamped to [0, 1] to absorb roundoff."""
+    otherwise the kernels' interior law _kernels._u_law: u = (w3 - 1)/(theta1*w3)
+    with w3 from solve_feedback_cubic, clamped to [0, 1] to absorb roundoff.
+    The sweep's pointwise feedback is this law on arrays."""
+    _check_k(k)
     if theta1 <= 0.0:
         # Control has no effect on the dynamics; the cost says switch it off.
         return 0.0
     c3 = alpha_t * theta1 * theta1 * theta * p
     if 27.0 * c3 >= 8.0 * k:
         return 1.0
-    w3 = solve_feedback_cubic(c3, k, theta1)
-    u = (w3 - 1.0) / (theta1 * w3)
-    return min(max(u, 0.0), 1.0)
+    if not (theta1 < 1.0 and math.isfinite(c3)):
+        raise ValueError(f"need theta1 < 1 and a finite c3, got {theta1} and {c3}")
+    return _kernels._u_law(c3, theta1, k, _kernels._feedback_root)
 
 
 def eval_adjoint_rhs(t: float, p: float, theta: float, u_val: float,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _interp_knots, _rk4_step
+from ._kernels import _bisect_roots, _interp_knots, _rk4_step
 from .grid import DiffusionField, ScalarField, SpatialGrid, as_cell_values
 from .host import DivisionGuardError, time_grid
 from .ode_control import GridMismatchError
@@ -61,7 +61,7 @@ class StiffStepError(ArithmeticError):
 # cost and linearization-point containers
 # --------------------------------------------------------------------------
 
-def _validated_weight(value, name: str, strict: bool):
+def _validated_weight(value, name: str, strict: bool) -> None:
     v = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite")
@@ -69,7 +69,6 @@ def _validated_weight(value, name: str, strict: bool):
         raise ValueError(f"{name} must be strictly positive")
     if not strict and not np.all(v >= 0.0):
         raise ValueError(f"{name} must be nonnegative")
-    return value
 
 
 @dataclass(frozen=True)
@@ -546,13 +545,9 @@ def solve_adjoint_pde(theta_path: FieldPath, u_star: FieldPath, cost: PdeCostSpe
 # --------------------------------------------------------------------------
 
 def hamiltonian_pointwise_feedback(alpha, theta, p, theta1: float, k1) -> ScalarField:
-    """Cellwise stationarity feedback for the nonlinear problem.
-
-    Where 27*alpha*theta1^2*theta*p >= 8*k1 the control saturates at 1.
-    Elsewhere u is the point of [0, min(1/(3*theta1), 1)] nearest the
-    smallest nonnegative root of 2*k1*u*(1-theta1*u)^2 = alpha*theta1*theta*p,
-    found by bisection (the left side increases on that interval).
-    """
+    """Cellwise stationarity feedback for the nonlinear problem: the ODE law
+    optimal_u_feedback in every cell, bit for bit (u = 1 where 27*c3 >= 8*k1,
+    c3 = alpha*theta1^2*theta*p).  theta1 must lie in (0, 1), k1 be finite and > 0."""
     t1 = float(theta1)
     sizes = [np.asarray(getattr(x, "values", x)).shape[0]
              for x in (alpha, theta, p, k1)
@@ -568,35 +563,23 @@ def hamiltonian_pointwise_feedback(alpha, theta, p, theta1: float, k1) -> Scalar
 def _check_feedback_args(theta1: float, k1v: np.ndarray) -> None:
     if not 0.0 < theta1 < 1.0:
         raise ValueError(f"theta1 must lie in (0,1), got {theta1}")
-    if np.any(k1v <= 0.0):
-        raise ValueError("k1 must be strictly positive")
+    _validated_weight(k1v, "k1", strict=True)
 
 
 def _stationarity_feedback(al, th, pv, t1: float, k1v) -> np.ndarray:
     """Array core of hamiltonian_pointwise_feedback, elementwise over the
-    broadcast shape of its arguments (one time level or a whole path).
-    Arguments are unchecked; see _check_feedback_args."""
-    c = al * t1 * th * pv               # right side of the stationarity equation
-    u = np.zeros(c.shape)
-    bang = 27.0 * t1 * c >= 8.0 * k1v   # 27*alpha*theta1^2*theta*p >= 8*k1
+    broadcast shape of its arguments (one time level or a whole path): the
+    branch tests of optimal_u_feedback, and _kernels._u_law on the root of
+    _kernels._bisect_roots.  Arguments are unchecked; see _check_feedback_args."""
+    c3 = al * t1 * t1 * th * pv          # the ODE law's association
+    u = np.zeros(c3.shape)
+    bang = 27.0 * c3 >= 8.0 * k1v
     u[bang] = 1.0
-
-    interior = (~bang) & (c > 0.0)
+    interior = (~bang) & (c3 > 0.0)
     if np.any(interior):
-        ci = c[interior]
-        ki = np.broadcast_to(k1v, c.shape)[interior]
-        lo = np.zeros(ci.shape)
-        hi = np.full(ci.shape, 1.0 / (3.0 * t1))
-        # phi(u) = 2*k1*u*(1-theta1*u)^2 - c is increasing on [0, 1/(3*theta1)],
-        # phi(0) = -c < 0, phi(hi) >= 0 off the bang set
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            phi = 2.0 * ki * mid * (1.0 - t1 * mid) ** 2 - ci
-            take_hi = phi > 0.0
-            hi = np.where(take_hi, mid, hi)
-            lo = np.where(take_hi, lo, mid)
-        root = 0.5 * (lo + hi)
-        u[interior] = np.minimum(root, 1.0)
+        w = _bisect_roots(c3[interior], np.broadcast_to(k1v, c3.shape)[interior])
+        w = np.minimum(w, min(1.5, 1.0 / (1.0 - t1)))
+        u[interior] = ((w - 1.0) / (t1 * w)).clip(0.0, 1.0)
     return u
 
 

@@ -286,13 +286,16 @@ def test_overflowed_step_matrix_exits_numerical(tmp_path, capsys, grid):
     (_seasonal_c(_tiny_ode("optimize-ode"), "beta", 1e-310), "host.beta"),
     (_seasonal_c(_tiny_forecast(), "eta", 1e-310), "host.eta"),
     (_tiny_ode(time={"T": 1e308, "dt": 1e308}), "host.alpha"),
+    # 10**15 cells of 8 bytes lie beyond the address space: the allocation
+    # fails at once, whatever the overcommit setting
+    (_with(_tiny_pde(), grid={"extents": [1.0], "resolution": [10**15]}), "tiny-pde.grid"),
 ], ids=["store_every", "store_every_fraction", "shooting_tol", "sweep_max_iter",
         "seed", "initial", "store_every_not_dividing_steps", "riccati_cells",
         "sweep_theta1_zero", "sweep_theta1_one", "steps_beyond_array_size",
         "steps_overflow", "steps_beyond_memory", "subnormal_alpha_period",
         "subnormal_alpha_period_optimize", "subnormal_beta_period",
         "subnormal_beta_period_optimize", "subnormal_eta_period_forecast",
-        "seasonal_phase_overflow"])
+        "seasonal_phase_overflow", "grid_beyond_address_space"])
 def test_bad_value_exits_config_in_validate_and_run(tmp_path, capsys, data, key):
     path = _write_cfg(tmp_path, data)
     assert main(["validate", path]) == EXIT_CONFIG

@@ -48,7 +48,7 @@ _unit = st.floats(1e-6, 1.0, exclude_max=True)
 def test_feedback_root_equals_bisection(ratio, k):
     c3 = ratio * k
     assert _kernels._feedback_root(c3, k) == \
-        _kernels._bisect_root(c3, k, 1.0, 1.5)
+        _kernels._bisect_root(c3, k)
 
 
 @settings(max_examples=1500, deadline=None)
@@ -57,13 +57,26 @@ def test_u_law_equals_bisection_reference(ratio, k, theta1, theta, p):
     alpha = ratio * k / (theta1 * theta1 * theta * p)
     c3 = alpha * theta1 * theta1 * theta * p
     assert _kernels._u_law(c3, theta1, k, _kernels._feedback_root) == \
-        _kernels._u_law(c3, theta1, k, _kernels._reference_root)
+        _kernels._u_law(c3, theta1, k, _kernels._bisect_root)
+
+
+@settings(max_examples=300, deadline=None)
+@example(ratios=[_THRESHOLD * (1.0 - 1e-16), 1e-300, 0.1], k=1e-3)
+@given(ratios=st.lists(_ratio, min_size=1, max_size=40), k=_k)
+def test_array_root_equals_scalar_bisection(ratios, k):
+    # the sweep's root on arrays: the scalar bisection's bits in every entry,
+    # against a scalar k and against one k per entry
+    c3 = np.array(ratios) * k
+    want = [_kernels._bisect_root(c, k) for c in c3.tolist()]
+    assert _kernels._bisect_roots(c3, k).tolist() == want
+    ks = np.full(c3.shape, k)
+    assert _kernels._bisect_roots(c3, ks).tolist() == want
 
 
 def test_feedback_root_underflowed_ratio():
     # c3/k rounds to 0: no Viete guess, plain bisection
     assert _kernels._feedback_root(5e-324, 10.0) == \
-        _kernels._bisect_root(5e-324, 10.0, 1.0, 1.5)
+        _kernels._bisect_root(5e-324, 10.0)
 
 
 def _fig1_args(p0, n=1000):
@@ -92,7 +105,7 @@ def test_coupled_kernel_identical_with_bisection_reference(monkeypatch):
 
     def reference(c3, k):
         calls.append(1)
-        return _kernels._reference_root(c3, k)
+        return _kernels._bisect_root(c3, k)
 
     monkeypatch.setattr(_kernels, "_feedback_root", reference)
     ref = _kernels.coupled_rk4(*args)
@@ -173,9 +186,9 @@ def test_coarse_bracket_replaces_most_full_bisections(monkeypatch):
     bisect = _kernels._bisect_root
     fallbacks = []
 
-    def counted(c3, k, lo, hi):
+    def counted(c3, k):
         fallbacks.append(1)
-        return bisect(c3, k, lo, hi)
+        return bisect(c3, k)
 
     monkeypatch.setattr(_kernels, "_bisect_root", counted)
     counts = []
@@ -184,7 +197,7 @@ def test_coarse_bracket_replaces_most_full_bisections(monkeypatch):
         fallbacks.clear()
         roots = [_kernels._feedback_root(c3, k) for c3, k in draws]
         counts.append(len(fallbacks))
-        assert roots == [bisect(c3, k, 1.0, 1.5) for c3, k in draws]
+        assert roots == [bisect(c3, k) for c3, k in draws]
     assert counts[0] > 200 and counts[1] * 10 < counts[0]
 
 

@@ -94,6 +94,16 @@ def test_feedback_discontinuity_for_large_theta1():
     assert above - below > 0.4  # genuine jump
 
 
+@pytest.mark.parametrize("k", [0.0, -1.0, float("nan"), float("inf")])
+def test_feedback_law_rejects_bad_k(k):
+    # k <= 0 makes every pressure look saturating, so the weight is checked
+    # before the branch test
+    with pytest.raises(ValueError, match="k must be finite and > 0"):
+        optimal_u_feedback(1.0, 0.5, 0.5, 0.5, k)
+    with pytest.raises(ValueError, match="k must be finite and > 0"):
+        solve_feedback_cubic(0.1, k)
+
+
 def test_adjoint_rhs_value():
     # dp/dt = alpha*p/(1-theta1*u) - 2*theta
     assert eval_adjoint_rhs(0.0, 2.0, 0.25, 0.5, 3.0, 0.6) == \

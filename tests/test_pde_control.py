@@ -361,14 +361,12 @@ def test_pointwise_feedback_matches_scalar_law(rng):
         u_field = hamiltonian_pointwise_feedback(alpha, theta, p, theta1, k1)
         for j in range(5):
             expect = optimal_u_feedback(alpha[j], theta[j], p[j], theta1, k1)
-            assert u_field.values[j] == pytest.approx(expect, abs=5e-7)
+            assert u_field.values[j] == expect
 
 
 def test_sweep_path_feedback_equals_per_level_feedback(rng):
     # the sweep evaluates the stationarity feedback once on the whole
     # (n_t, n_cells) path; it must equal the per-time-level public call
-    from anthractl.pde_control import _stationarity_feedback
-
     grid, A = _grid_1d(n=8)
     alpha = rng.uniform(0.5, 4.0, 8)
     k1 = rng.uniform(0.2, 1.0, 8)
@@ -390,7 +388,7 @@ def test_sweep_path_feedback_equals_per_level_feedback(rng):
     assert np.array_equal(whole, per_level)
     for j, c in zip(*np.nonzero((whole > 0.0) & (whole < 1.0))):
         expect = optimal_u_feedback(alpha[c], theta[j, c], p[j, c], theta1, k1[c])
-        assert whole[j, c] == pytest.approx(expect, abs=5e-7)
+        assert whole[j, c] == expect
 
 
 def test_pointwise_feedback_interior_residual():
@@ -407,6 +405,15 @@ def test_pointwise_feedback_negative_pressure_shuts_off():
     u = hamiltonian_pointwise_feedback(
         np.array([1.0]), np.array([0.4]), np.array([-0.5]), 0.5, 1.0)
     assert u.values[0] == 0.0
+
+
+@pytest.mark.parametrize("k1", [np.nan, np.inf, 0.0, -1.0, np.array([1.0, np.nan])],
+                         ids=["nan", "inf", "zero", "negative", "nan-cell"])
+def test_pointwise_feedback_rejects_bad_k1(k1):
+    # the ODE law refuses such a k too (test_feedback_law_rejects_bad_k)
+    with pytest.raises(ValueError, match="k1"):
+        hamiltonian_pointwise_feedback(np.ones(2), np.full(2, 0.5), np.full(2, 0.5),
+                                       0.5, k1)
 
 
 def test_cost_JT3_hand_value():

@@ -11,7 +11,10 @@ host_rk4_batch and coupled_rk4), best of --repeats, in this process.
 The feedback_root lane times the feedback law with the warm-started root
 (_u_warm) against the same law with the plain bisection it must reproduce
 bit for bit (_u_bisect) on the same _FEEDBACK_DRAWS seeded draws, and counts
-the draws where the two differ; that count must be 0.  It also evaluates the
+the draws where the two differ; that count must be 0.  It times the array
+roots the sweep takes, the warm-started _feedback_roots against
+_bisect_roots, on the cubics of the same draws, and counts the entries whose
+bits differ; that count must be 0 too.  It also evaluates the
 sweep's pointwise feedback (_stationarity_feedback, on arrays) on the whole
 (theta, p) path sweep-1d returns, and counts the samples where it differs
 from optimal_u_feedback at that sample; that count must be 0 too.
@@ -61,8 +64,9 @@ same solves, and J may move by at most _SHOOTING_MAX_REL_DJ.
 The sweep lane runs forward_backward_sweep on sweep-1d and on the sweep
 draw of pde_sweep benchmark seed _SWEEP_SEED (perfbench/scenarios.py).  Per
 sweep it reports the iterations, whether the sweep converged, the time per
-iteration (best of --repeats) and the number of _controlled_reaction calls,
-the reaction-diagonal evaluations of its forward and adjoint marches.
+iteration (best of --repeats), the number of _controlled_reaction calls,
+the reaction-diagonal evaluations of its forward and adjoint marches, and
+the number of backward-Euler steppers it builds (one per sweep).
 
 The cold_start lane runs `python -m anthractl run <name>` for every bundled
 scenario in --repeats fresh processes and reports the median wall time,
@@ -247,6 +251,12 @@ def _feedback_root_lane(repeats: int):
     warm = _best_of(run, (_u_warm,), repeats)
     bisect = _best_of(run, (_u_bisect,), repeats)
     mismatches = sum(a != b for a, b in zip(run(_u_warm), run(_u_bisect)))
+    alpha, theta, p, theta1, k = (np.array(col) for col in zip(*draws))
+    c3 = alpha * theta1 * theta1 * theta * p
+    array_warm = _best_of(K._feedback_roots, (c3, k), repeats)
+    array_bisect = _best_of(K._bisect_roots, (c3, k), repeats)
+    array_mismatches = np.count_nonzero(K._feedback_roots(c3, k).view(np.int64)
+                                        != K._bisect_roots(c3, k).view(np.int64))
     sweep_samples, sweep_mismatches = _sweep_law_mismatches()
     return {"draws": n_draws,
             "warm_s": warm,
@@ -255,6 +265,9 @@ def _feedback_root_lane(repeats: int):
             "bisect_us_per_call": bisect / n_draws * 1e6,
             "speedup": bisect / warm,
             "mismatches": int(mismatches),
+            "array_warm_ms": array_warm * 1e3,
+            "array_bisect_ms": array_bisect * 1e3,
+            "array_mismatches": int(array_mismatches),
             "sweep_samples": sweep_samples,
             "sweep_mismatches": sweep_mismatches}
 
@@ -429,20 +442,28 @@ def _sweep_lane(repeats: int):
                                           plan.cost, plan.T, plan.h, theta1=plan.theta1,
                                           relax=relax, max_iter=max_iter)
 
-        calls = [0]
+        calls = {"_controlled_reaction": 0, "_controlled_stepper": 0}
 
-        def counted(*args):
-            calls[0] += 1
-            return reaction(*args)
+        def counting(name):
+            real = getattr(pde_control, name)
 
-        with _swapped("_controlled_reaction", counted, pde_control) as reaction:
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        with _swapped("_controlled_reaction", counting("_controlled_reaction"),
+                      pde_control), \
+                _swapped("_controlled_stepper", counting("_controlled_stepper"),
+                         pde_control):
             res = run()
         seconds = _best_of(run, (), repeats)
         lane[name] = {"cells": plan.grid.n_cells,
                       "iterations": res.iterations,
                       "converged": bool(res.converged),
                       "ms_per_iteration": seconds / res.iterations * 1e3,
-                      "reaction_calls": calls[0]}
+                      "reaction_calls": calls["_controlled_reaction"],
+                      "stepper_builds": calls["_controlled_stepper"]}
     return lane
 
 
@@ -702,6 +723,9 @@ def main() -> None:
           f"warm {root['warm_us_per_call']:.2f}us/call, "
           f"bisection {root['bisect_us_per_call']:.2f}us/call, "
           f"{root['speedup']:.2f}x, mismatches {root['mismatches']}")
+    print(f"feedback_root (array roots, {root['draws']} draws): "
+          f"warm {root['array_warm_ms']:.2f}ms, bisection {root['array_bisect_ms']:.2f}ms, "
+          f"mismatches {root['array_mismatches']}")
     print(f"feedback_root (sweep-1d path, {root['sweep_samples']} samples): "
           f"pointwise feedback against optimal_u_feedback, "
           f"mismatches {root['sweep_mismatches']}")
@@ -738,7 +762,7 @@ def main() -> None:
         state = "converged" if r["converged"] else "stopped on max_iter"
         print(f"sweep ({name}, {r['cells']} cells): {r['iterations']} iterations, "
               f"{state}, {r['ms_per_iteration']:.2f}ms/iteration, "
-              f"{r['reaction_calls']} reaction calls")
+              f"{r['reaction_calls']} reaction calls, {r['stepper_builds']} stepper builds")
     for name, r in cold.items():
         print(f"cold_start ({name}, {r['mode']}): {r['wall_s'] * 1e3:.0f}ms median "
               f"of {r['runs']} processes, {r['scipy_modules']} scipy modules")
@@ -769,6 +793,9 @@ def main() -> None:
             fh.write(json.dumps(report, indent=2) + "\n")
     if root["mismatches"]:
         sys.exit(f"feedback_root: {root['mismatches']} draws differ from bisection")
+    if root["array_mismatches"]:
+        sys.exit(f"feedback_root: {root['array_mismatches']} array roots differ from "
+                 f"bisection")
     if root["sweep_mismatches"]:
         sys.exit(f"feedback_root: {root['sweep_mismatches']} samples of the sweep-1d "
                  f"path differ from optimal_u_feedback")

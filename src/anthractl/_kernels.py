@@ -119,10 +119,14 @@ def _bisect_roots(c3: np.ndarray, k) -> np.ndarray:
     """_bisect_root elementwise over the broadcast of c3 and k, bit for bit,
     for the sweep.  A scalar root costs far more here, so the kernels keep
     the scalar form."""
-    k2 = 2.0 * k
-    lo = np.ones(np.broadcast(c3, k).shape)
-    width = 0.5
-    for _ in range(_HALVINGS):
+    return _halve(c3, 2.0 * k, np.ones(np.broadcast(c3, k).shape), 0.5, _HALVINGS)
+
+
+def _halve(c3, k2, lo: np.ndarray, width: float, halvings: int) -> np.ndarray:
+    """The bisection of _bisect_root from the brackets [lo, lo + width],
+    in place on lo, over `halvings` halvings; returns the midpoints of the
+    final brackets."""
+    for _ in range(halvings):
         width *= 0.5
         mid = lo + width
         np.copyto(lo, mid, where=c3 * mid * mid * mid - k2 * mid + k2 > 0.0)
@@ -185,6 +189,32 @@ def _feedback_root(c3: float, k: float) -> float:
                     hi = mid
             return 0.5 * (lo + hi)
     return _bisect_root(c3, k)
+
+
+def _feedback_roots(c3: np.ndarray, k) -> np.ndarray:
+    """_feedback_root elementwise over the broadcast of c3 and k, bit for bit
+    with _bisect_roots: Viete's root picks each entry's dyadic bracket at
+    level 38 (_BRACKETS[0]), entries whose bracket clears the bound B at
+    both ends finish its halvings, and every other entry falls back to
+    _bisect_roots.  _feedback_root's proof holds entry by entry; the
+    coarser bracket, which rarely helps, is not tried."""
+    c3, k = np.broadcast_arrays(np.asarray(c3, dtype=float), np.asarray(k, dtype=float))
+    width, last, halvings = _BRACKETS[0]
+    k2 = 2.0 * k
+    with np.errstate(all="ignore"):  # non-finite entries fail the check below
+        r = c3 / k
+        x = np.maximum(-1.5 * np.sqrt(1.5 * r), -1.0)
+        w = 2.0 * np.sqrt(2.0 / (3.0 * r)) * np.cos(np.arccos(x) / 3.0 - _TWO_PI / 3.0)
+        lo = 1.0 + np.floor(np.minimum(np.maximum((w - 1.0) / width, 0.0), last)) * width
+        hi = lo + width
+        bound = 24.0 * _EPS * (3.375 * c3 + 5.0 * k) + 1e-300
+        ok = ((c3 * lo * lo * lo - k2 * lo + k2 > bound)
+              & (c3 * hi * hi * hi - k2 * hi + k2 < -bound))
+    roots = np.empty(c3.shape)
+    roots[ok] = _halve(c3[ok], k2[ok], lo[ok], width, halvings)
+    if not ok.all():
+        roots[~ok] = _bisect_roots(c3[~ok], k[~ok])
+    return roots
 
 
 def _u_law(c3: float, theta1: float, k: float, root) -> float:

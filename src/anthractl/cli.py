@@ -559,15 +559,16 @@ def _cell(v) -> str:
 
 def _write_csv(path: str, header, columns):
     """One row per index of the columns, as many as the shortest has: a float
-    array is converted to Python floats once and formatted with .12g, any
-    other column (strings, integers) cell by cell with _cell."""
+    array is converted to Python floats once and formatted with %.12g, any
+    other column (strings, integers) cell by cell with _cell; each row is one
+    %-template applied to its cells."""
     floats = [isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns]
-    row = ",".join("{:.12g}" if f else "{}" for f in floats) + "\n"
+    row = ",".join("%.12g" if f else "%s" for f in floats) + "\n"
     values = [col.tolist() if f else [_cell(v) for v in col]
               for col, f in zip(columns, floats)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join(map(row.format, *values)))
+        fh.write("".join(map(row.__mod__, zip(*values))))
 
 
 def _write_field_path_csv(path: str, fp: FieldPath, columns: str = "value",
@@ -577,17 +578,18 @@ def _write_field_path_csv(path: str, fp: FieldPath, columns: str = "value",
     names the header columns that follow "t,cell".
 
     Each cell's leading columns and each level's t are formatted once, and
-    rows are converted to Python floats one level at a time.
+    each level is written through one %-template of all its rows.
     """
     cells = [f"{j}," for j in range(fp.values.shape[1])]
     if centers is not None:
         cells = [c + "".join(f"{_fmt(x)}," for x in xs)
                  for c, xs in zip(cells, centers.tolist())]
+    cells = [c.replace("%", "%%") + "%.12g\n" for c in cells]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"t,cell,{columns}\n")
         for t, row in zip(fp.times.tolist(), fp.values):
-            ts = _fmt(t) + ","
-            fh.write("".join(f"{ts}{c}{v:.12g}\n" for c, v in zip(cells, row.tolist())))
+            ts = (_fmt(t) + ",").replace("%", "%%")
+            fh.write((ts + ts.join(cells)) % tuple(row.tolist()))
 
 
 def _cost_triple(controlled: float, u_zero: float, u_one: float) -> dict:

@@ -17,6 +17,7 @@ modes loads numpy alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -251,9 +252,23 @@ class _FixedStencilStepper:
         res = diag * x
         res[:-1] += e * x[1:]
         res[1:] += e * x[:-1]
-        if not np.linalg.norm(res - rhs) <= _LINEAR_RTOL * np.linalg.norm(rhs):
+        if not _norm(res - rhs) <= _LINEAR_RTOL * _norm(rhs):
             return self._solve_csr(diag, rhs, x0)
         return x
+
+
+def _stored_steps(n_steps: int, store_every: int) -> list:
+    """The step indices a march stores: every store_every-th from 0, and
+    the last step."""
+    stored = list(range(0, n_steps + 1, store_every))
+    if stored[-1] != n_steps:
+        stored.append(n_steps)
+    return stored
+
+
+def _norm(d: np.ndarray) -> float:
+    """The 2-norm of a 1-D float array, as np.linalg.norm computes it."""
+    return math.sqrt(d.dot(d))
 
 
 def step_implicit(theta: ScalarField, L: OperatorMatrix, alpha, dt: float) -> ScalarField:
@@ -328,19 +343,21 @@ def integrate_pde(theta0: ScalarField, L: OperatorMatrix, alpha, T: float,
         lu = spla.splu(M)
     except RuntimeError as exc:  # a singular (say, overflowed) step matrix
         raise SolverBreakdownError(f"step matrix factorization failed: {exc}") from None
-    stored = [0]
-    states = [th.copy()]
+    stored = _stored_steps(n_steps, store_every)
+    states = np.empty((len(stored), n))
+    states[0] = th
+    row = 1
     for k in range(1, n_steps + 1):
         rhs = th + h * al
         x = lu.solve(rhs)
-        rhs_norm = float(np.linalg.norm(rhs))
-        if rhs_norm > 0.0 and np.linalg.norm(M @ x - rhs) > _LINEAR_RTOL * rhs_norm:
+        rhs_norm = _norm(rhs)
+        if rhs_norm > 0.0 and _norm(M @ x - rhs) > _LINEAR_RTOL * rhs_norm:
             x = _solve_checked(M, rhs, x0=x)
         th = x
-        if k % store_every == 0 or k == n_steps:
-            stored.append(k)
-            states.append(th.copy())
-    return FieldPath(times[stored], np.asarray(states))
+        if k == stored[row]:
+            states[row] = th
+            row += 1
+    return FieldPath(times[stored], states)
 
 
 # --------------------------------------------------------------------------

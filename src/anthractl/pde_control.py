@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _bisect_roots, _interp_knots, _rk4_step
+from ._kernels import _feedback_roots, _interp_knots, _rk4_step
 from .grid import DiffusionField, ScalarField, SpatialGrid, as_cell_values
 from .host import DivisionGuardError, time_grid
 from .ode_control import GridMismatchError
-from .pde import FieldPath, OperatorMatrix, _FixedStencilStepper, assemble_operator
+from .pde import (FieldPath, OperatorMatrix, _FixedStencilStepper, _stored_steps,
+                  assemble_operator)
 
 __all__ = [
     "RiccatiBlowupError",
@@ -163,6 +164,7 @@ class RiccatiPath:
         if e.shape != (t.shape[0], 2):
             raise ValueError(f"eig_range must have shape {(t.shape[0], 2)}, got {e.shape}")
         object.__setattr__(self, "eig_range", e)
+        object.__setattr__(self, "_knots", t.tolist())  # _interp_knots bisects a list
 
     @property
     def horizon(self) -> float:
@@ -170,7 +172,7 @@ class RiccatiPath:
 
     def P_at(self, s: float) -> np.ndarray:
         """P at pseudo-time s, linearly interpolated between samples."""
-        return _interp_knots(s, self.times, self.matrices)
+        return _interp_knots(s, self._knots, self.matrices)
 
     def P_lookback(self, t_phys: float) -> np.ndarray:
         """P(T - t): the matrix the feedback uses at physical time t."""
@@ -180,9 +182,18 @@ class RiccatiPath:
 _RICCATI_MAX_CELLS = 256  # dense N x N storage; larger grids are out of scope
 
 
-def _eig_extremes(P: np.ndarray) -> tuple:
-    eigs = np.linalg.eigvalsh(P)
-    return float(eigs[0]), float(eigs[-1])
+def _psd_eig_range(mats: np.ndarray, times) -> np.ndarray:
+    """(smallest, largest) eigenvalue of each matrix of the stack, in one
+    eigvalsh pass; raises on the first matrix whose smallest eigenvalue is
+    below -1e-8, naming its pseudo-time in `times`."""
+    eigs = np.linalg.eigvalsh(mats)
+    bad = np.flatnonzero(eigs[:, 0] < _PSD_TOL)
+    if bad.size:
+        i = int(bad[0])
+        raise RiccatiBlowupError(
+            f"P lost positive semidefiniteness (min eigenvalue {float(eigs[i, 0]):.3e}) "
+            f"at pseudo-time {times[i]:g}")
+    return eigs[:, [0, -1]]
 
 
 def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: float,
@@ -198,6 +209,10 @@ def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: fl
     ||P|| exceeds 1e12 (finite-time blow-up guard).  The PSD check is always
     on: every stored matrix must have smallest eigenvalue >= -1e-8, and the
     eigenvalue extremes computed for it are kept in the path's eig_range.
+    The stored matrices go into one preallocated stack, whose eigenvalues
+    are computed in one pass after the march; when the march aborts, the
+    stack stored so far is checked first, so an earlier PSD failure is the
+    error raised, as if every stored matrix were checked when stored.
     """
     from scipy.linalg import expm
 
@@ -228,39 +243,31 @@ def integrate_riccati(L1: OperatorMatrix, B, cost: PdeCostSpec, T: float, dt: fl
     Phi11, Phi12 = Phi[:n, :n], Phi[:n, n:]
     Phi21, Phi22 = Phi[n:, :n], Phi[n:, n:]
 
-    stored = [0]
-    mats = [P.copy()]
-    eig_range = []
-
-    def check_state(P_now, s_now, store):
-        """The blow-up guard on every step; the PSD check on stored ones."""
-        norm = float(np.max(np.abs(P_now)))
-        if not np.isfinite(norm) or norm > _NORM_CAP:
-            raise RiccatiBlowupError(f"||P|| reached {norm:.3e} at pseudo-time {s_now:g}")
-        if store:
-            eig_range.append(_eig_extremes(P_now))
-            lam = eig_range[-1][0]
-            if lam < _PSD_TOL:
-                raise RiccatiBlowupError(
-                    f"P lost positive semidefiniteness (min eigenvalue {lam:.3e}) "
-                    f"at pseudo-time {s_now:g}")
-
-    check_state(P, 0.0, True)
-    for k in range(1, n_steps + 1):
-        X = Phi11 + Phi12 @ P
-        Y = Phi21 + Phi22 @ P
-        try:
-            P = np.linalg.solve(X.T, Y.T)  # (Y X^{-1})^T, symmetrized next
-        except np.linalg.LinAlgError:
-            raise RiccatiBlowupError(
-                f"Riccati step matrix became singular at pseudo-time {k * h:g}") from None
-        P = 0.5 * (P + P.T)
-        store = k % store_every == 0 or k == n_steps
-        check_state(P, k * h, store)
-        if store:
-            stored.append(k)
-            mats.append(P.copy())
-    return RiccatiPath(times[stored], np.asarray(mats), eig_range=np.asarray(eig_range))
+    stored = _stored_steps(n_steps, store_every)
+    mats = np.empty((len(stored), n, n))
+    s_stored = [j * h for j in stored]
+    count = 0
+    try:
+        for k in range(n_steps + 1):
+            if k:
+                X = Phi11 + Phi12 @ P
+                Y = Phi21 + Phi22 @ P
+                try:
+                    P = np.linalg.solve(X.T, Y.T)  # (Y X^{-1})^T, symmetrized next
+                except np.linalg.LinAlgError:
+                    raise RiccatiBlowupError(f"Riccati step matrix became singular "
+                                             f"at pseudo-time {k * h:g}") from None
+                P = 0.5 * (P + P.T)
+            norm = float(np.max(np.abs(P)))
+            if not np.isfinite(norm) or norm > _NORM_CAP:
+                raise RiccatiBlowupError(f"||P|| reached {norm:.3e} at pseudo-time {k * h:g}")
+            if k == stored[count]:
+                mats[count] = P
+                count += 1
+    except RiccatiBlowupError:
+        _psd_eig_range(mats[:count], s_stored)  # an earlier PSD failure comes first
+        raise
+    return RiccatiPath(times[stored], mats, eig_range=_psd_eig_range(mats, s_stored))
 
 
 def riccati_feedback(P_path: RiccatiPath, theta, t: float, B, cost: PdeCostSpec,
@@ -342,27 +349,29 @@ def _check_rk4_step(L1: OperatorMatrix, h: float) -> None:
 
 
 def _linearized_rk4(theta0, L1: OperatorMatrix, b: np.ndarray, al: np.ndarray,
-                    T: float, dt: float, u_ofs) -> tuple:
-    """RK4 paths of d(theta)/dt = -L1 theta - b*u_of(t, theta) + alpha on
-    time_grid(0, T, dt), one lane per control law in u_ofs, every lane
-    from theta0; refused by _check_rk4_step where it is unstable.
+                    T: float, dt: float, u_of, constants=()) -> tuple:
+    """RK4 paths of d(theta)/dt = -L1 theta - b*u + alpha on
+    time_grid(0, T, dt), every lane from theta0: lane 0 under the control
+    law u_of(t, theta), then one lane under each spatially uniform control
+    in `constants`; refused by _check_rk4_step where it is unstable.
 
     The lanes are the columns of one (n, lanes) state and share one sparse
     product per stage; every lane's arithmetic is that of a loop of its
-    own.  Returns (times, states, controls), the last two (lanes, n_t, n):
-    the control of each stored state is the one its step's first stage
-    took, and the final state's is one more evaluation at T.
+    own.  The constant lanes' controls are written once.  Returns (times,
+    states, controls), the last two (lanes, n_t, n): the control of each
+    stored state is the one its step's first stage took, and the final
+    state's is one more evaluation at T.
     """
     _, h, times = time_grid(0.0, T, dt)
     _check_rk4_step(L1, h)
     A1 = L1.matrix
-    n, lanes = L1.n_cells, len(u_ofs)
+    n, lanes = L1.n_cells, 1 + len(constants)
     bc, alc = b[:, None], al[:, None]
     U = np.empty((n, lanes))
+    U[:, 1:] = np.asarray(constants, dtype=float)
 
     def control(t, X):
-        for j, u_of in enumerate(u_ofs):
-            U[:, j] = u_of(t, X[:, j])
+        U[:, 0] = u_of(t, X[:, 0])
         return U
 
     def f(t, X):
@@ -389,7 +398,7 @@ def integrate_linearized(theta0, L1: OperatorMatrix, B, u_path: FieldPath,
     n = L1.n_cells
     times, states, _ = _linearized_rk4(
         theta0, L1, as_cell_values(B, n), as_cell_values(alpha, n), T, dt,
-        [_path_control(u_path.times, u_path.values)])
+        _path_control(u_path.times, u_path.values))
     return FieldPath(times, states[0])
 
 
@@ -435,9 +444,8 @@ def _closed_loop_lanes(theta0, L1: OperatorMatrix, B, P_path: RiccatiPath,
         shares.append(clamped)
         return u
 
-    laws = [feedback] + [lambda t, x, c=float(c): c for c in constants]
     times, states, controls = _linearized_rk4(theta0, L1, b, as_cell_values(alpha, n),
-                                              T, dt, laws)
+                                              T, dt, feedback, constants)
     clamping = (sum(c > 0.0 for c in shares), len(shares), max(shares))
     if clamping[0]:
         logger.info("closed_loop_linearized: the feedback clamped cells in %d of "
@@ -491,18 +499,22 @@ def integrate_controlled(theta0, grid: SpatialGrid, A: DiffusionField, alpha,
     n = grid.n_cells
     _, h, times = time_grid(0.0, T, dt)
     _require_step_grid(times, n, u=u_path)
-    th = as_cell_values(theta0, n).copy()
-    al = as_cell_values(alpha, n)
-    t1 = float(theta1)
-    stepper = _controlled_stepper(grid, A, h)
+    return FieldPath(times, _march_controlled(
+        _controlled_stepper(grid, A, h), as_cell_values(theta0, n),
+        as_cell_values(alpha, n), float(theta1), u_path.values, times, h))
 
-    r = _controlled_reaction(al, t1, u_path.values[1:], times[1:])
-    out = np.empty((len(times), n))
-    out[0] = th
+
+def _march_controlled(stepper: _FixedStencilStepper, th0: np.ndarray, al: np.ndarray,
+                      t1: float, u: np.ndarray, times: np.ndarray, h: float) -> np.ndarray:
+    """Core of integrate_controlled: the states on the step grid `times`
+    under the control rows u, on the caller's stepper; inputs unchecked."""
+    r = _controlled_reaction(al, t1, u[1:], times[1:])
+    out = np.empty((len(times), th0.shape[0]))
+    out[0] = th = th0
     for k in range(1, len(times)):
         th = stepper.solve(r[k - 1], th + h * al, x0=th)
         out[k] = th
-    return FieldPath(times, out)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -522,22 +534,27 @@ def solve_adjoint_pde(theta_path: FieldPath, u_star: FieldPath, cost: PdeCostSpe
     n = grid.n_cells
     _, h, times = time_grid(0.0, T, dt)
     _require_step_grid(times, n, theta=theta_path, u=u_star)
+    return FieldPath(times, _march_adjoint(
+        _controlled_stepper(grid, A, h), theta_path.values, u_star.values,
+        cost.k2_values(n), as_cell_values(alpha, n), float(theta1), times, h))
 
-    al = as_cell_values(alpha, n)
-    t1 = float(theta1)
-    k2 = cost.k2_values(n)
-    stepper = _controlled_stepper(grid, A, h)
 
+def _march_adjoint(stepper: _FixedStencilStepper, theta: np.ndarray, u: np.ndarray,
+                   k2: np.ndarray, al: np.ndarray, t1: float, times: np.ndarray,
+                   h: float) -> np.ndarray:
+    """Core of solve_adjoint_pde: the adjoint on the step grid `times` from
+    the state rows theta under the control rows u, on the caller's stepper;
+    inputs unchecked."""
     # the march visits levels N-1 .. 0
-    r = _controlled_reaction(al, t1, u_star.values[-2::-1], times[-2::-1])[::-1]
+    r = _controlled_reaction(al, t1, u[-2::-1], times[-2::-1])[::-1]
     n_t = len(times)
-    p = np.empty((n_t, n))
-    p[-1] = 2.0 * k2 * theta_path.values[-1]
+    p = np.empty(theta.shape)
+    p[-1] = 2.0 * k2 * theta[-1]
     for k in range(n_t - 2, -1, -1):
         # implicit step toward time level k: (I + h L_u(t_k)) p_k = p_{k+1} + h*2*theta(t_k)
-        rhs = p[k + 1] + h * 2.0 * theta_path.values[k]
+        rhs = p[k + 1] + h * 2.0 * theta[k]
         p[k] = stepper.solve(r[k], rhs, x0=p[k + 1])
-    return FieldPath(times, p)
+    return p
 
 
 # --------------------------------------------------------------------------
@@ -570,14 +587,14 @@ def _stationarity_feedback(al, th, pv, t1: float, k1v) -> np.ndarray:
     """Array core of hamiltonian_pointwise_feedback, elementwise over the
     broadcast shape of its arguments (one time level or a whole path): the
     branch tests of optimal_u_feedback, and _kernels._u_law on the root of
-    _kernels._bisect_roots.  Arguments are unchecked; see _check_feedback_args."""
+    _kernels._feedback_roots.  Arguments are unchecked; see _check_feedback_args."""
     c3 = al * t1 * t1 * th * pv          # the ODE law's association
     u = np.zeros(c3.shape)
     bang = 27.0 * c3 >= 8.0 * k1v
     u[bang] = 1.0
     interior = (~bang) & (c3 > 0.0)
     if np.any(interior):
-        w = _bisect_roots(c3[interior], np.broadcast_to(k1v, c3.shape)[interior])
+        w = _feedback_roots(c3[interior], np.broadcast_to(k1v, c3.shape)[interior])
         w = np.minimum(w, min(1.5, 1.0 / (1.0 - t1)))
         u[interior] = ((w - 1.0) / (t1 * w)).clip(0.0, 1.0)
     return u
@@ -654,28 +671,31 @@ def forward_backward_sweep(theta0, grid: SpatialGrid, A: DiffusionField, alpha,
     _, h, times = time_grid(0.0, T, dt)
     al = as_cell_values(alpha, n)
     k1 = cost.k1_values(n)
+    k2 = cost.k2_values(n)
     t1 = float(theta1)
     _check_feedback_args(t1, k1)
+    th0 = as_cell_values(theta0, n)
+    stepper = _controlled_stepper(grid, A, h)  # one stencil for every march
 
     u_vals = np.zeros((len(times), n))
     history = []
     converged = False
     for iterations in range(max_iter + 1):
         u_path = FieldPath(times, u_vals)
-        theta_path = integrate_controlled(theta0, grid, A, al, u_path, theta1, T, dt)
+        theta_path = FieldPath(times, _march_controlled(stepper, th0, al, t1, u_vals,
+                                                        times, h))
         history.append(eval_cost_JT3(theta_path, u_path, cost, grid, h))
-        p_path = solve_adjoint_pde(theta_path, u_path, cost, grid, A, T, dt, al, theta1)
+        p = _march_adjoint(stepper, theta_path.values, u_vals, k2, al, t1, times, h)
         if converged or iterations == max_iter:
             break
-        u_new = _stationarity_feedback(al, theta_path.values, p_path.values,
-                                       t1, k1)
+        u_new = _stationarity_feedback(al, theta_path.values, p, t1, k1)
         u_next = (1.0 - relax) * u_vals + relax * u_new
         converged = float(np.max(np.abs(u_next - u_vals))) < _SWEEP_TOL
         u_vals = u_next
     return SweepResult(
         u_path=u_path,
         theta_path=theta_path,
-        adjoint_path=p_path,
+        adjoint_path=FieldPath(times, p),
         cost_history=np.asarray(history),
         converged=converged,
         iterations=iterations,

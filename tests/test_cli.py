@@ -494,6 +494,73 @@ def test_column_csv_writer_matches_row_writer_bytes(tmp_path):
                                                   list(enumerate(history)))
 
 
+def _field_path_oracle(fp, columns="value", centers=None) -> bytes:
+    # the writer the %-template replaced: one f-string per row
+    cells = [f"{j}," for j in range(fp.values.shape[1])]
+    if centers is not None:
+        cells = [c + "".join(f"{_fmt(x)}," for x in xs)
+                 for c, xs in zip(cells, centers.tolist())]
+    out = [f"t,cell,{columns}\n"]
+    for t, row in zip(fp.times.tolist(), fp.values):
+        ts = _fmt(t) + ","
+        out.append("".join(f"{ts}{c}{v:.12g}\n" for c, v in zip(cells, row.tolist())))
+    return "".join(out).encode("utf-8")
+
+
+def _column_csv_oracle(header, columns) -> bytes:
+    # the writer the %-template replaced: str.format on converted columns
+    floats = [isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns]
+    row = ",".join("{:.12g}" if f else "{}" for f in floats) + "\n"
+    values = [col.tolist() if f else [_cell(v) for v in col]
+              for col, f in zip(columns, floats)]
+    return (",".join(header) + "\n" + "".join(map(row.format, *values))).encode("utf-8")
+
+
+# every float the writers can meet: NaN, infinities, signed zeros, subnormals
+# and the largest finite values among ordinary draws
+_any_float = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 123456789012345.0, 0.1 + 0.2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_t=st.integers(1, 5), n_cells=st.integers(1, 6), data=st.data())
+def test_field_path_writer_matches_the_f_string_writer(tmp_path_factory, n_t,
+                                                       n_cells, data):
+    times = np.cumsum(data.draw(st.lists(st.floats(1e-300, 1e6), min_size=n_t,
+                                         max_size=n_t)))
+    times = np.unique(times)
+    values = np.array(data.draw(st.lists(_any_float, min_size=times.size * n_cells,
+                                         max_size=times.size * n_cells)))
+    fp = FieldPath(times, values.reshape(times.size, n_cells))
+    path = tmp_path_factory.mktemp("fp") / "path.csv"
+    _write_field_path_csv(str(path), fp)
+    assert path.read_bytes() == _field_path_oracle(fp)
+    centers = np.array(data.draw(st.lists(_any_float, min_size=2 * n_cells,
+                                          max_size=2 * n_cells))).reshape(n_cells, 2)
+    _write_field_path_csv(str(path), fp, columns="x,y,theta", centers=centers)
+    assert path.read_bytes() == _field_path_oracle(fp, "x,y,theta", centers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 8), data=st.data())
+def test_column_csv_writer_matches_the_format_writer(tmp_path_factory, n, data):
+    floats = np.array(data.draw(st.lists(_any_float, min_size=n, max_size=n)), dtype=float)
+    py_floats = data.draw(st.lists(_any_float, min_size=n, max_size=n))
+    # strings that a %- or {}-template could misread are data here
+    labels = data.draw(st.lists(st.sampled_from(["a", "%s", "%.12g", "100%", "{}",
+                                                 "{0}", "%%", ""]),
+                                min_size=n, max_size=n))
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    for header, columns in ((("t", "x"), (floats, floats[::-1].copy())),
+                            (("label", "cost"), (labels, py_floats)),
+                            (("iteration", "cost", "label"), (range(n), floats, labels))):
+        _write_csv(str(path), header, columns)
+        assert path.read_bytes() == _column_csv_oracle(header, columns)
+
+
 def test_run_sweep_pde(tmp_path):
     code, run_dir = _run(tmp_path, _tiny_sweep())
     assert code == EXIT_OK

@@ -64,13 +64,40 @@ def test_u_law_equals_bisection_reference(ratio, k, theta1, theta, p):
 @example(ratios=[_THRESHOLD * (1.0 - 1e-16), 1e-300, 0.1], k=1e-3)
 @given(ratios=st.lists(_ratio, min_size=1, max_size=40), k=_k)
 def test_array_root_equals_scalar_bisection(ratios, k):
-    # the sweep's root on arrays: the scalar bisection's bits in every entry,
-    # against a scalar k and against one k per entry
+    # the sweep's roots on arrays, plain and warm-started: the scalar
+    # bisection's bits in every entry, against a scalar k and against one k
+    # per entry
     c3 = np.array(ratios) * k
     want = [_kernels._bisect_root(c, k) for c in c3.tolist()]
-    assert _kernels._bisect_roots(c3, k).tolist() == want
     ks = np.full(c3.shape, k)
-    assert _kernels._bisect_roots(c3, ks).tolist() == want
+    for roots in (_kernels._bisect_roots, _kernels._feedback_roots):
+        assert roots(c3, k).tolist() == want
+        assert roots(c3, ks).tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_ratio, st.floats(1e-300, 1e300)), min_size=1,
+                      max_size=40))
+def test_warm_array_root_with_a_weight_per_entry(pairs):
+    # every entry its own k, across the whole float range: each entry takes
+    # its level-38 bracket or falls back on its own
+    ratios, ks = (np.array(v) for v in zip(*pairs))
+    c3 = ratios * ks
+    want = _kernels._bisect_roots(c3, ks)
+    assert _kernels._feedback_roots(c3, ks).view(np.int64).tolist() == \
+        want.view(np.int64).tolist()
+
+
+def test_warm_array_root_on_inputs_outside_the_interior():
+    # non-finite, zero, negative, subnormal and past-threshold entries all
+    # fall back to bisection and give its bits
+    c3 = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1.0, 1e308,
+                   _THRESHOLD, 2.0 * _THRESHOLD, 0.1])
+    for k in (1.0, 5e-324, 1e308, np.inf, np.nan):
+        with np.errstate(all="ignore"):
+            got = _kernels._feedback_roots(c3, k)
+            want = _kernels._bisect_roots(c3, k)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_feedback_root_underflowed_ratio():

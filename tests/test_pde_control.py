@@ -91,6 +91,46 @@ def test_riccati_matrices_symmetric_psd():
         assert path.eig_range[i].tolist() == [eigs[0], eigs[-1]]
 
 
+@pytest.mark.parametrize("store_every", [1, 7])
+def test_riccati_eig_range_equals_per_matrix_extremes(store_every):
+    # the one eigvalsh pass over the stored stack gives each matrix's own
+    # extremes, bit for bit, on a thinned path whose last step is stored too
+    grid, A = _grid_1d(n=12, A=0.02)
+    L1, b = linearize(1.0 + grid.centers[:, 0], LinearizationPoint(3.0), 0.5, grid, A)
+    path = integrate_riccati(L1, b, PdeCostSpec(k1=0.5, k2=0.3), T=1.0, dt=0.01,
+                             store_every=store_every)
+    _, h, times = time_grid(0.0, 1.0, 0.01)
+    stored = sorted(set(range(0, 101, store_every)) | {100})
+    assert np.array_equal(path.times, times[stored])
+    for P, extremes in zip(path.matrices, path.eig_range):
+        eigs = np.linalg.eigvalsh(P)
+        assert extremes.tolist() == [float(eigs[0]), float(eigs[-1])]
+
+
+def _unstable_scalar_operator(c=40.0):
+    # G = +c I via L1 = -c I: P' = 2cP + 1 - w P^2 escapes in finite time
+    return OperatorMatrix(matrix=sp.csr_matrix(np.array([[-c]])),
+                          includes_reaction=True, reaction="linearized")
+
+
+@pytest.mark.parametrize("store_every", [1, 400])
+def test_riccati_earlier_psd_failure_precedes_a_later_blowup(store_every):
+    # P(0) = -I is not PSD, and from there P runs off to -1e12 near s = 0.35:
+    # the PSD failure of the matrix stored at s = 0 is the error raised, as
+    # if every stored matrix were checked when stored, not the norm cap
+    cost = PdeCostSpec(k1=1.0, k2=0.0)
+    object.__setattr__(cost, "k2", -1.0)  # past the validation, on purpose
+    with pytest.raises(RiccatiBlowupError, match=r"semidefiniteness \(min eigenvalue "
+                                                 r"-1\.000e\+00\) at pseudo-time 0$"):
+        integrate_riccati(_unstable_scalar_operator(), np.zeros(1), cost, T=1.0,
+                          dt=0.0025, store_every=store_every)
+    # without the PSD failure the same march ends on the norm cap
+    with pytest.raises(RiccatiBlowupError, match=r"\|\|P\|\| reached"):
+        integrate_riccati(_unstable_scalar_operator(), np.zeros(1),
+                          PdeCostSpec(k1=1.0, k2=1.0), T=1.0, dt=0.0025,
+                          store_every=store_every)
+
+
 def _riccati_rk4_reference(L1, b, cost, T, dt):
     """Classical RK4 on dP/ds = G P + P G - P W P + I (G = -L1), symmetrized
     every step; the stored matrices at every step."""
@@ -615,6 +655,28 @@ def test_sweep_equals_reference_loop_with_final_pass(case):
         assert np.array_equal(got.times, ref.times)
         assert np.array_equal(got.values, ref.values)
     assert np.array_equal(res.cost_history, history)
+
+
+@pytest.mark.parametrize("case", [_sweep_1d_case, _sweep_2d_case],
+                         ids=["sweep-1d", "2d-6x6"])
+def test_sweep_paths_equal_the_public_marches_on_one_stepper(case, monkeypatch):
+    # the sweep marches on one stepper built once; its state and adjoint
+    # paths are what the public integrators give under the returned control
+    from anthractl import pde_control
+
+    theta0, grid, A, alpha, cost, T, dt, theta1, relax, max_iter = case()
+    built = []
+    real = pde_control._controlled_stepper
+    monkeypatch.setattr(pde_control, "_controlled_stepper",
+                        lambda *a: built.append(a) or real(*a))
+    res = forward_backward_sweep(theta0, grid, A, alpha, cost, T, dt, theta1=theta1,
+                                 relax=relax, max_iter=max_iter)
+    assert len(built) == 1 and res.iterations > 1
+    th = integrate_controlled(theta0, grid, A, alpha, res.u_path, theta1, T, dt)
+    p = solve_adjoint_pde(th, res.u_path, cost, grid, A, T, dt, alpha, theta1)
+    assert np.array_equal(res.theta_path.values, th.values)
+    assert np.array_equal(res.adjoint_path.values, p.values)
+    assert np.array_equal(res.adjoint_path.times, p.times)
 
 
 def test_sweep_nonconvergence_is_reported_not_raised():

@@ -31,7 +31,12 @@ The implicit_step lane times _IMPLICIT_STEPS controlled backward-Euler steps
 on a 64-cell 1-D grid and a 40x40 2-D grid two ways: rebuilding the CSR step
 matrix and running CG every step, and the fixed-stencil stepper the PDE
 control layer uses.  It reports the largest deviation between the two paths,
-which must stay within 1e-10.
+which must stay within 1e-10.  It also times _CONSTANT_STEPS-step marches of a
+constant operator on a 64-cell and a 32x32 grid two ways: integrate_pde,
+which runs the stepper's one-factorization path, and integrate_pde's
+earlier algorithm written out here (a CSC splu of I + h*L, the residual
+check and the _solve_checked fallback).  It reports us per step and counts
+the state values where the two differ; that count must be 0.
 
 The host lane times host_rk4_single, in us per step over _HOST_STEPS steps,
 on the arguments integrate_ode hands it for seasonal, constant and
@@ -92,6 +97,7 @@ import time
 import numpy as np
 import scipy
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import anthractl
 from anthractl import (
@@ -115,6 +121,7 @@ from anthractl import (
     forward_backward_sweep,
     integrate_linearized,
     integrate_ode,
+    integrate_pde,
     integrate_riccati,
     linearize,
     shoot_p0,
@@ -472,6 +479,27 @@ _IMPLICIT_GRIDS = ((64,), (40, 40))
 _IMPLICIT_STEPS = 100
 _IMPLICIT_MAX_DEVIATION = 1e-10
 
+#: Grids and steps of the implicit_step lane's constant-operator marches.
+_CONSTANT_GRIDS = ((64,), (32, 32))
+_CONSTANT_STEPS = 200
+
+
+def _splu_march(th, L, al, h, n_steps):
+    """The states of integrate_pde's earlier march: one CSC splu of I + h*L,
+    each solve residual-checked with the _solve_checked fallback."""
+    M = (sp.identity(L.n_cells, format="csc") + h * L.matrix).tocsc()
+    lu = splu(M)
+    states = [th]
+    for _ in range(n_steps):
+        rhs = th + h * al
+        x = lu.solve(rhs)
+        rhs_norm = np.linalg.norm(rhs)
+        if rhs_norm > 0.0 and np.linalg.norm(M @ x - rhs) > 1e-12 * rhs_norm:
+            x = _solve_checked(M, rhs, x0=x)
+        th = x
+        states.append(th)
+    return np.array(states)
+
 
 def _implicit_step_lane(repeats: int):
     h = 0.01
@@ -513,6 +541,24 @@ def _implicit_step_lane(repeats: int):
             "fixed_us_per_step": t_fixed / _IMPLICIT_STEPS * 1e6,
             "speedup": t_rebuild / t_fixed,
             "max_abs_deviation": deviation}
+    for resolution in _CONSTANT_GRIDS:
+        grid, A = build_grid(GridSpec((1.0,) * len(resolution), resolution), A_spec=0.02)
+        n = grid.n_cells
+        rng = np.random.default_rng(7)
+        al = rng.uniform(0.5, 3.0, n)
+        L = assemble_operator(grid, A, alpha=al, u=rng.uniform(0.0, 1.0, n), theta1=0.6)
+        th0 = rng.uniform(0.0, 1.0, n)
+        args = (th0, L, al, h, _CONSTANT_STEPS)
+        t_ref = _best_of(_splu_march, args, repeats)
+        t_stepper = _best_of(integrate_pde, (th0, L, al, _CONSTANT_STEPS * h, h), repeats)
+        ref = _splu_march(*args)
+        got = integrate_pde(th0, L, al, _CONSTANT_STEPS * h, h).values
+        lane["constant " + "x".join(map(str, resolution))] = {
+            "cells": n,
+            "steps": _CONSTANT_STEPS,
+            "splu_march_us_per_step": t_ref / _CONSTANT_STEPS * 1e6,
+            "stepper_us_per_step": t_stepper / _CONSTANT_STEPS * 1e6,
+            "mismatches": int(np.sum(got.view(np.int64) != ref.view(np.int64)))}
     return lane
 
 
@@ -735,6 +781,12 @@ def main() -> None:
           f"({coupled['memo_free_roots_per_step']:.3f} without the memo), "
           f"mismatches {coupled['mismatches']}")
     for name, r in implicit.items():
+        if "mismatches" in r:
+            print(f"implicit_step ({name}, {r['cells']} cells, {r['steps']} steps): "
+                  f"splu march {r['splu_march_us_per_step']:.1f}us/step, "
+                  f"integrate_pde {r['stepper_us_per_step']:.1f}us/step, "
+                  f"mismatches {r['mismatches']}")
+            continue
         print(f"implicit_step ({name}, {r['cells']} cells): "
               f"rebuild+CG {r['rebuild_us_per_step']:.1f}us/step, "
               f"fixed stencil {r['fixed_us_per_step']:.1f}us/step, "
@@ -824,10 +876,14 @@ def main() -> None:
     if not worst_dj <= _SHOOTING_MAX_REL_DJ:
         sys.exit(f"shooting: the controlled cost moved by {worst_dj:.3e} (relative) "
                  f"> {_SHOOTING_MAX_REL_DJ:g}")
-    worst = max(r["max_abs_deviation"] for r in implicit.values())
+    worst = max(r.get("max_abs_deviation", 0.0) for r in implicit.values())
     if not worst <= _IMPLICIT_MAX_DEVIATION:
         sys.exit(f"implicit_step: the fixed-stencil path deviates by {worst:.3e} "
                  f"> {_IMPLICIT_MAX_DEVIATION:g} from rebuild+CG")
+    march_mismatches = sum(r.get("mismatches", 0) for r in implicit.values())
+    if march_mismatches:
+        sys.exit(f"implicit_step: {march_mismatches} state values of integrate_pde "
+                 f"differ from the splu march")
     if ode_with_scipy:
         sys.exit(f"cold_start: {', '.join(ode_with_scipy)} loaded scipy")
 

@@ -261,9 +261,12 @@ def parse_config(path: str) -> ScenarioConfig:
     mode = _need(data, "mode", path)
     if mode not in _MODES:
         raise ConfigError(f"{path}.mode: must be one of {', '.join(_MODES)}; got {mode!r}")
-    name = data.get("name") or os.path.splitext(os.path.basename(path))[0]
+    name = str(data.get("name") or os.path.splitext(os.path.basename(path))[0])
+    if name in (".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        # <out>/<name>/ must stay one directory inside the output root
+        raise ConfigError(f"{path}.name: must be one plain path component, got {name!r}")
     seed = _int(data, "seed", path, default=0)
-    cfg = ScenarioConfig(name=str(name), mode=mode, seed=seed, data=data,
+    cfg = ScenarioConfig(name=name, mode=mode, seed=seed, data=data,
                          base_dir=os.path.dirname(os.path.abspath(path)) or ".")
     build = _pde_plan if mode.endswith("-pde") else _ode_plan
     return replace(cfg, plan=build(cfg))

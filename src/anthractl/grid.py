@@ -38,7 +38,8 @@ class GridSpec:
     """User-facing description of a grid: physical extents and resolution.
 
     extents     -- domain side lengths, one per dimension (all > 0)
-    resolution  -- cell counts, one per dimension (all >= 1)
+    resolution  -- cell counts, one per dimension (all >= 1; a float entry
+                   must be a whole number)
     """
 
     extents: tuple
@@ -46,7 +47,11 @@ class GridSpec:
 
     def __post_init__(self):
         ext = tuple(float(e) for e in np.atleast_1d(np.asarray(self.extents, dtype=float)))
-        res = tuple(int(r) for r in np.atleast_1d(np.asarray(self.resolution, dtype=int)))
+        whole = np.atleast_1d(np.asarray(self.resolution, dtype=int))
+        raw = np.atleast_1d(np.asarray(self.resolution))
+        if raw.dtype.kind == "f" and np.any(whole != raw):  # 8.0 is 8, 8.5 is refused
+            raise ValueError(f"resolution: expected integers, got {raw.tolist()}")
+        res = tuple(int(r) for r in whole)
         object.__setattr__(self, "extents", ext)
         object.__setattr__(self, "resolution", res)
         if len(ext) not in (1, 2):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -209,17 +210,18 @@ def _solve_checked(M: sp.spmatrix, rhs: np.ndarray, x0=None) -> np.ndarray:
 
 
 class _FixedStencilStepper:
-    """Backward-Euler solves of (I + h*(D + diag(r))) x = rhs for a fixed
-    stencil D and a reaction diagonal r that changes from step to step.
+    """The PDE layer's one backward-Euler solver: (I + h*(D + diag(r))) x = rhs
+    for a fixed stencil D, I + h*D assembled once.
 
-    I + h*D is assembled once; a solve through the CSR matrix first writes
-    1 + h*(D_ii + r_i) into its recorded diagonal slots in place, so the
-    matrix equals the one a per-step rebuild would produce.  A tridiagonal
-    stencil (1-D, two or more cells) is solved directly with LAPACK ptsv as
-    an SPD tridiagonal system; any wider stencil (2-D) runs warm-started
-    CG.  Every solve is residual-checked to 1e-12, and a failed check or a
-    failed tridiagonal factorization falls back to _solve_checked on the
-    same matrix.
+    A reaction r that changes from step to step (the control marches) is
+    written into the matrix's diagonal slots in place, as a per-step rebuild
+    would give; a tridiagonal stencil (1-D, two or more cells) is solved by
+    LAPACK ptsv as an SPD system, a wider one (2-D) by warm CG.  r None, a
+    march whose stencil carries its whole, constant reaction (integrate_pde,
+    step_implicit), solves I + h*D through one splu built on first use; a
+    failed factorization raises SolverBreakdownError.  Every solve is
+    residual-checked to 1e-12; a failed check or ptsv factorization falls
+    back to _solve_checked on the same matrix.
     """
 
     def __init__(self, D: sp.spmatrix, h: float):
@@ -235,26 +237,50 @@ class _FixedStencilStepper:
         self._D_diag = D.diagonal()
         bandwidth = int(np.max(np.abs(M.indices - rows)))
         self._offdiag = M.diagonal(1) if n > 1 and bandwidth <= 1 else None
+        self._lu = None
 
-    def _solve_csr(self, diag: np.ndarray, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    def solve(self, r, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        """Solve (I + h*(D + diag(r))) x = rhs, r None meaning r = 0 on the
+        one factorization; x0 warm-starts CG."""
+        if r is None:
+            if self._lu is None:
+                from scipy.sparse.linalg import splu
+                try:
+                    self._lu = splu(self._M.tocsc())
+                except RuntimeError as exc:  # a singular (say, overflowed) step matrix
+                    raise SolverBreakdownError(f"step matrix factorization failed: {exc}") from None
+            x = self._lu.solve(rhs)
+            rhs_norm = _norm(rhs)
+            if rhs_norm > 0.0 and _norm(self._M @ x - rhs) > _LINEAR_RTOL * rhs_norm:
+                x = _solve_checked(self._M, rhs, x0=x)
+            return x
+        diag = 1.0 + self._h * (self._D_diag + r)
+        e = self._offdiag
+        if e is not None:
+            _, _, x, info = _ptsv(diag, e, rhs)
+            if info == 0:
+                res = diag * x
+                res[:-1] += e * x[1:]
+                res[1:] += e * x[:-1]
+                if _norm(res - rhs) <= _LINEAR_RTOL * _norm(rhs):
+                    return x
         self._M.data[self._diag_pos] = diag
         return _solve_checked(self._M, rhs, x0=x0)
 
-    def solve(self, r: np.ndarray, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        """Solve (I + h*(D + diag(r))) x = rhs; x0 warm-starts CG."""
-        diag = 1.0 + self._h * (self._D_diag + r)
-        e = self._offdiag
-        if e is None:
-            return self._solve_csr(diag, rhs, x0)
-        _, _, x, info = _ptsv(diag, e, rhs)
-        if info != 0:
-            return self._solve_csr(diag, rhs, x0)
-        res = diag * x
-        res[:-1] += e * x[1:]
-        res[1:] += e * x[:-1]
-        if not _norm(res - rhs) <= _LINEAR_RTOL * _norm(rhs):
-            return self._solve_csr(diag, rhs, x0)
-        return x
+
+def _march(solve, th: np.ndarray, src: np.ndarray, reactions, stored) -> np.ndarray:
+    """The forward backward-Euler march th_k = solve(r_k, th_{k-1} + src,
+    th_{k-1}) over the reaction rows r_1, r_2, ... (None rows: the
+    stepper's own matrix); the states at the step indices `stored`."""
+    states = np.empty((len(stored), th.shape[0]))
+    states[0] = th
+    row = 1
+    for k, r in enumerate(reactions, 1):
+        th = solve(r, th + src, th)
+        if k == stored[row]:
+            states[row] = th
+            row += 1
+    return states
 
 
 def _stored_steps(n_steps: int, store_every: int) -> list:
@@ -272,17 +298,14 @@ def _norm(d: np.ndarray) -> float:
 
 
 def step_implicit(theta: ScalarField, L: OperatorMatrix, alpha, dt: float) -> ScalarField:
-    """One backward-Euler step: solve (I + dt*L) theta' = theta + dt*alpha."""
-    import scipy.sparse as sp
-
+    """One backward-Euler step: solve (I + dt*L) theta' = theta + dt*alpha,
+    the one step of integrate_pde(theta, L, alpha, dt, dt), bit for bit."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = L.n_cells
     th = as_cell_values(theta, n)
-    al = as_cell_values(alpha, n)
-    M = (sp.identity(n, format="csr") + dt * L.matrix).tocsr()
-    rhs = th + dt * al
-    return ScalarField(_solve_checked(M, rhs, x0=th))
+    rhs = th + dt * as_cell_values(alpha, n)
+    return ScalarField(_FixedStencilStepper(L.matrix, dt).solve(None, rhs, th))
 
 
 @dataclass(frozen=True)
@@ -314,14 +337,11 @@ def integrate_pde(theta0: ScalarField, L: OperatorMatrix, alpha, T: float,
                   dt: float, store_every: int = 1) -> FieldPath:
     """March theta0 to time T with backward-Euler steps on time_grid(0, T, dt).
 
-    The step matrix is factorized once (the operator is constant in time)
-    and every solve is residual-checked against the same 1e-12 target as
-    step_implicit.  store_every > 1 thins the stored path; the final state
-    is always stored.
+    The operator is constant in time, so the march runs on one
+    _FixedStencilStepper of L: one factorization, every solve
+    residual-checked to 1e-12 as in step_implicit.  store_every > 1 thins
+    the stored path; the final state is always stored.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     if T < 0.0:
         raise ValueError(f"T must be nonnegative, got {T}")
     if dt <= 0.0:
@@ -338,25 +358,9 @@ def integrate_pde(theta0: ScalarField, L: OperatorMatrix, alpha, T: float,
         return FieldPath(np.zeros(1), th[None, :])
 
     n_steps, h, times = time_grid(0.0, T, dt)
-    M = (sp.identity(n, format="csc") + h * L.matrix).tocsc()
-    try:
-        lu = spla.splu(M)
-    except RuntimeError as exc:  # a singular (say, overflowed) step matrix
-        raise SolverBreakdownError(f"step matrix factorization failed: {exc}") from None
     stored = _stored_steps(n_steps, store_every)
-    states = np.empty((len(stored), n))
-    states[0] = th
-    row = 1
-    for k in range(1, n_steps + 1):
-        rhs = th + h * al
-        x = lu.solve(rhs)
-        rhs_norm = _norm(rhs)
-        if rhs_norm > 0.0 and _norm(M @ x - rhs) > _LINEAR_RTOL * rhs_norm:
-            x = _solve_checked(M, rhs, x0=x)
-        th = x
-        if k == stored[row]:
-            states[row] = th
-            row += 1
+    states = _march(_FixedStencilStepper(L.matrix, h).solve, th, h * al,
+                    repeat(None, n_steps), stored)
     return FieldPath(times[stored], states)
 
 

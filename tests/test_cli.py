@@ -289,13 +289,22 @@ def test_overflowed_step_matrix_exits_numerical(tmp_path, capsys, grid):
     # 10**15 cells of 8 bytes lie beyond the address space: the allocation
     # fails at once, whatever the overcommit setting
     (_with(_tiny_pde(), grid={"extents": [1.0], "resolution": [10**15]}), "tiny-pde.grid"),
+    (_with(_tiny_pde(), grid={"extents": [1.0], "resolution": [8.5]}), "tiny-pde.grid"),
+    # a name is one directory under the output root, never a path
+    (_with(_tiny_pde(), name="../escaped"), "name"),
+    (_with(_tiny_pde(), name=os.path.join(os.sep, "escaped")), "name"),
+    (_with(_tiny_pde(), name="."), "name"),
+    (_with(_tiny_pde(), name=".."), "name"),
+    (_with(_tiny_pde(), name="a/b"), "name"),
 ], ids=["store_every", "store_every_fraction", "shooting_tol", "sweep_max_iter",
         "seed", "initial", "store_every_not_dividing_steps", "riccati_cells",
         "sweep_theta1_zero", "sweep_theta1_one", "steps_beyond_array_size",
         "steps_overflow", "steps_beyond_memory", "subnormal_alpha_period",
         "subnormal_alpha_period_optimize", "subnormal_beta_period",
         "subnormal_beta_period_optimize", "subnormal_eta_period_forecast",
-        "seasonal_phase_overflow", "grid_beyond_address_space"])
+        "seasonal_phase_overflow", "grid_beyond_address_space",
+        "grid_fractional_resolution", "name_parent", "name_absolute", "name_dot",
+        "name_dot_dot", "name_nested"])
 def test_bad_value_exits_config_in_validate_and_run(tmp_path, capsys, data, key):
     path = _write_cfg(tmp_path, data)
     assert main(["validate", path]) == EXIT_CONFIG

@@ -15,6 +15,9 @@ def test_grid_spec_validation():
         GridSpec(extents=(1.0, 1.0, 1.0), resolution=(2, 2, 2))  # 3-D unsupported
     with pytest.raises(ValueError):
         GridSpec(extents=(1.0, 1.0), resolution=(4,))  # rank mismatch
+    with pytest.raises(ValueError, match="expected integers"):
+        GridSpec(extents=(1.0,), resolution=(10.5,))  # never truncated to 10
+    assert GridSpec(extents=(1.0, 1.0), resolution=(8.0, 3)).resolution == (8, 3)
 
 
 def test_grid_1d_geometry():

@@ -202,6 +202,77 @@ def test_integrate_pde_path_shape_and_store_every():
     assert single.n_times == 1 and np.array_equal(single.values[0], th0.values)
 
 
+def _random_operator(resolution, rng):
+    grid, A = build_grid(GridSpec((1.0,) * len(resolution), resolution),
+                         A_spec=rng.uniform(0.005, 0.5))
+    alpha = rng.uniform(0.5, 3.0, grid.n_cells)
+    L = assemble_operator(grid, A, alpha=alpha, u=rng.uniform(0.0, 1.0, grid.n_cells),
+                          theta1=0.6)
+    return L, alpha, rng.uniform(0.0, 1.0, grid.n_cells)
+
+
+@pytest.mark.parametrize("resolution", [(16,), (64,), (9, 7), (24, 24)])
+def test_step_implicit_is_one_step_of_integrate_pde(resolution, rng):
+    # one backward-Euler solver: a single step is the first step of a march
+    for _ in range(5):
+        L, alpha, th = _random_operator(resolution, rng)
+        dt = rng.uniform(0.001, 0.1)
+        out = step_implicit(ScalarField(th), L, alpha, dt).values
+        assert np.array_equal(out, integrate_pde(th, L, alpha, dt, dt).values[1])
+
+
+def _splu_march(th, L, alpha, h, n_steps):
+    # integrate_pde as it was written out before it marched on the stepper:
+    # a CSC splu of I + h*L, a residual check and the _solve_checked fallback
+    M = (sp.identity(L.n_cells, format="csc") + h * L.matrix).tocsc()
+    lu = spla.splu(M)
+    states = [th]
+    for _ in range(n_steps):
+        rhs = th + h * alpha
+        x = lu.solve(rhs)
+        if np.linalg.norm(M @ x - rhs) > 1e-12 * np.linalg.norm(rhs):
+            x = pde._solve_checked(M, rhs, x0=x)
+        th = x
+        states.append(th)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("resolution", [(16,), (64,), (32, 32), (7, 5)])
+def test_integrate_pde_keeps_its_one_factorization_bits(resolution, rng, monkeypatch):
+    L, alpha, th = _random_operator(resolution, rng)
+    h = 0.01
+    ref = _splu_march(th, L, alpha, h, 50)
+    factorized = []
+    real = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda M: factorized.append(1) or real(M))
+    path = integrate_pde(th, L, alpha, 50 * h, h)
+    assert len(factorized) == 1  # one factorization for the whole march
+    assert np.array_equal(path.values, ref)
+
+
+def test_factorized_solve_falls_back_when_the_residual_check_fails(rng):
+    L, alpha, th = _random_operator((32,), rng)
+    stepper = pde._FixedStencilStepper(L.matrix, 0.05)
+    rhs = th + 0.05 * alpha
+    exact = stepper.solve(None, rhs, th)
+
+    class Wrong:
+        def solve(self, b):
+            return np.zeros_like(b)
+
+    stepper._lu = Wrong()
+    x = stepper.solve(None, rhs, th)
+    M = (sp.identity(32) + 0.05 * L.matrix).tocsr()
+    assert np.linalg.norm(M @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert np.allclose(x, exact, rtol=1e-11, atol=0.0)
+
+
+def test_failed_factorization_raises_solver_breakdown():
+    D = sp.csr_matrix(np.array([[-0.5, 0.5], [0.5, -0.5]]))  # I + D is singular
+    with pytest.raises(pde.SolverBreakdownError, match="factorization failed"):
+        pde._FixedStencilStepper(D, 1.0).solve(None, np.ones(2), np.ones(2))
+
+
 def test_integrate_pde_monotone_approach_to_equilibrium():
     grid, A = _setup_1d()
     u, theta1, alpha = 0.25, 0.6, 2.0

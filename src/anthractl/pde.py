@@ -215,13 +215,13 @@ class _FixedStencilStepper:
 
     A reaction r that changes from step to step (the control marches) is
     written into the matrix's diagonal slots in place, as a per-step rebuild
-    would give; a tridiagonal stencil (1-D, two or more cells) is solved by
-    LAPACK ptsv as an SPD system, a wider one (2-D) by warm CG.  r None, a
-    march whose stencil carries its whole, constant reaction (integrate_pde,
-    step_implicit), solves I + h*D through one splu built on first use; a
-    failed factorization raises SolverBreakdownError.  Every solve is
-    residual-checked to 1e-12; a failed check or ptsv factorization falls
-    back to _solve_checked on the same matrix.
+    would give, so a stepper serves one kind of march; a tridiagonal stencil
+    (1-D, two or more cells) is solved by LAPACK ptsv, a wider one by warm
+    CG.  r None, a march whose stencil carries its whole, constant reaction
+    (integrate_pde, step_implicit), solves I + h*D by one splu built on
+    first use; a failed factorization raises SolverBreakdownError.  Every
+    solve is residual-checked to 1e-12; a failed check or ptsv
+    factorization falls back to _solve_checked on the same matrix.
     """
 
     def __init__(self, D: sp.spmatrix, h: float):

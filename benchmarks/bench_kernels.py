@@ -33,7 +33,7 @@ matrix and running CG every step, and the fixed-stencil stepper the PDE
 control layer uses.  It reports the largest deviation between the two paths,
 which must stay within 1e-10.  It also times _CONSTANT_STEPS-step marches of a
 constant operator on a 64-cell and a 32x32 grid two ways: integrate_pde,
-which runs the stepper's one-factorization path, and integrate_pde's
+which runs one factorization through pde._factorized_solve, and its
 earlier algorithm written out here (a CSC splu of I + h*L, the residual
 check and the _solve_checked fallback).  It reports us per step and counts
 the state values where the two differ; that count must be 0.

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -210,18 +209,13 @@ def _solve_checked(M: sp.spmatrix, rhs: np.ndarray, x0=None) -> np.ndarray:
 
 
 class _FixedStencilStepper:
-    """The PDE layer's one backward-Euler solver: (I + h*(D + diag(r))) x = rhs
-    for a fixed stencil D, I + h*D assembled once.
+    """Backward-Euler solves of (I + h*(D + diag(r))) x = rhs for a fixed
+    stencil D and a reaction r that changes each step (the control marches).
 
-    A reaction r that changes from step to step (the control marches) is
-    written into the matrix's diagonal slots in place, as a per-step rebuild
-    would give, so a stepper serves one kind of march; a tridiagonal stencil
-    (1-D, two or more cells) is solved by LAPACK ptsv, a wider one by warm
-    CG.  r None, a march whose stencil carries its whole, constant reaction
-    (integrate_pde, step_implicit), solves I + h*D by one splu built on
-    first use; a failed factorization raises SolverBreakdownError.  Every
-    solve is residual-checked to 1e-12; a failed check or ptsv
-    factorization falls back to _solve_checked on the same matrix.
+    I + h*D is assembled once; a CSR solve writes its diagonal in place, as
+    a per-step rebuild would.  A tridiagonal stencil (1-D, two or more
+    cells) is solved by LAPACK ptsv, a wider one by warm CG; every solve is
+    residual-checked to 1e-12, falling back to _solve_checked.
     """
 
     def __init__(self, D: sp.spmatrix, h: float):
@@ -237,23 +231,9 @@ class _FixedStencilStepper:
         self._D_diag = D.diagonal()
         bandwidth = int(np.max(np.abs(M.indices - rows)))
         self._offdiag = M.diagonal(1) if n > 1 and bandwidth <= 1 else None
-        self._lu = None
 
-    def solve(self, r, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        """Solve (I + h*(D + diag(r))) x = rhs, r None meaning r = 0 on the
-        one factorization; x0 warm-starts CG."""
-        if r is None:
-            if self._lu is None:
-                from scipy.sparse.linalg import splu
-                try:
-                    self._lu = splu(self._M.tocsc())
-                except RuntimeError as exc:  # a singular (say, overflowed) step matrix
-                    raise SolverBreakdownError(f"step matrix factorization failed: {exc}") from None
-            x = self._lu.solve(rhs)
-            rhs_norm = _norm(rhs)
-            if rhs_norm > 0.0 and _norm(self._M @ x - rhs) > _LINEAR_RTOL * rhs_norm:
-                x = _solve_checked(self._M, rhs, x0=x)
-            return x
+    def solve(self, r: np.ndarray, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        """Solve (I + h*(D + diag(r))) x = rhs; x0 warm-starts CG."""
         diag = 1.0 + self._h * (self._D_diag + r)
         e = self._offdiag
         if e is not None:
@@ -268,10 +248,31 @@ class _FixedStencilStepper:
         return _solve_checked(self._M, rhs, x0=x0)
 
 
+def _factorized_solve(L: sp.spmatrix, h: float):
+    """solve(r, rhs, x0) for a march whose operator L does not change: one
+    splu of M = I + h*L, each solve residual-checked to 1e-12 (a NaN
+    residual fails too) with the _solve_checked fallback; r, x0 unused."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    M = (sp.identity(L.shape[0], format="csc") + h * L).tocsc()
+    try:
+        lu = splu(M)
+    except RuntimeError as exc:  # a singular (say, overflowed) step matrix
+        raise SolverBreakdownError(f"step matrix factorization failed: {exc}") from None
+
+    def solve(_r, rhs: np.ndarray, _x0) -> np.ndarray:
+        x = lu.solve(rhs)
+        if not _norm(M @ x - rhs) <= _LINEAR_RTOL * _norm(rhs):
+            return _solve_checked(M, rhs, x0=x)
+        return x
+
+    return solve
+
+
 def _march(solve, th: np.ndarray, src: np.ndarray, reactions, stored) -> np.ndarray:
-    """The forward backward-Euler march th_k = solve(r_k, th_{k-1} + src,
-    th_{k-1}) over the reaction rows r_1, r_2, ... (None rows: the
-    stepper's own matrix); the states at the step indices `stored`."""
+    """The backward-Euler march th_k = solve(r_k, th_{k-1} + src, th_{k-1})
+    over the reaction rows r_1, r_2, ...; the states at the steps `stored`."""
     states = np.empty((len(stored), th.shape[0]))
     states[0] = th
     row = 1
@@ -305,7 +306,7 @@ def step_implicit(theta: ScalarField, L: OperatorMatrix, alpha, dt: float) -> Sc
     n = L.n_cells
     th = as_cell_values(theta, n)
     rhs = th + dt * as_cell_values(alpha, n)
-    return ScalarField(_FixedStencilStepper(L.matrix, dt).solve(None, rhs, th))
+    return ScalarField(_factorized_solve(L.matrix, dt)(None, rhs, th))
 
 
 @dataclass(frozen=True)
@@ -338,9 +339,9 @@ def integrate_pde(theta0: ScalarField, L: OperatorMatrix, alpha, T: float,
     """March theta0 to time T with backward-Euler steps on time_grid(0, T, dt).
 
     The operator is constant in time, so the march runs on one
-    _FixedStencilStepper of L: one factorization, every solve
-    residual-checked to 1e-12 as in step_implicit.  store_every > 1 thins
-    the stored path; the final state is always stored.
+    factorization (_factorized_solve), every solve residual-checked to
+    1e-12 as in step_implicit.  store_every > 1 thins the stored path; the
+    final state is always stored.
     """
     if T < 0.0:
         raise ValueError(f"T must be nonnegative, got {T}")
@@ -359,8 +360,7 @@ def integrate_pde(theta0: ScalarField, L: OperatorMatrix, alpha, T: float,
 
     n_steps, h, times = time_grid(0.0, T, dt)
     stored = _stored_steps(n_steps, store_every)
-    states = _march(_FixedStencilStepper(L.matrix, h).solve, th, h * al,
-                    repeat(None, n_steps), stored)
+    states = _march(_factorized_solve(L.matrix, h), th, h * al, [None] * n_steps, stored)
     return FieldPath(times[stored], states)
 
 

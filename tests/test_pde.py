@@ -250,18 +250,17 @@ def test_integrate_pde_keeps_its_one_factorization_bits(resolution, rng, monkeyp
     assert np.array_equal(path.values, ref)
 
 
-def test_factorized_solve_falls_back_when_the_residual_check_fails(rng):
+def test_factorized_solve_falls_back_when_the_residual_check_fails(rng, monkeypatch):
     L, alpha, th = _random_operator((32,), rng)
-    stepper = pde._FixedStencilStepper(L.matrix, 0.05)
     rhs = th + 0.05 * alpha
-    exact = stepper.solve(None, rhs, th)
+    exact = pde._factorized_solve(L.matrix, 0.05)(None, rhs, th)
 
     class Wrong:
         def solve(self, b):
             return np.zeros_like(b)
 
-    stepper._lu = Wrong()
-    x = stepper.solve(None, rhs, th)
+    monkeypatch.setattr(spla, "splu", lambda M: Wrong())
+    x = pde._factorized_solve(L.matrix, 0.05)(None, rhs, th)
     M = (sp.identity(32) + 0.05 * L.matrix).tocsr()
     assert np.linalg.norm(M @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
     assert np.allclose(x, exact, rtol=1e-11, atol=0.0)
@@ -270,7 +269,34 @@ def test_factorized_solve_falls_back_when_the_residual_check_fails(rng):
 def test_failed_factorization_raises_solver_breakdown():
     D = sp.csr_matrix(np.array([[-0.5, 0.5], [0.5, -0.5]]))  # I + D is singular
     with pytest.raises(pde.SolverBreakdownError, match="factorization failed"):
-        pde._FixedStencilStepper(D, 1.0).solve(None, np.ones(2), np.ones(2))
+        pde._factorized_solve(D, 1.0)
+
+
+@pytest.mark.parametrize("resolution", [(16,), (6, 5)])
+@pytest.mark.parametrize("bad", ["theta", "alpha"])
+def test_non_finite_input_raises_solver_breakdown(resolution, bad, rng):
+    # a NaN residual fails the residual check, as in the control marches'
+    # solve, instead of passing a NaN state through
+    L, alpha, th = _random_operator(resolution, rng)
+    if bad == "theta":
+        th[3] = np.nan
+    else:
+        alpha = alpha.copy()
+        alpha[3] = np.nan
+    with pytest.raises(pde.SolverBreakdownError):
+        step_implicit(th, L, alpha, 0.01)
+    if bad == "alpha":  # integrate_pde refuses a NaN theta0 as not nonnegative
+        with pytest.raises(pde.SolverBreakdownError):
+            integrate_pde(th, L, alpha, 0.05, 0.01)
+
+
+def test_operator_with_an_inf_entry_raises_solver_breakdown():
+    # splu factorizes this matrix, but its solve leaves a NaN residual
+    L = pde.OperatorMatrix(sp.csr_matrix(np.diag([np.inf, 1.0])), True, "full")
+    with pytest.raises(pde.SolverBreakdownError):
+        step_implicit(np.array([0.5, 0.5]), L, 1.0, 0.1)
+    with pytest.raises(pde.SolverBreakdownError):
+        integrate_pde(np.array([0.5, 0.5]), L, 1.0, 0.1, 0.1)
 
 
 def test_integrate_pde_monotone_approach_to_equilibrium():

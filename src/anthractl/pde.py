@@ -210,12 +210,16 @@ def _solve_checked(M: sp.spmatrix, rhs: np.ndarray, x0=None) -> np.ndarray:
 
 class _FixedStencilStepper:
     """Backward-Euler solves of (I + h*(D + diag(r))) x = rhs for a fixed
-    stencil D and a reaction r that changes each step (the control marches).
+    stencil D and a reaction diagonal r that changes from step to step.
 
-    I + h*D is assembled once; a CSR solve writes its diagonal in place, as
-    a per-step rebuild would.  A tridiagonal stencil (1-D, two or more
-    cells) is solved by LAPACK ptsv, a wider one by warm CG; every solve is
-    residual-checked to 1e-12, falling back to _solve_checked.
+    I + h*D is assembled once; a solve through the CSR matrix first writes
+    1 + h*(D_ii + r_i) into its recorded diagonal slots in place, so the
+    matrix equals the one a per-step rebuild would produce.  A tridiagonal
+    stencil (1-D, two or more cells) is solved directly with LAPACK ptsv as
+    an SPD tridiagonal system; any wider stencil (2-D) runs warm-started
+    CG.  Every solve is residual-checked to 1e-12, and a failed check or a
+    failed tridiagonal factorization falls back to _solve_checked on the
+    same matrix.
     """
 
     def __init__(self, D: sp.spmatrix, h: float):
@@ -304,9 +308,8 @@ def step_implicit(theta: ScalarField, L: OperatorMatrix, alpha, dt: float) -> Sc
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = L.n_cells
-    th = as_cell_values(theta, n)
-    rhs = th + dt * as_cell_values(alpha, n)
-    return ScalarField(_factorized_solve(L.matrix, dt)(None, rhs, th))
+    rhs = as_cell_values(theta, n) + dt * as_cell_values(alpha, n)
+    return ScalarField(_factorized_solve(L.matrix, dt)(None, rhs, None))
 
 
 @dataclass(frozen=True)

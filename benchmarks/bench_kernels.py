@@ -550,14 +550,14 @@ def _implicit_step_lane(repeats: int):
         th0 = rng.uniform(0.0, 1.0, n)
         args = (th0, L, al, h, _CONSTANT_STEPS)
         t_ref = _best_of(_splu_march, args, repeats)
-        t_stepper = _best_of(integrate_pde, (th0, L, al, _CONSTANT_STEPS * h, h), repeats)
+        t_integrate = _best_of(integrate_pde, (th0, L, al, _CONSTANT_STEPS * h, h), repeats)
         ref = _splu_march(*args)
         got = integrate_pde(th0, L, al, _CONSTANT_STEPS * h, h).values
         lane["constant " + "x".join(map(str, resolution))] = {
             "cells": n,
             "steps": _CONSTANT_STEPS,
             "splu_march_us_per_step": t_ref / _CONSTANT_STEPS * 1e6,
-            "stepper_us_per_step": t_stepper / _CONSTANT_STEPS * 1e6,
+            "integrate_pde_us_per_step": t_integrate / _CONSTANT_STEPS * 1e6,
             "mismatches": int(np.sum(got.view(np.int64) != ref.view(np.int64)))}
     return lane
 
@@ -784,7 +784,7 @@ def main() -> None:
         if "mismatches" in r:
             print(f"implicit_step ({name}, {r['cells']} cells, {r['steps']} steps): "
                   f"splu march {r['splu_march_us_per_step']:.1f}us/step, "
-                  f"integrate_pde {r['stepper_us_per_step']:.1f}us/step, "
+                  f"integrate_pde {r['integrate_pde_us_per_step']:.1f}us/step, "
                   f"mismatches {r['mismatches']}")
             continue
         print(f"implicit_step ({name}, {r['cells']} cells): "
